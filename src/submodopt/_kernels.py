@@ -10,7 +10,8 @@ numpy path (it is also used automatically when numba is missing).
 
 Both paths return identical results bit for bit, including violation
 witnesses, which are always the lexicographically smallest ones.  See
-``benchmarks/bench_kernels.py`` for a speed comparison.
+``benchmarks/bench_kernels.py`` for a speed comparison.  The cut and cover
+table builders at the end exist once, composed of dispatched kernels.
 """
 
 from __future__ import annotations
@@ -413,3 +414,40 @@ else:
     closure_violation = _closure_violation_np
     mobius_transform = _mobius_np
     zeta_transform = _zeta_np
+
+
+# ---------------------------------------------------------------------------
+# structured tables: whole 2**p tables of cut and cover functions, built
+# from the dispatched kernels above instead of one oracle call per mask
+# ---------------------------------------------------------------------------
+
+def cut_table(tails, heads, wts, p):
+    """Table of the directed cut A -> weight of the arcs leaving A.
+
+    Bit doubling: for A inside {0..k-1}, adding k gains the arcs from k to
+    the outside and loses those from A into k, so
+    T[A + k] = T[A] + out(k) - c_k(A) with c_k[j] = w(k -> j) + w(j -> k).
+    Exact, in any order of summation, when the weights are dyadic.
+    """
+    w = np.zeros((p, p), dtype=np.float64)
+    np.add.at(w, (tails, heads), wts)
+    out = w.sum(axis=1)
+    both = w + w.T
+    table = np.zeros(1, dtype=np.float64)
+    for k in range(p):
+        table = np.concatenate((table, table + out[k] - subset_sums(both[k, :k])))
+    return table
+
+
+def cover_table(masks, wts, p):
+    """Table of the weighted cover A -> weight of the groups meeting A.
+
+    That is the total weight minus the weight of the groups inside V - A;
+    the latter is the zeta transform of the group weights D at V - A.
+    """
+    d = np.zeros(1 << p, dtype=np.float64)
+    np.add.at(d, masks, wts)
+    inside = zeta_transform(d)
+    table = inside[-1] - inside[::-1]  # full ^ m == full - m
+    table[0] = 0.0
+    return table

@@ -5,8 +5,9 @@ single-line JSON objects on stdout with sorted keys, so identical
 invocations produce byte-identical output apart from the timing field.
 Log and error text goes to stderr.
 
-Exit codes: 0 ok, 1 input or parse error, 2 numerical or cap error,
-3 precondition violation detected by --verify.
+Exit codes: 0 ok, 1 input or parse error, 2 numerical or cap error, out of
+memory or any other failure, 3 precondition violation detected by --verify.
+Every failure is one ``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__, core, lovasz, prox, sfm, transforms, zoo
-from .errors import CapExceeded, NoConvergence, SubmodoptError, Unbounded
+from .errors import SubmodoptError
 
 
 class SpecError(ValueError):
@@ -368,26 +369,27 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message: str, code: int) -> int:
+    """Report a failure as one ``error:`` line on stderr and return its exit code."""
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
         args.fn(args)
     except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(str(exc), 1)
     except PreconditionFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CapExceeded, NoConvergence, Unbounded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SubmodoptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc), 3)
+    except SubmodoptError as exc:  # cap, convergence and other numerical errors
+        return _fail(str(exc), 2)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(str(exc), 1)
+    except Exception as exc:  # the exit-code contract admits no traceback
+        return _fail(f"{type(exc).__name__}: {exc}", 2)
     return 0
 
 

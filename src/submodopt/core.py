@@ -5,6 +5,11 @@ means element k is in the subset.  Exhaustive operations materialize the
 function as a table of 2**p values (see :func:`to_explicit`) and run the
 bitmask kernels from ``_kernels`` over it; they refuse to run for p above
 an explicit cap instead of silently enumerating forever.
+
+Materialization goes through :meth:`SetFunction.tabulate`.  Functions with
+known structure (cuts, covers, concave and modular families, and the
+transforms built on them) pass a vectorized table builder at construction;
+every other function is tabulated by one oracle call per mask.
 """
 
 from __future__ import annotations
@@ -74,11 +79,16 @@ class SetFunction:
     Memoization is opt-in and keyed by the raw bitmask.  Instances are
     immutable after construction, so concurrent evaluation is safe: cache
     writes are idempotent because the oracle is deterministic.
+
+    ``builder``, when given, maps a cap to the full table of 2**p values
+    computed from the function's structure, or to None when it cannot do
+    better than the per-mask loop under that cap; see :meth:`tabulate`.
     """
 
-    __slots__ = ("p", "_fn", "_memo")
+    __slots__ = ("p", "_fn", "_memo", "_builder")
 
-    def __init__(self, p: int, fn: Callable[[int], float], memoize: bool = False):
+    def __init__(self, p: int, fn: Callable[[int], float], memoize: bool = False,
+                 builder: Optional[Callable[[int], Optional[np.ndarray]]] = None):
         self.p = validate_ground_size(p)
         self._fn = fn
         v0 = float(fn(0))
@@ -86,6 +96,7 @@ class SetFunction:
             raise EmptySetNotZero(
                 f"F(empty) = {v0!r}; must be exactly 0 (see shift_to_zero)")
         self._memo: Optional[dict] = {0: 0.0} if memoize else None
+        self._builder = builder
 
     def __call__(self, mask: int) -> float:
         if not 0 <= mask < (1 << self.p):
@@ -103,6 +114,28 @@ class SetFunction:
     def memoized(self) -> bool:
         return self._memo is not None
 
+    @property
+    def structured(self) -> bool:
+        """Whether :meth:`tabulate` may build the table without per-mask calls."""
+        return self._builder is not None
+
+    def tabulate(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
+        """A fresh float64 table of F over all 2**p masks; table[0] == 0.
+
+        Raises CapExceeded for p above the cap.  The table equals the
+        per-mask loop ``[F(m) for m in range(2**p)]``; builders whose
+        arithmetic is reordered agree with it exactly on dyadic data.  A
+        builder neither reads nor fills the memo of F.
+        """
+        check_cap(self.p, cap)
+        table = None if self._builder is None else self._builder(cap)
+        if table is None:
+            n = 1 << self.p
+            table = np.empty(n, dtype=np.float64)
+            for m in range(n):
+                table[m] = self(m)
+        return table
+
 
 class ExplicitFunction(SetFunction):
     """Set-function backed by a full table of 2**p values."""
@@ -118,16 +151,51 @@ class ExplicitFunction(SetFunction):
         self.table = table
         super().__init__(p, lambda m: table[m], memoize=False)
 
+    structured = True  # tabulate copies the stored table
+
+    def tabulate(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
+        """A copy of the stored table; the cap does not apply to it."""
+        return self.table.copy()
+
 
 def explicit_function(values) -> ExplicitFunction:
     return ExplicitFunction(values)
 
 
+class ModularSums:
+    """Lazy subset sums: ``sums[mask]`` is s(mask) for p up to 63.
+
+    One table of at most 256 partial sums per byte of the mask, so a query
+    costs p/8 lookups and memory stays at 2**11 floats where the dense
+    table would need 8 * 2**p bytes.
+    """
+
+    __slots__ = ("_bytes",)
+
+    def __init__(self, s: np.ndarray):
+        self._bytes = [_kernels.subset_sums(s[i:i + 8]).tolist()
+                       for i in range(0, s.shape[0], 8)]
+
+    def __getitem__(self, mask: int) -> float:
+        total = 0.0
+        for part in self._bytes:
+            total += part[mask & 255]
+            mask >>= 8
+        return total
+
+
 def modular_function(s) -> SetFunction:
-    """Modular function A -> sum of s[k] over k in A."""
+    """Modular function A -> sum of s[k] over k in A.
+
+    Explicit up to the exhaustive cap; above it a lazy oracle that still
+    tabulates from s when a larger cap allows.
+    """
     s = np.asarray(s, dtype=np.float64)
-    sums = _kernels.subset_sums(s)
-    return ExplicitFunction(sums)
+    if s.shape[0] <= EXHAUSTIVE_CAP:
+        return ExplicitFunction(_kernels.subset_sums(s))
+    sums = ModularSums(s)
+    return SetFunction(len(s), lambda m: sums[m],
+                       builder=lambda cap: _kernels.subset_sums(s))
 
 
 def shift_to_zero(p: int, fn: Callable[[int], float], memoize: bool = False) -> SetFunction:
@@ -138,14 +206,7 @@ def shift_to_zero(p: int, fn: Callable[[int], float], memoize: bool = False) -> 
 
 def to_explicit(F: SetFunction, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
     """Materialize F as a table indexed by bitmask; table[0] == 0."""
-    if isinstance(F, ExplicitFunction):
-        return F.table.copy()
-    check_cap(F.p, cap)
-    n = 1 << F.p
-    table = np.empty(n, dtype=np.float64)
-    for m in range(n):
-        table[m] = F(m)
-    return table
+    return F.tabulate(cap)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +311,7 @@ def random_submodular(seed: int, p: int, family: str = "cut") -> SetFunction:
         raise ValueError(f"unknown family suffix {suffix!r}")
     rng = np.random.default_rng(seed)
 
+    builder = None
     if base == "cut":
         pairs = [(i, j) for i in range(p) for j in range(p)
                  if i != j and rng.random() < 0.4]
@@ -262,6 +324,9 @@ def random_submodular(seed: int, p: int, family: str = "cut") -> SetFunction:
             inside_h = (mask >> heads) & 1
             return float(np.sum(wts[(inside_t == 1) & (inside_h == 0)]))
 
+        def builder(cap: int) -> np.ndarray:
+            return _kernels.cut_table(tails, heads, wts, p)
+
     elif base == "cover":
         n_groups = 2 * p
         masks = rng.integers(1, 1 << p, size=n_groups, dtype=np.uint64,
@@ -273,6 +338,9 @@ def random_submodular(seed: int, p: int, family: str = "cut") -> SetFunction:
 
         def fn(mask: int) -> float:
             return float(np.sum(gw[(masks & np.uint64(mask)) != 0]))
+
+        def builder(cap: int) -> np.ndarray:
+            return _kernels.cover_table(masks.astype(np.int64), gw, p)
 
     elif base == "logdet":
         r = rng.standard_normal((p, p)) * 0.5
@@ -292,6 +360,11 @@ def random_submodular(seed: int, p: int, family: str = "cut") -> SetFunction:
     if suffix == "modular":
         shift = _dyadic(rng, -_WEIGHT_GRID, _WEIGHT_GRID, size=p)
         inner = fn
+        if builder is not None:
+            inner_builder = builder
+
+            def builder(cap: int) -> np.ndarray:  # noqa: F811 - deliberate rewrap
+                return inner_builder(cap) + _kernels.subset_sums(shift)
 
         def fn(mask: int) -> float:  # noqa: F811 - deliberate rewrap
             total = inner(mask)
@@ -302,4 +375,4 @@ def random_submodular(seed: int, p: int, family: str = "cut") -> SetFunction:
                 m ^= low
             return total
 
-    return SetFunction(p, fn, memoize=True)
+    return SetFunction(p, fn, memoize=True, builder=builder)

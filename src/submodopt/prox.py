@@ -280,6 +280,10 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
     Equalize the derivatives subject to t(V) = F(V); if the largest
     minimizer of F - t is the whole ground set, t is optimal, otherwise
     solve the restriction and the contraction independently and concatenate.
+    A largest minimizer that is empty means min(F - t) = 0 with F(V) - t(V)
+    above the SFM tolerance; t is accepted as optimal, being in B(F) up to
+    rounding, when that gap is within 1e-9 * (1 + |F(V)|), and otherwise
+    the root search went wrong and NumericalInconsistency is raised.
     Each level removes at least one element, so recursion deeper than p
     levels is an internal bug, reported as RecursionOverflow.
     """
@@ -297,6 +301,13 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
         res = minimize(shifted, backend=sfm_backend, eps=eps)
         a_mask = res.maximal_minimizer
         if a_mask == full:
+            return t
+        if a_mask == 0:
+            tv, fv = float(np.sum(t)), Fc(full)
+            if abs(tv - fv) > 1e-9 * (1.0 + abs(fv)):
+                raise NumericalInconsistency(
+                    f"largest minimizer of F - t is empty with t(V) = {tv!r} "
+                    f"against F(V) = {fv!r}")
             return t
         rest_f = transforms.restrict(Fc, a_mask)
         cont_f = transforms.contract(Fc, a_mask)

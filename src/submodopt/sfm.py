@@ -92,7 +92,8 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
 
     Returns the optimal point and the final corral.  Raises NoConvergence
     (with the best iterate attached) after ``max_major`` cycles, default
-    100 * p.
+    100 * p, and NumericalInconsistency if the norm grows across a major
+    cycle.
     """
     p = F.p
     d = np.ones(p) if weights is None else np.asarray(weights, dtype=np.float64)
@@ -164,8 +165,10 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
         x = coeffs @ bases
 
         norm = dot(x - c, x - c)
-        assert norm <= prev_norm + 1e-9 * (1.0 + prev_norm), \
-            "norm increased across a major cycle"
+        if norm > prev_norm + 1e-9 * (1.0 + prev_norm):
+            raise NumericalInconsistency(
+                f"norm increased across major cycle {majors}: "
+                f"{prev_norm!r} -> {norm!r}")
         prev_norm = norm
 
     g = x - c

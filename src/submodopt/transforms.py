@@ -2,9 +2,14 @@
 
 Restriction, contraction, partial minimization, convolution with a modular
 function, monotonization, arithmetic combinators, and Moebius inversion of
-the cover representation.  All transforms are lazy memoized oracles rather
-than materialized tables, so they compose freely; the per-query enumeration
-cost (where there is one) is guarded by the usual cap.
+the cover representation.  All transforms but monotonization are lazy
+memoized oracles rather than materialized tables, so they compose freely;
+the per-query enumeration cost (where there is one) is guarded by the usual
+cap.  A transform of functions that tabulate from their structure carries a
+table builder too, so that tabulating it costs array operations on the
+tables of its inputs rather than one oracle call per mask; a transform of
+any other function keeps the per-mask loop, which never evaluates its
+inputs beyond the masks it needs.
 
 Restriction and contraction re-index their ground set compactly; the
 old-index list is recorded on the returned function (``elements``) so
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .core import (EXHAUSTIVE_CAP, ExplicitFunction, SetFunction, check_cap,
-                   complement, elements_of, to_explicit)
+                   ModularSums, complement, elements_of, to_explicit)
 from .errors import NegativeScale
 
 
@@ -52,9 +57,43 @@ class ReindexedFunction(SetFunction):
 
     __slots__ = ("elements",)
 
-    def __init__(self, elements, fn, memoize=True):
+    def __init__(self, elements, fn, memoize=True, builder=None):
         self.elements = tuple(int(e) for e in elements)
-        super().__init__(len(self.elements), fn, memoize=memoize)
+        super().__init__(len(self.elements), fn, memoize=memoize, builder=builder)
+
+
+def _axis_pairs(table: np.ndarray, k: int):
+    """Views of the entries without and with bit k, aligned entry by entry."""
+    pairs = table.reshape(-1, 2, 1 << k)
+    return pairs[:, 0, :], pairs[:, 1, :]
+
+
+def _if_structured(builder, *inputs):
+    """The builder when every input tabulates from its structure, else None.
+
+    Tabulating an input by its own per-mask loop would cost 2**p oracle
+    calls, more than the transform's per-mask loop needs when it reads only
+    part of the input (a restriction, say).
+    """
+    return builder if all(F.structured for F in inputs) else None
+
+
+def _gather_builder(F: SetFunction, elems: Sequence[int], A: int = 0,
+                    base: float = 0.0):
+    """Table builder of B -> F(A | B) - base on the compact ground set elems.
+
+    One gather from the table of F while F.p is within the cap; above it
+    the per-mask loop over the 2**|elems| compact masks is the only option.
+    """
+    def builder(cap: int):
+        if F.p > cap:
+            return None
+        # embed_mask of every compact mask: the subset sums of 2**elems,
+        # exact in float64 for elements below 53
+        embedded = _kernels.subset_sums(np.exp2(elems)).astype(np.int64)
+        return F.tabulate(cap)[A | embedded] - base
+
+    return _if_structured(builder, F)
 
 
 def restrict(F: SetFunction, A: int) -> ReindexedFunction:
@@ -62,7 +101,8 @@ def restrict(F: SetFunction, A: int) -> ReindexedFunction:
     if A == 0:
         raise ValueError("cannot restrict to the empty set")
     elems = elements_of(A)
-    return ReindexedFunction(elems, lambda m: F(embed_mask(m, elems)))
+    return ReindexedFunction(elems, lambda m: F(embed_mask(m, elems)),
+                             builder=_gather_builder(F, elems))
 
 
 def contract(F: SetFunction, A: int) -> ReindexedFunction:
@@ -72,14 +112,16 @@ def contract(F: SetFunction, A: int) -> ReindexedFunction:
         raise ValueError("contraction by the full ground set leaves nothing")
     elems = elements_of(rest)
     base = F(A)
-    return ReindexedFunction(elems, lambda m: F(A | embed_mask(m, elems)) - base)
+    return ReindexedFunction(elems, lambda m: F(A | embed_mask(m, elems)) - base,
+                             builder=_gather_builder(F, elems, A, base))
 
 
 def partial_min(G: SetFunction, W: int, cap: int = EXHAUSTIVE_CAP) -> ReindexedFunction:
     """Partial minimum over the W coordinates of a joint submodular G.
 
     F(A) = min over B subset of W of G(A | B), minus the same minimum at
-    A empty (so F(empty) = 0).  Each query enumerates 2**|W| completions.
+    A empty (so F(empty) = 0).  Each query enumerates 2**|W| completions;
+    the table is the table of G with each W axis folded by a pairwise min.
     """
     q = int(W).bit_count()
     check_cap(q, cap)
@@ -94,26 +136,36 @@ def partial_min(G: SetFunction, W: int, cap: int = EXHAUSTIVE_CAP) -> ReindexedF
         a = embed_mask(mask, v_elems)
         return min(G(a | b) for b in w_subs) - offset
 
-    return ReindexedFunction(v_elems, fn)
+    def builder(cap: int):
+        if G.p > cap:
+            return None
+        table = G.tabulate(cap)
+        # highest axis first, so the V axes below keep their positions
+        for k in reversed(w_elems):
+            table = np.minimum(*_axis_pairs(table, k)).reshape(-1)
+        return table - offset
+
+    return ReindexedFunction(v_elems, fn, builder=_if_structured(builder, G))
 
 
 def convolve_modular(F: SetFunction, z, cap: int = EXHAUSTIVE_CAP) -> SetFunction:
     """Infimal convolution with the modular function z.
 
     G(A) = min over B subset of A of F(B) + z(A - B); G <= F and G <= z
-    pointwise.  Each query enumerates the 2**|A| submasks of A.
+    pointwise.  Each query enumerates the 2**|A| submasks of A; the table
+    takes one pass per element, H[A + k] = min(H[A + k], H[A] + z_k).
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (F.p,):
         raise ValueError(f"vector has shape {z.shape}, expected ({F.p},)")
-    zsums = _kernels.subset_sums(z)
+    zsums = ModularSums(z)
 
     def fn(mask: int) -> float:
         check_cap(int(mask).bit_count(), cap)
         best = F(mask)  # B = A
         sub = (mask - 1) & mask
         while True:
-            v = F(sub) + float(zsums[mask ^ sub])
+            v = F(sub) + zsums[mask ^ sub]
             if v < best:
                 best = v
             if sub == 0:
@@ -121,54 +173,55 @@ def convolve_modular(F: SetFunction, z, cap: int = EXHAUSTIVE_CAP) -> SetFunctio
             sub = (sub - 1) & mask
         return best
 
-    return SetFunction(F.p, fn, memoize=True)
+    def builder(cap: int) -> np.ndarray:
+        table = F.tabulate(cap)
+        for k in range(F.p):
+            without, with_k = _axis_pairs(table, k)
+            np.minimum(with_k, without + z[k], out=with_k)
+        return table
+
+    return SetFunction(F.p, fn, memoize=True, builder=_if_structured(builder, F))
 
 
-def monotonize(F: SetFunction, cap: int = EXHAUSTIVE_CAP) -> SetFunction:
+def monotonize(F: SetFunction, cap: int = EXHAUSTIVE_CAP) -> ExplicitFunction:
     """Non-decreasing envelope G(A) = min over supersets B of A of F(B), shifted to 0.
 
     The shift is the global minimum of F, so G(empty) = 0 and G stays
     submodular; its base polytope is the nonnegative part of the one of F.
+    The shift needs every value of F, so G is tabulated at once: one
+    superset-min pass per element over the table of F.
     """
     check_cap(F.p, cap)
-    full = (1 << F.p) - 1
-    offset = min(F(m) for m in range(1 << F.p))
-
-    def fn(mask: int) -> float:
-        rest = full ^ mask
-        best = F(mask | rest)  # B = V
-        sub = (rest - 1) & rest
-        while True:
-            v = F(mask | sub)
-            if v < best:
-                best = v
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        return best - offset
-
-    return SetFunction(F.p, fn, memoize=True)
+    table = F.tabulate(cap)
+    for k in range(F.p):
+        without, with_k = _axis_pairs(table, k)
+        np.minimum(without, with_k, out=without)
+    return ExplicitFunction(table - table[0])
 
 
 def add(F: SetFunction, G: SetFunction) -> SetFunction:
     if F.p != G.p:
         raise ValueError("ground sets differ")
-    return SetFunction(F.p, lambda m: F(m) + G(m), memoize=True)
+    builder = _if_structured(lambda cap: F.tabulate(cap) + G.tabulate(cap), F, G)
+    return SetFunction(F.p, lambda m: F(m) + G(m), memoize=True, builder=builder)
 
 
 def scale(F: SetFunction, lam: float) -> SetFunction:
     lam = float(lam)
     if lam < 0.0:
         raise NegativeScale(f"scale factor must be nonnegative, got {lam}")
-    return SetFunction(F.p, lambda m: lam * F(m), memoize=True)
+    builder = _if_structured(lambda cap: lam * F.tabulate(cap), F)
+    return SetFunction(F.p, lambda m: lam * F(m), memoize=True, builder=builder)
 
 
 def add_modular(F: SetFunction, s) -> SetFunction:
+    """F + s, with s(A) read from byte tables (see :class:`core.ModularSums`)."""
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (F.p,):
         raise ValueError(f"vector has shape {s.shape}, expected ({F.p},)")
-    sums = _kernels.subset_sums(s)
-    return SetFunction(F.p, lambda m: F(m) + float(sums[m]), memoize=True)
+    sums = ModularSums(s)
+    builder = _if_structured(lambda cap: F.tabulate(cap) + _kernels.subset_sums(s), F)
+    return SetFunction(F.p, lambda m: F(m) + sums[m], memoize=True, builder=builder)
 
 
 def mobius(F: SetFunction, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Concrete submodular functions: cuts, covers, flows, concave-of-modular,
 log-determinants, and matroid ranks, plus fast Lovász-extension paths where
-the structure gives one and a max-flow route for cut minimization.
+the structure gives one and a max-flow route for cut minimization.  Cuts,
+covers and the concave families also build their 2**p tables from their
+structure (see :meth:`SetFunction.tabulate`).
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _maxflow
+from . import _kernels, _maxflow
 from .core import SetFunction, elements_of, subset_of, validate_ground_size
 from .errors import NotConcave, NotPositiveDefinite, NotZeroAtZero
 from .lovasz import descending_order
@@ -58,7 +60,8 @@ def cut_function(g: Digraph) -> SetFunction:
         out = ((mask >> tails) & 1).astype(bool) & ~((mask >> heads) & 1).astype(bool)
         return float(np.sum(wts[out]))
 
-    return SetFunction(g.p, fn, memoize=True)
+    return SetFunction(g.p, fn, memoize=True,
+                       builder=lambda cap: _kernels.cut_table(tails, heads, wts, g.p))
 
 
 def cut_lovasz(g: Digraph, w) -> float:
@@ -131,7 +134,8 @@ def cover_function(c: CoverSystem) -> SetFunction:
             return 0.0
         return float(np.sum(wts[(masks & mask) != 0]))
 
-    return SetFunction(c.p, fn, memoize=True)
+    return SetFunction(c.p, fn, memoize=True,
+                       builder=lambda cap: _kernels.cover_table(masks, wts, c.p))
 
 
 def cover_lovasz(c: CoverSystem, w) -> float:
@@ -219,8 +223,12 @@ def concave_cardinality(g_table) -> SetFunction:
     _check_concave_table(g_table)
     p = len(g_table) - 1
 
+    def builder(cap: int) -> np.ndarray:
+        counts = _kernels.subset_sums(np.ones(p)).astype(np.int64)
+        return g_table[counts]
+
     return SetFunction(p, lambda mask: float(g_table[int(mask).bit_count()]),
-                       memoize=False)
+                       memoize=False, builder=builder)
 
 
 def concave_cardinality_lovasz(g_table, w) -> float:
@@ -268,7 +276,8 @@ def weighted_concave(s, kind: str, cap_value: Optional[float] = None) -> SetFunc
             total += s[k]
         return float(g(total))
 
-    return SetFunction(len(s), fn, memoize=True)
+    return SetFunction(len(s), fn, memoize=True,
+                       builder=lambda cap: g(_kernels.subset_sums(s)))
 
 
 def weighted_concave_lovasz(s, kind: str, w, cap_value: Optional[float] = None) -> float:

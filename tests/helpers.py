@@ -4,11 +4,16 @@ These deliberately avoid the library's kernel code paths wherever they are
 used to cross-check them: plain python enumeration only.
 """
 
+import contextlib
 import itertools
+import os
+import resource
 
 import numpy as np
 
 from submodopt import SetFunction, elements_of
+from submodopt import transforms as so_transforms
+from submodopt import zoo as so_zoo
 
 
 def powerset_masks(p):
@@ -123,3 +128,72 @@ def batch_subset_sums(vectors):
     for k in range(p):
         out = np.concatenate([out, out + vectors[:, k:k + 1]], axis=1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# dyadic random instances: weights are multiples of 2**-16, so every sum
+# over subsets is exact in float64 whatever the order of summation
+# ---------------------------------------------------------------------------
+
+GRID = 1 << 16
+
+
+def dyadic(rng, low, high, size=None):
+    """Uniform multiples of 2**-16 in [low, high)."""
+    return rng.integers(int(low * GRID), int(high * GRID), size=size) / GRID
+
+
+def dyadic_digraph(rng, p, density=0.3):
+    arcs = [(u, v, float(dyadic(rng, 2 ** -16, 1.0)))
+            for u in range(p) for v in range(p)
+            if u != v and rng.random() < density]
+    return so_zoo.Digraph(p, arcs)
+
+
+def dyadic_energy(rng, p, density=0.3):
+    """s-t energy cut(A) + c_t(A) - c_s(A) on p elements, built as the
+    restriction of a contracted p+2 node cut, as graph-cut callers do."""
+    arcs = list(dyadic_digraph(rng, p, density).arcs)
+    s, t = p, p + 1
+    for v in range(p):
+        w = float(dyadic(rng, 2 ** -16, 1.0))
+        arcs.append((s, v, w) if rng.random() < 0.5 else (v, t, w))
+    cut = so_zoo.cut_function(so_zoo.Digraph(p + 2, arcs))
+    return so_transforms.restrict(so_transforms.contract(cut, 1 << p), (1 << p) - 1)
+
+
+def dyadic_cover(rng, p):
+    """Cover with 2p groups of 2 to 5 members plus one small singleton group
+    per element."""
+    groups = []
+    for _ in range(2 * p):
+        members = rng.choice(p, size=int(rng.integers(2, 6)), replace=False)
+        groups.append((int(np.sum(1 << members.astype(np.int64))),
+                       float(dyadic(rng, 2 ** -16, 1.0))))
+    groups += [(1 << k, float(dyadic(rng, 2 ** -16, 2 ** -4))) for k in range(p)]
+    return so_zoo.CoverSystem(p, groups)
+
+
+@contextlib.contextmanager
+def address_space_limit(extra_bytes=1 << 30):
+    """Cap this process's address space at its present size plus extra_bytes.
+
+    Inside, a stray dense 2**p allocation for large p fails at once with
+    MemoryError instead of eating the host's memory.  Linux only (reads
+    /proc/self/statm); elsewhere no limit is set.
+    """
+    try:
+        with open("/proc/self/statm") as fh:
+            pages = int(fh.read().split()[0])
+    except OSError:
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = pages * os.sysconf("SC_PAGE_SIZE") + extra_bytes
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

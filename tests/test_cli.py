@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from submodopt import cli, core
 from submodopt.cli import main
+
+from helpers import address_space_limit
 
 DATA = Path(__file__).parent / "data"
 
@@ -120,6 +123,35 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "minimize", DATA / "bad_submodular.json",
                        "--verify")
     assert code == 3
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 32.0 GiB"),
+                                 RuntimeError("line one\nline two"),
+                                 KeyError("k")])
+def test_unexpected_errors_exit_2_with_one_line(capsys, monkeypatch, exc):
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_minimize", boom)
+    code, out, err = run(capsys, "minimize", DATA / "f_or.json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_add_modular_above_the_cap(capsys, tmp_path):
+    # the modular shift of a p=32 spec must not allocate a 2**32 table
+    spec = {"kind": "transform", "op": "add_modular",
+            "vector": [(-1.0) ** k * (k % 5) / 4.0 for k in range(32)],
+            "inner": {"kind": "random", "p": 32, "family": "cover", "seed": 3}}
+    path = tmp_path / "shifted32.json"
+    path.write_text(json.dumps(spec))
+    with address_space_limit():
+        r = run_json(capsys, "minimize", path)["results"]
+    F = cli.build_function(spec)
+    assert r["min_value"] == pytest.approx(
+        F(core.subset_of(r["maximal_minimizer"])), abs=1e-9)
+    assert r["min_value"] <= min(0.0, F((1 << 32) - 1)) + 1e-9
 
 
 def test_reports_deterministic(capsys):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import submodopt as so
-from submodopt.errors import RecursionOverflow, Unbounded
+from submodopt import prox
+from submodopt.errors import NumericalInconsistency, RecursionOverflow, Unbounded
 from submodopt.prox import SeparableConvex, solve_increasing
 
-from helpers import batch_subset_sums
+from helpers import (address_space_limit, batch_subset_sums, dyadic,
+                     dyadic_cover, dyadic_energy)
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
 SYM_CUT2 = so.explicit_function([0.0, 1.0, 1.0, 0.0])
@@ -293,3 +295,50 @@ def test_lex_optimality_of_prox_solution():
 def test_decomposition_depth_guard():
     with pytest.raises(RecursionOverflow):
         so.prox_decomposition(F_OR, quad(2), depth_limit=0)
+
+
+@pytest.mark.parametrize("kind", ["cover", "energy"])
+def test_decomposition_with_derivative_only_penalties(kind):
+    # the root search for t(V) = F(V) leaves a rounding error, after which
+    # the largest minimizer of F - t can come back empty instead of V
+    rng = np.random.default_rng(14 if kind == "cover" else 41)
+    p = 14
+    F = (so.cover_function(dyadic_cover(rng, p)) if kind == "cover"
+         else dyadic_energy(rng, p))
+    a = dyadic(rng, 4.0, 16.0, size=p)
+    z = dyadic(rng, -1.0, 1.0, size=p)
+    b = dyadic(rng, 0.25, 1.0, size=p)
+    table = so.to_explicit(F)
+
+    pr = so.prox_minnorm(F, so.Quadratic(a, z), eps=1e-11)
+    quadratic = SeparableConvex(p, deriv=lambda w: a * (w - z))
+    s = so.prox_decomposition(F, quadratic)
+    assert np.max(np.abs(s - pr.s)) <= 1e-6
+
+    # prox_minnorm handles quadratics only: the cubic is checked against
+    # the homotopy route and for membership in B(F)
+    cubic = SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)
+    s = so.prox_decomposition(F, cubic)
+    u = so.prox_homotopy(F, cubic)
+    assert np.max(np.abs(s + cubic.deriv(u))) <= 1e-6
+    assert abs(float(np.sum(s)) - table[-1]) <= 1e-6
+    assert np.max(batch_subset_sums([s])[0] - table) <= 1e-6
+
+
+def test_decomposition_rejects_an_empty_minimizer_far_from_the_base(monkeypatch):
+    # t(V) short of F(V) by more than rounding: F - t is positive off the
+    # empty set, whose acceptance would return a point outside B(F)
+    s = np.array([0.5, -0.25, 1.0])
+    monkeypatch.setattr(prox, "_equalized_start", lambda Fc, pc: s[:Fc.p] - 1e-3)
+    with pytest.raises(NumericalInconsistency, match="empty"):
+        so.prox_decomposition(so.modular_function(s), quad(3), sfm_backend="brute")
+
+
+def test_decomposition_above_the_cap_allocates_no_dense_table():
+    rng = np.random.default_rng(32)
+    c = dyadic_cover(rng, 32)
+    q = so.Quadratic(dyadic(rng, 4.0, 16.0, size=32), dyadic(rng, -1.0, 1.0, size=32))
+    with address_space_limit():
+        s = so.prox_decomposition(so.cover_function(c), q)
+        pr = so.prox_minnorm(so.cover_function(c), q, eps=1e-11)
+    assert np.max(np.abs(s - pr.s)) <= 1e-6

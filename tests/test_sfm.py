@@ -128,6 +128,17 @@ def test_no_convergence_carries_partial_result():
     assert corral.gap > 0.0
 
 
+def test_norm_increase_raises_package_error(monkeypatch):
+    from submodopt import sfm
+
+    # B(F) is the segment from (2, 1) to (0, 3); weighting the second vertex
+    # too heavily moves the iterate away from the origin
+    F = so.explicit_function([0.0, 2.0, 3.0, 3.0])
+    monkeypatch.setattr(sfm, "_affine_minimizer", lambda gram: np.array([0.1, 0.9]))
+    with pytest.raises(NumericalInconsistency, match="norm increased.*5.0"):
+        so.min_norm_point(F)
+
+
 def test_min_norm_argument_validation():
     with pytest.raises(ValueError):
         so.min_norm_point(F_OR, weights=[1.0, -1.0])
