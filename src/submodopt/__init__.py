@@ -8,13 +8,13 @@ separable proximal solvers (``prox``), submodularity-preserving
 transforms (``transforms``), and a zoo of concrete functions (``zoo``).
 
 Exhaustive brute-force oracles back everything at small ground-set sizes,
-so results are verifiable end to end.  Hot bitmask kernels are numba
-compiled with a pure-numpy fallback (``SUBMODOPT_DISABLE_NUMBA=1``).
+so results are verifiable end to end.  They run numpy kernels over 2**p
+tables (``_kernels``), one code path with lexicographically smallest
+violation witnesses.
 """
 
 __version__ = "0.1.0"
 
-from ._kernels import USING_NUMBA
 from .core import (EXHAUSTIVE_CAP, ExplicitFunction, PropertyReport,
                    SetFunction, complement, elements_of, explicit_function,
                    is_monotone, is_posimodular, is_submodular, is_symmetric,
@@ -29,7 +29,7 @@ from .lovasz import (conjugate, greedy_base, lovasz_extension, support_P,
                      truncated_greedy)
 from .polyhedra import (dep, exchangeable_pairs, face_check, in_B, in_P,
                         in_P_plus, is_base_maximizer, is_P_plus_maximizer,
-                        membership_margin, separable_witness, tight_sets)
+                        separable_witness, tight_sets)
 from .prox import (ProxResult, Quadratic, SeparableConvex,
                    check_separable_optimality, lex_compare, line_search_P,
                    prox_decomposition, prox_homotopy, prox_minnorm,

@@ -195,6 +195,8 @@ def cmd_minimize(args) -> None:
     started = time.perf_counter()
     spec = _load_spec(args.spec)
     F = build_function(spec, args.seed)
+    if args.verify and args.algo == "brute":  # one table for the check and the scan
+        F = core.ExplicitFunction(core.to_explicit(F, cap=args.max_exhaustive))
     _verify_submodular(F, args)
     res = sfm.minimize(F, backend=args.algo, eps=args.eps, cap=args.max_exhaustive)
     results = {

@@ -239,17 +239,6 @@ def is_submodular(F: SetFunction, tol: float = DEFAULT_TOL,
                                   "lhs": float(lhs), "rhs": float(rhs)})
 
 
-def is_submodular_pairwise(F: SetFunction, tol: float = DEFAULT_TOL,
-                           cap: int = EXHAUSTIVE_CAP) -> PropertyReport:
-    """Check F(A)+F(B) >= F(A|B)+F(A&B) over all pairs (slower cross-check)."""
-    table = to_explicit(F, cap)
-    ok, a, b, lhs, rhs = _kernels.pairwise_check(table, F.p, tol, False)
-    if ok:
-        return PropertyReport(True)
-    return PropertyReport(False, {"A": int(a), "B": int(b),
-                                  "lhs": float(lhs), "rhs": float(rhs)})
-
-
 def is_monotone(F: SetFunction, tol: float = DEFAULT_TOL,
                 cap: int = EXHAUSTIVE_CAP) -> PropertyReport:
     """Check F(A+k) >= F(A) for every one-element addition."""

@@ -103,11 +103,9 @@ def conjugate(F: SetFunction, s, cap: int = EXHAUSTIVE_CAP) -> tuple[float, int]
     """Discrete conjugate max_A s(A) - F(A) by exhaustive scan.
 
     Returns ``(value, argmax_mask)`` with the smallest bitmask among tied
-    maximizers.
+    maximizers.  A nonpositive value means s lies in P(F).
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (F.p,):
-        raise ValueError(f"vector has shape {s.shape}, expected ({F.p},)")
+    s = _check_dim(F, s)
     table = to_explicit(F, cap)
     sums = _kernels.subset_sums(s)
     value, arg = _kernels.max_margin(sums, table)

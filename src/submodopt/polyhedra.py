@@ -16,6 +16,7 @@ from . import _kernels
 from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_cap,
                    elements_of, to_explicit)
 from .errors import NumericalInconsistency
+from .lovasz import conjugate
 
 
 def _vector(F: SetFunction, s) -> np.ndarray:
@@ -25,20 +26,9 @@ def _vector(F: SetFunction, s) -> np.ndarray:
     return s
 
 
-def membership_margin(F: SetFunction, s, cap: int = EXHAUSTIVE_CAP) -> tuple[float, int]:
-    """max over A of s(A) - F(A), with the smallest maximizing mask.
-
-    Nonpositive margin means s lies in P(F).
-    """
-    s = _vector(F, s)
-    table = to_explicit(F, cap)
-    sums = _kernels.subset_sums(s)
-    value, arg = _kernels.max_margin(sums, table)
-    return float(value), int(arg)
-
-
 def in_P(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP) -> bool:
-    margin, _ = membership_margin(F, s, cap)
+    """Whether s(A) <= F(A) + tol for every A: the conjugate at s is at most tol."""
+    margin, _ = conjugate(F, s, cap)
     return margin <= tol
 
 
@@ -78,6 +68,12 @@ def tight_sets(F: SetFunction, s, tol: float = DEFAULT_TOL,
     return [int(m) for m in masks]
 
 
+def _smallest_containing(tight: np.ndarray, k: int, p: int) -> int:
+    """Intersection of the tight masks containing element k (V when none does)."""
+    return int(np.bitwise_and.reduce(tight[(tight >> k) & 1 == 1],
+                                     initial=(1 << p) - 1))
+
+
 def dep(F: SetFunction, s, k: int, tol: float = DEFAULT_TOL,
         cap: int = EXHAUSTIVE_CAP) -> int:
     """Smallest tight set containing element k, for a base s.
@@ -88,24 +84,16 @@ def dep(F: SetFunction, s, k: int, tol: float = DEFAULT_TOL,
     """
     if not 0 <= k < F.p:
         raise ValueError(f"element {k} out of range for p={F.p}")
-    bit = 1 << k
-    out = (1 << F.p) - 1
-    for m in tight_sets(F, s, tol, cap):
-        if m & bit:
-            out &= m
-    return out
+    tight = np.array(tight_sets(F, s, tol, cap), dtype=np.int64)
+    return _smallest_containing(tight, k, F.p)
 
 
 def exchangeable_pairs(F: SetFunction, s, tol: float = DEFAULT_TOL,
                        cap: int = EXHAUSTIVE_CAP) -> list[tuple[int, int]]:
-    """All pairs (k, q) with q in dep(s, k), q != k."""
-    pairs = []
-    for k in range(F.p):
-        d = dep(F, s, k, tol, cap)
-        for q in elements_of(d):
-            if q != k:
-                pairs.append((k, q))
-    return pairs
+    """All pairs (k, q) with q in dep(s, k), q != k, from one tight-set scan."""
+    tight = np.array(tight_sets(F, s, tol, cap), dtype=np.int64)
+    return [(k, q) for k in range(F.p)
+            for q in elements_of(_smallest_containing(tight, k, F.p)) if q != k]
 
 
 def _level_prefixes(w, descending: bool) -> list[np.ndarray]:

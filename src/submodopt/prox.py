@@ -41,8 +41,10 @@ def solve_increasing(fn: Callable[[float], float], target: float,
                      x0: float = 0.0) -> float:
     """Root of fn(x) = target for a strictly increasing scalar fn.
 
-    Brackets by doubling steps from x0, then closes in with a secant step
-    safeguarded by bisection.  Raises NoConvergence past 200 iterations of
+    Brackets by doubling steps from x0, then closes in by regula falsi
+    safeguarded by bisection, with the Illinois step: when the same end
+    moves twice in a row, the value at the other, stale end is halved, so
+    that end moves too.  Raises NoConvergence past 200 iterations of
     either phase.
     """
     lo = hi = float(x0)
@@ -69,23 +71,27 @@ def solve_increasing(fn: Callable[[float], float], target: float,
         return lo
     if fhi == 0.0:
         return hi
+    side = 0  # -1 after lo moved, +1 after hi moved
     for _ in range(_ROOT_MAX_ITER):
-        if hi - lo <= _ROOT_REL_TOL * (1.0 + abs(lo) + abs(hi)):
-            break
-        if fhi != flo:
-            mid = lo - flo * (hi - lo) / (fhi - flo)  # secant
-            if not lo < mid < hi:
-                mid = 0.5 * (lo + hi)
-        else:
+        mid = lo - flo * (hi - lo) / (fhi - flo)  # flo < 0 < fhi
+        if not lo < mid < hi:
             mid = 0.5 * (lo + hi)
         fmid = fn(mid) - target
         if fmid == 0.0:
             return mid
         if fmid < 0.0:
             lo, flo = mid, fmid
+            if side < 0:
+                fhi *= 0.5
+            side = -1
         else:
             hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
+            if side > 0:
+                flo *= 0.5
+            side = 1
+        if hi - lo <= _ROOT_REL_TOL * (1.0 + abs(lo) + abs(hi)):
+            return 0.5 * (lo + hi)
+    raise NoConvergence(f"bracket for target {target} did not close")
 
 
 class SeparableConvex:

@@ -131,6 +131,135 @@ def batch_subset_sums(vectors):
 
 
 # ---------------------------------------------------------------------------
+# plain-python references for the bitmask kernels: one scalar loop each,
+# in the order that makes the first violation found the lexicographically
+# smallest witness
+# ---------------------------------------------------------------------------
+
+def subset_sums_ref(s):
+    p = len(s)
+    out = np.zeros(1 << p)
+    for k in range(p):
+        bit = 1 << k
+        for m in range(bit):
+            out[m | bit] = out[m] + s[k]
+    return out
+
+
+def max_margin_ref(sums, table):
+    best = sums[0] - table[0]
+    arg = 0
+    for m in range(1, len(table)):
+        v = sums[m] - table[m]
+        if v > best:
+            best = v
+            arg = m
+    return best, arg
+
+
+def argmin_extremes_ref(table):
+    vmin = table[0]
+    amin = omin = 0
+    for m in range(1, len(table)):
+        v = table[m]
+        if v < vmin:
+            vmin = v
+            amin = omin = m
+        elif v == vmin:
+            amin &= m
+            omin |= m
+    return vmin, amin, omin
+
+
+def second_order_check_ref(table, p, tol):
+    for m in range(1 << p):
+        for j in range(p):
+            if (m >> j) & 1:
+                continue
+            bj = 1 << j
+            for k in range(p):
+                if k == j or (m >> k) & 1:
+                    continue
+                bk = 1 << k
+                lhs = table[m | bk] - table[m]
+                rhs = table[m | bj | bk] - table[m | bj]
+                if lhs < rhs - tol:
+                    return False, m, j, k, lhs, rhs
+    return True, -1, -1, -1, 0.0, 0.0
+
+
+def monotone_check_ref(table, p, tol):
+    for m in range(1 << p):
+        for k in range(p):
+            if (m >> k) & 1:
+                continue
+            lhs = table[m | (1 << k)]
+            if lhs < table[m] - tol:
+                return False, m, k, lhs, table[m]
+    return True, -1, -1, 0.0, 0.0
+
+
+def symmetric_check_ref(table, p, tol):
+    full = (1 << p) - 1
+    for m in range(1 << p):
+        a = table[m]
+        b = table[full ^ m]
+        if a - b > tol or b - a > tol:
+            return False, m, a, b
+    return True, -1, 0.0, 0.0
+
+
+def pairwise_check_ref(table, p, tol, posi):
+    n = 1 << p
+    for a in range(n):
+        for b in range(n):
+            x, y = (a & ~b, b & ~a) if posi else (a | b, a & b)
+            lhs = table[a] + table[b]
+            rhs = table[x] + table[y]
+            if lhs < rhs - tol:
+                return False, a, b, lhs, rhs
+    return True, -1, -1, 0.0, 0.0
+
+
+def closure_violation_ref(masks, flags):
+    for i in range(len(masks)):
+        a = int(masks[i])
+        for l in range(len(masks)):
+            b = int(masks[l])
+            if not flags[a | b] or not flags[a & b]:
+                return i, l
+    return -1, -1
+
+
+def mobius_transform_ref(h):
+    d = np.array(h, dtype=float)
+    n = len(d)
+    for k in range((n - 1).bit_length()):
+        bit = 1 << k
+        for m in range(n):
+            if m & bit:
+                d[m] -= d[m ^ bit]
+    return d
+
+
+def zeta_transform_ref(d):
+    z = np.array(d, dtype=float)
+    n = len(z)
+    for k in range((n - 1).bit_length()):
+        bit = 1 << k
+        for m in range(n):
+            if m & bit:
+                z[m] += z[m ^ bit]
+    return z
+
+
+def is_submodular_pairwise(F: SetFunction, tol=1e-9):
+    """F(A) + F(B) >= F(A | B) + F(A & B) - tol over all 4**p pairs."""
+    table = [F(m) for m in powerset_masks(F.p)]
+    return pairwise_check_ref(table, F.p, tol, False)[0]
+
+
+# ---------------------------------------------------------------------------
 # dyadic random instances: weights are multiples of 2**-16, so every sum
 # over subsets is exact in float64 whatever the order of summation
 # ---------------------------------------------------------------------------

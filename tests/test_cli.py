@@ -164,6 +164,23 @@ def test_reports_deterministic(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_verified_brute_minimize_tabulates_once(capsys, monkeypatch):
+    plain = run_json(capsys, "minimize", DATA / "random_cut6.json", "--algo", "brute")
+    builds = []
+    tabulate = core.SetFunction.tabulate
+
+    def counted(F, cap=core.EXHAUSTIVE_CAP):
+        builds.append(F.p)
+        return tabulate(F, cap)
+
+    monkeypatch.setattr(core.SetFunction, "tabulate", counted)
+    verified = run_json(capsys, "minimize", DATA / "random_cut6.json",
+                        "--algo", "brute", "--verify")
+    assert builds == [6]
+    plain.pop("timing"), verified.pop("timing")
+    assert json.dumps(plain, sort_keys=True) == json.dumps(verified, sort_keys=True)
+
+
 def test_explicit_round_trip(capsys, tmp_path):
     for name in ("sym_cut2", "cover3", "card_sqrt4", "flow_bottleneck",
                  "triangle_matroid", "shifted_cut"):

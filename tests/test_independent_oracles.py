@@ -8,11 +8,6 @@ minimization over (w, lambda) with the separable penalty is then a plain
 convex program a generic solver can handle at tiny p.
 """
 
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -53,34 +48,3 @@ def test_prox_matches_generic_convex_solver():
         pr = so.prox_minnorm(F, so.Quadratic(a, z), eps=1e-11)
         assert np.max(np.abs(pr.u - u_ref)) <= 1e-5, seed
 
-
-def test_cli_reports_identical_across_kernel_paths():
-    env_base = dict(os.environ)
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(env_base, SUBMODOPT_DISABLE_NUMBA=flag)
-        run = subprocess.run(
-            [sys.executable, "-m", "submodopt.cli", "check",
-             os.path.join(os.path.dirname(__file__), "data",
-                          "bad_submodular.json")],
-            capture_output=True, text=True, env=env, check=True)
-        doc = json.loads(run.stdout)
-        doc.pop("timing")
-        outs.append(json.dumps(doc, sort_keys=True))
-    assert outs[0] == outs[1]
-
-
-def test_minimize_identical_across_kernel_paths():
-    env_base = dict(os.environ)
-    outs = []
-    for flag in ("0", "1"):
-        env = dict(env_base, SUBMODOPT_DISABLE_NUMBA=flag)
-        run = subprocess.run(
-            [sys.executable, "-m", "submodopt.cli", "minimize",
-             os.path.join(os.path.dirname(__file__), "data",
-                          "random_cut6.json"), "--algo", "brute"],
-            capture_output=True, text=True, env=env, check=True)
-        doc = json.loads(run.stdout)
-        doc.pop("timing")
-        outs.append(json.dumps(doc, sort_keys=True))
-    assert outs[0] == outs[1]

@@ -3,6 +3,7 @@
 import numpy as np
 
 import submodopt as so
+from submodopt import polyhedra
 from submodopt.polyhedra import base_maximizer_exchange_check
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
@@ -135,6 +136,29 @@ def test_greedy_bases_bounded():
             assert so.in_B(F, s)
             assert np.all(s <= np.array(singles) + 1e-9)
             assert np.all(s >= np.array(drops) - 1e-9)
+
+
+def test_exchangeable_pairs_scan_tight_sets_once(monkeypatch):
+    rng = np.random.default_rng(6)
+    cases = []
+    for seed in range(5):
+        F = so.random_submodular(seed, 6, "cut+modular")
+        # rounded weights tie, so the tight family is more than a chain
+        s = so.greedy_base(F, np.round(rng.standard_normal(6)))
+        cases.append((F, s, [(k, q) for k in range(6)
+                             for q in so.elements_of(so.dep(F, s, k)) if q != k]))
+    scans = []
+    tight_sets = polyhedra.tight_sets
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return tight_sets(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "tight_sets", counted)
+    for F, s, expected in cases:
+        assert so.exchangeable_pairs(F, s) == expected
+    assert len(scans) == len(cases)
+    assert any(expected for _, _, expected in cases)
 
 
 def test_exchange_direction_feasible():

@@ -5,7 +5,8 @@ import pytest
 
 import submodopt as so
 from submodopt import prox
-from submodopt.errors import NumericalInconsistency, RecursionOverflow, Unbounded
+from submodopt.errors import (NoConvergence, NumericalInconsistency,
+                              RecursionOverflow, Unbounded)
 from submodopt.prox import SeparableConvex, solve_increasing
 
 from helpers import (address_space_limit, batch_subset_sums, dyadic,
@@ -36,6 +37,14 @@ def test_solve_increasing():
     assert solve_increasing(lambda x: x, 0.0) == 0.0
     assert solve_increasing(np.arcsinh, -2.5, x0=10.0) == pytest.approx(
         np.sinh(-2.5), rel=1e-10)
+
+
+def test_solve_increasing_raises_on_a_stalled_bracket():
+    # the jump at 0.3 keeps the upper end's value near 1e300, so every
+    # secant step lands just above the lower end and the bracket never
+    # closes within the iteration cap
+    with pytest.raises(NoConvergence):
+        solve_increasing(lambda x: x - 0.3 + (1e300 if x >= 0.3 else 0.0), 0.0)
 
 
 def test_separable_convex_validation():
@@ -308,21 +317,39 @@ def test_decomposition_with_derivative_only_penalties(kind):
     a = dyadic(rng, 4.0, 16.0, size=p)
     z = dyadic(rng, -1.0, 1.0, size=p)
     b = dyadic(rng, 0.25, 1.0, size=p)
-    table = so.to_explicit(F)
 
     pr = so.prox_minnorm(F, so.Quadratic(a, z), eps=1e-11)
     quadratic = SeparableConvex(p, deriv=lambda w: a * (w - z))
     s = so.prox_decomposition(F, quadratic)
     assert np.max(np.abs(s - pr.s)) <= 1e-6
 
-    # prox_minnorm handles quadratics only: the cubic is checked against
-    # the homotopy route and for membership in B(F)
-    cubic = SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)
+    _check_cubic_routes(F, a, z, b)
+
+
+def _check_cubic_routes(F, a, z, b):
+    """prox_minnorm handles quadratics only: the cubic a(w-z) + b(w-z)^3 is
+    checked against the homotopy route and for membership in B(F)."""
+    table = so.to_explicit(F)
+    cubic = SeparableConvex(F.p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)
     s = so.prox_decomposition(F, cubic)
     u = so.prox_homotopy(F, cubic)
     assert np.max(np.abs(s + cubic.deriv(u))) <= 1e-6
     assert abs(float(np.sum(s)) - table[-1]) <= 1e-6
     assert np.max(batch_subset_sums([s])[0] - table) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["cover", "energy"])
+def test_homotopy_with_steep_cubic_penalties(kind):
+    # centers up to 4 away make the cubic steep at the roots, where a root
+    # search whose bracket keeps one end fixed returns a wrong alpha
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        p = 12
+        F = (so.cover_function(dyadic_cover(rng, p)) if kind == "cover"
+             else dyadic_energy(rng, p))
+        _check_cubic_routes(F, dyadic(rng, 0.5, 2.0, size=p),
+                            dyadic(rng, -4.0, 4.0, size=p),
+                            dyadic(rng, 0.25, 1.0, size=p))
 
 
 def test_decomposition_rejects_an_empty_minimizer_far_from_the_base(monkeypatch):
