@@ -10,6 +10,12 @@ Materialization goes through :meth:`SetFunction.tabulate`.  Functions with
 known structure (cuts, covers, concave and modular families, and the
 transforms built on them) pass a vectorized table builder at construction;
 every other function is tabulated by one oracle call per mask.
+
+The greedy algorithm, the Lovász extension and the minimizer extraction read
+F along the prefixes of one ordering through :meth:`SetFunction.chain`.
+Cuts, explicit tables, the concave families and some transforms of these
+pass a chainer that computes the whole chain in array operations; every
+other function is chained by one oracle call per prefix.
 """
 
 from __future__ import annotations
@@ -83,12 +89,19 @@ class SetFunction:
     ``builder``, when given, maps a cap to the full table of 2**p values
     computed from the function's structure, or to None when it cannot do
     better than the per-mask loop under that cap; see :meth:`tabulate`.
+
+    ``chainer``, when given, maps ``(order, base)`` to the values of F along
+    the prefix chain, computed from the structure; see :meth:`chain`.  A
+    chainer may also offer ``restrict(elems)``, ``contract(elems)`` and
+    ``add_modular(s)``, each returning the chainer of that transform of F;
+    the transforms in ``transforms`` use them when present.
     """
 
-    __slots__ = ("p", "_fn", "_memo", "_builder")
+    __slots__ = ("p", "_fn", "_memo", "_builder", "_chainer")
 
     def __init__(self, p: int, fn: Callable[[int], float], memoize: bool = False,
-                 builder: Optional[Callable[[int], Optional[np.ndarray]]] = None):
+                 builder: Optional[Callable[[int], Optional[np.ndarray]]] = None,
+                 chainer: Optional[Callable[[np.ndarray, int], np.ndarray]] = None):
         self.p = validate_ground_size(p)
         self._fn = fn
         v0 = float(fn(0))
@@ -97,6 +110,7 @@ class SetFunction:
                 f"F(empty) = {v0!r}; must be exactly 0 (see shift_to_zero)")
         self._memo: Optional[dict] = {0: 0.0} if memoize else None
         self._builder = builder
+        self._chainer = chainer
 
     def __call__(self, mask: int) -> float:
         if not 0 <= mask < (1 << self.p):
@@ -136,6 +150,54 @@ class SetFunction:
                 table[m] = self(m)
         return table
 
+    @property
+    def chainer(self):
+        """The structural chainer passed at construction, or None."""
+        return self._chainer
+
+    def chain(self, order, base: int = 0) -> np.ndarray:
+        """F(base | first k elements of order) for k = 0..len(order), float64.
+
+        ``order`` lists distinct elements outside the mask ``base``; it may
+        be a partial order or empty.  Without a chainer this is the per-mask
+        loop through ``__call__``, which reads and fills the memo (the empty
+        set is never queried).  A chainer neither reads nor fills the memo,
+        and its values equal the loop's exactly on dyadic data; the order is
+        checked before a chainer sees it, since a repeated element would
+        make its arrays wrong where the loop just takes unions.
+        """
+        order = np.asarray(order, dtype=np.int64)
+        base = int(base)
+        if self._chainer is not None:
+            _check_chain(order, base, self.p)
+            return self._chainer(order, base)
+        mask = base
+        values = [self(mask) if mask else 0.0]
+        for j in order.tolist():
+            mask |= 1 << j
+            values.append(self(mask))
+        return np.array(values, dtype=np.float64)
+
+
+def _check_chain(order: np.ndarray, base: int, p: int) -> None:
+    if not 0 <= base < (1 << p):
+        raise ValueError(f"base mask {base} out of range for p={p}")
+    if order.ndim != 1:
+        raise ValueError("chain order must be one-dimensional")
+    # bincount rejects negative elements itself
+    hits = np.bincount(order, minlength=p)
+    if (hits.shape[0] > p or np.count_nonzero(hits) != order.shape[0]
+            or (base and np.any((base >> order) & 1))):
+        raise ValueError(f"chain order leaves 0..{p - 1}, repeats an element "
+                         "or meets the base")
+
+
+def _prefix_masks(order: np.ndarray, base: int) -> np.ndarray:
+    """int64 masks base | first k of order, k = 0..len(order), for p < 63."""
+    masks = np.zeros(order.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.left_shift(1, order), out=masks[1:])
+    return masks | base
+
 
 class ExplicitFunction(SetFunction):
     """Set-function backed by a full table of 2**p values."""
@@ -149,7 +211,8 @@ class ExplicitFunction(SetFunction):
         if n != (1 << p) or n < 2:
             raise ValueError(f"table length {n} is not a power of two >= 2")
         self.table = table
-        super().__init__(p, lambda m: table[m], memoize=False)
+        super().__init__(p, lambda m: table[m], memoize=False,
+                         chainer=lambda order, base: table[_prefix_masks(order, base)])
 
     structured = True  # tabulate copies the stored table
 
@@ -182,6 +245,15 @@ class ModularSums:
             total += part[mask & 255]
             mask >>= 8
         return total
+
+
+def modular_chain(s: np.ndarray, order: np.ndarray, base: int) -> np.ndarray:
+    """s(base | first k of order) for k = 0..len(order): one cumulative sum."""
+    out = np.empty(order.shape[0] + 1, dtype=np.float64)
+    out[0] = float(np.sum(s[elements_of(base)])) if base else 0.0
+    np.cumsum(s[order], out=out[1:])
+    out[1:] += out[0]
+    return out
 
 
 def modular_function(s) -> SetFunction:
@@ -262,7 +334,12 @@ def is_symmetric(F: SetFunction, tol: float = DEFAULT_TOL,
 
 def is_posimodular(F: SetFunction, tol: float = DEFAULT_TOL,
                    cap: int = EXHAUSTIVE_CAP) -> PropertyReport:
-    """Check F(A)+F(B) >= F(A-B)+F(B-A) over all pairs."""
+    """Check F(A)+F(B) >= F(A-B)+F(B-A) over all pairs.
+
+    The scan covers 4**p = 2**(2p) pairs, so the cap applies to 2p: at the
+    default cap, p above 10 raises CapExceeded before any table is built.
+    """
+    check_cap(2 * F.p, cap)
     table = to_explicit(F, cap)
     ok, a, b, lhs, rhs = _kernels.pairwise_check(table, F.p, tol, True)
     if ok:

@@ -5,6 +5,11 @@ descending order and telescopes F along the prefix chain.  For submodular
 F the same chain yields a maximizer of w^T s over the base polytope (the
 greedy algorithm); sorting is stable with ascending-index tie-break so all
 outputs are deterministic even when maximizers are not unique.
+
+Each chain is one :meth:`SetFunction.chain` call, so functions with a
+structural chainer (cuts and their restrictions, contractions and modular
+shifts, explicit tables, the concave families) cost a few array operations
+per chain instead of one oracle call per prefix.
 """
 
 from __future__ import annotations
@@ -37,13 +42,9 @@ def lovasz_extension(F: SetFunction, w) -> float:
     w = _check_dim(F, w)
     order = descending_order(w)
     total = 0.0
-    mask = 0
-    prev = 0.0
-    for j in order:
-        mask |= 1 << int(j)
-        cur = F(mask)
-        total += w[j] * (cur - prev)
-        prev = cur
+    values = F.chain(order)
+    for term in (w[order] * (values[1:] - values[:-1])).tolist():
+        total += term  # left to right, not pairwise, as the telescoping sum reads
     return total
 
 
@@ -55,14 +56,9 @@ def greedy_base(F: SetFunction, w) -> np.ndarray:
     """
     w = _check_dim(F, w)
     order = descending_order(w)
+    values = F.chain(order)
     s = np.empty(F.p, dtype=np.float64)
-    mask = 0
-    prev = 0.0
-    for j in order:
-        mask |= 1 << int(j)
-        cur = F(mask)
-        s[j] = cur - prev
-        prev = cur
+    s[order] = values[1:] - values[:-1]
     return s
 
 
@@ -74,15 +70,11 @@ def truncated_greedy(F: SetFunction, w) -> np.ndarray:
     w^T s equals f(max(w, 0)).
     """
     w = _check_dim(F, w)
-    order = [int(j) for j in descending_order(w) if w[j] > 0.0]
+    order = descending_order(w)
+    order = order[w[order] > 0.0]
+    values = F.chain(order)
     s = np.zeros(F.p, dtype=np.float64)
-    mask = 0
-    prev = 0.0
-    for j in order:
-        mask |= 1 << j
-        cur = F(mask)
-        s[j] = cur - prev
-        prev = cur
+    s[order] = values[1:] - values[:-1]
     return s
 
 

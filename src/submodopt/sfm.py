@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import EXHAUSTIVE_CAP, SetFunction, to_explicit
+from .core import EXHAUSTIVE_CAP, SetFunction, subset_of, to_explicit
 from .errors import NoConvergence, NumericalInconsistency
 from .lovasz import greedy_base
 
@@ -195,16 +195,12 @@ def _prefix_extraction(F: SetFunction, x: np.ndarray) -> tuple[float, int, int]:
     solver noise.  Returns (min value, shortest argmin prefix, longest).
     """
     order = np.argsort(x, kind="stable")
-    masks = [0]
-    acc = 0
-    for j in order:
-        acc |= 1 << int(j)
-        masks.append(acc)
-    values = [F(m) for m in masks]
+    values = F.chain(order).tolist()
     vmin = min(values)
     thresh = vmin + 1e-12 * (1.0 + abs(vmin))
-    achieving = [m for m, v in zip(masks, values) if v <= thresh]
-    return vmin, achieving[0], achieving[-1]
+    achieving = [k for k, v in enumerate(values) if v <= thresh]
+    order = order.tolist()
+    return vmin, subset_of(order[:achieving[0]]), subset_of(order[:achieving[-1]])
 
 
 def brute_minimize(F: SetFunction, cap: int = EXHAUSTIVE_CAP) -> SfmResult:
@@ -271,17 +267,13 @@ def recover_level_values(F: SetFunction, x, group_tol: float = 1e-6) -> list[tup
             blocks.append([])
         blocks[-1].append(int(j))
 
+    values = F.chain(order)
     out = []
-    prefix = 0
-    prev = 0.0
+    end = 0
     for block in blocks:
-        mask = 0
-        for j in block:
-            mask |= 1 << j
-        prefix |= mask
-        cur = F(prefix)
-        value = (cur - prev) / len(block)
-        prev = cur
+        value = float(values[end + len(block)] - values[end]) / len(block)
+        end += len(block)
+        mask = subset_of(block)
         for j in block:
             if abs(value - x[j]) > 1e-6:
                 raise NumericalInconsistency(

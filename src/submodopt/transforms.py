@@ -11,6 +11,16 @@ tables of its inputs rather than one oracle call per mask; a transform of
 any other function keeps the per-mask loop, which never evaluates its
 inputs beyond the masks it needs.
 
+Chains (:meth:`SetFunction.chain`) follow the same rule with one
+difference.  ``add``, ``scale`` and ``add_modular`` chain by arithmetic on
+the chains of their inputs whenever every input chains from its structure.
+``restrict`` and ``contract`` chain structurally only when the input's
+chainer is closed under them, as the cut + modular structure of
+``zoo.cut_function`` is (``add_modular`` of a cut keeps that structure
+too): the transformed structure is built once, so a chain of any stack of
+these transforms over a cut costs one pass over the remaining arcs.  Any
+other restriction or contraction chains by one oracle call per prefix.
+
 Restriction and contraction re-index their ground set compactly; the
 old-index list is recorded on the returned function (``elements``) so
 results can be routed back to the parent coordinates.
@@ -24,7 +34,8 @@ import numpy as np
 
 from . import _kernels
 from .core import (EXHAUSTIVE_CAP, ExplicitFunction, SetFunction, check_cap,
-                   ModularSums, complement, elements_of, to_explicit)
+                   ModularSums, complement, elements_of, modular_chain,
+                   to_explicit)
 from .errors import NegativeScale
 
 
@@ -57,9 +68,10 @@ class ReindexedFunction(SetFunction):
 
     __slots__ = ("elements",)
 
-    def __init__(self, elements, fn, memoize=True, builder=None):
+    def __init__(self, elements, fn, memoize=True, builder=None, chainer=None):
         self.elements = tuple(int(e) for e in elements)
-        super().__init__(len(self.elements), fn, memoize=memoize, builder=builder)
+        super().__init__(len(self.elements), fn, memoize=memoize, builder=builder,
+                         chainer=chainer)
 
 
 def _axis_pairs(table: np.ndarray, k: int):
@@ -76,6 +88,17 @@ def _if_structured(builder, *inputs):
     part of the input (a restriction, say).
     """
     return builder if all(F.structured for F in inputs) else None
+
+
+def _if_chained(chainer, *inputs):
+    """The chainer when every input chains from its structure, else None."""
+    return chainer if all(F.chainer is not None for F in inputs) else None
+
+
+def _closed_chainer(F: SetFunction, transform: str, arg):
+    """The chainer of a transform of F, when F's chainer is closed under it."""
+    method = getattr(F.chainer, transform, None)
+    return None if method is None else method(arg)
 
 
 def _gather_builder(F: SetFunction, elems: Sequence[int], A: int = 0,
@@ -102,7 +125,8 @@ def restrict(F: SetFunction, A: int) -> ReindexedFunction:
         raise ValueError("cannot restrict to the empty set")
     elems = elements_of(A)
     return ReindexedFunction(elems, lambda m: F(embed_mask(m, elems)),
-                             builder=_gather_builder(F, elems))
+                             builder=_gather_builder(F, elems),
+                             chainer=_closed_chainer(F, "restrict", elems))
 
 
 def contract(F: SetFunction, A: int) -> ReindexedFunction:
@@ -113,7 +137,8 @@ def contract(F: SetFunction, A: int) -> ReindexedFunction:
     elems = elements_of(rest)
     base = F(A)
     return ReindexedFunction(elems, lambda m: F(A | embed_mask(m, elems)) - base,
-                             builder=_gather_builder(F, elems, A, base))
+                             builder=_gather_builder(F, elems, A, base),
+                             chainer=_closed_chainer(F, "contract", elems))
 
 
 def partial_min(G: SetFunction, W: int, cap: int = EXHAUSTIVE_CAP) -> ReindexedFunction:
@@ -203,7 +228,10 @@ def add(F: SetFunction, G: SetFunction) -> SetFunction:
     if F.p != G.p:
         raise ValueError("ground sets differ")
     builder = _if_structured(lambda cap: F.tabulate(cap) + G.tabulate(cap), F, G)
-    return SetFunction(F.p, lambda m: F(m) + G(m), memoize=True, builder=builder)
+    chainer = _if_chained(lambda order, base: F.chainer(order, base)
+                          + G.chainer(order, base), F, G)
+    return SetFunction(F.p, lambda m: F(m) + G(m), memoize=True, builder=builder,
+                       chainer=chainer)
 
 
 def scale(F: SetFunction, lam: float) -> SetFunction:
@@ -211,17 +239,28 @@ def scale(F: SetFunction, lam: float) -> SetFunction:
     if lam < 0.0:
         raise NegativeScale(f"scale factor must be nonnegative, got {lam}")
     builder = _if_structured(lambda cap: lam * F.tabulate(cap), F)
-    return SetFunction(F.p, lambda m: lam * F(m), memoize=True, builder=builder)
+    chainer = _if_chained(lambda order, base: lam * F.chainer(order, base), F)
+    return SetFunction(F.p, lambda m: lam * F(m), memoize=True, builder=builder,
+                       chainer=chainer)
 
 
 def add_modular(F: SetFunction, s) -> SetFunction:
-    """F + s, with s(A) read from byte tables (see :class:`core.ModularSums`)."""
+    """F + s, with s(A) read from byte tables (see :class:`core.ModularSums`).
+
+    Chains by the structure of F when it is closed under modular shifts,
+    otherwise by adding the cumulative sum of s to the chain of F.
+    """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (F.p,):
         raise ValueError(f"vector has shape {s.shape}, expected ({F.p},)")
     sums = ModularSums(s)
     builder = _if_structured(lambda cap: F.tabulate(cap) + _kernels.subset_sums(s), F)
-    return SetFunction(F.p, lambda m: F(m) + sums[m], memoize=True, builder=builder)
+    chainer = _closed_chainer(F, "add_modular", s)
+    if chainer is None:
+        chainer = _if_chained(lambda order, base: F.chainer(order, base)
+                              + modular_chain(s, order, base), F)
+    return SetFunction(F.p, lambda m: F(m) + sums[m], memoize=True, builder=builder,
+                       chainer=chainer)
 
 
 def mobius(F: SetFunction, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:

@@ -2,7 +2,8 @@
 log-determinants, and matroid ranks, plus fast Lovász-extension paths where
 the structure gives one and a max-flow route for cut minimization.  Cuts,
 covers and the concave families also build their 2**p tables from their
-structure (see :meth:`SetFunction.tabulate`).
+structure (see :meth:`SetFunction.tabulate`); cuts and the concave families
+also chain from it (see :meth:`SetFunction.chain`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, _maxflow
-from .core import SetFunction, elements_of, subset_of, validate_ground_size
+from .core import (SetFunction, elements_of, modular_chain, subset_of,
+                   validate_ground_size)
 from .errors import NotConcave, NotPositiveDefinite, NotZeroAtZero
 from .lovasz import descending_order
 from .sfm import SfmResult
@@ -50,6 +52,69 @@ def _arc_arrays(g: Digraph):
     return tails, heads, wts
 
 
+class CutChain:
+    """Chainer of F(A) = cut(A) + m(A): arcs on 0..p-1 plus a modular vector.
+
+    A chain gives each element the prefix at which it joins (0 inside the
+    base, len(order) + 1 never); an arc u -> v is cut at prefix k exactly
+    when pos[u] <= k < pos[v].  So one weighted count of m by pos, two over
+    the arcs with pos[u] < pos[v] and one cumulative sum give every prefix
+    value in O(arcs + p).  The structure is closed under restriction,
+    contraction and modular shifts, which rebuild it once instead of per
+    chain.
+    """
+
+    __slots__ = ("p", "tails", "heads", "wts", "m", "_ends")
+
+    def __init__(self, p: int, tails, heads, wts, m):
+        self.p, self.tails, self.heads, self.wts, self.m = p, tails, heads, wts, m
+        self._ends = np.concatenate((tails, heads))
+
+    def __call__(self, order: np.ndarray, base: int) -> np.ndarray:
+        n = order.shape[0]
+        pos = np.empty(self.p, dtype=np.int64)
+        pos.fill(n + 1)
+        pos[order] = np.arange(1, n + 1)
+        if base:
+            pos[elements_of(base)] = 0
+        ends = pos[self._ends]
+        a = self.wts.shape[0]
+        pt, ph = ends[:a], ends[a:]
+        cut = pt < ph
+        w = self.wts[cut]
+        steps = np.bincount(pos, self.m, minlength=n + 2)
+        steps += np.bincount(pt[cut], w, minlength=n + 2)
+        steps -= np.bincount(ph[cut], w, minlength=n + 2)
+        return steps[:n + 1].cumsum()
+
+    def _split(self, elems):
+        """Local indices of the tails and heads (-1 outside elems)."""
+        local = np.full(self.p, -1, dtype=np.int64)
+        local[elems] = np.arange(len(elems))
+        return local[self.tails], local[self.heads]
+
+    def restrict(self, elems) -> "CutChain":
+        """Arcs inside elems; arcs leaving elems become modular out-weight."""
+        lt, lh = self._split(elems)
+        inside = (lt >= 0) & (lh >= 0)
+        leaving = (lt >= 0) & (lh < 0)
+        m = self.m[elems] + np.bincount(lt[leaving], self.wts[leaving],
+                                        minlength=len(elems))
+        return CutChain(len(elems), lt[inside], lh[inside], self.wts[inside], m)
+
+    def contract(self, elems) -> "CutChain":
+        """Arcs inside elems; arcs entering from the contracted set are subtracted."""
+        lt, lh = self._split(elems)
+        inside = (lt >= 0) & (lh >= 0)
+        entering = (lt < 0) & (lh >= 0)
+        m = self.m[elems] - np.bincount(lh[entering], self.wts[entering],
+                                        minlength=len(elems))
+        return CutChain(len(elems), lt[inside], lh[inside], self.wts[inside], m)
+
+    def add_modular(self, s: np.ndarray) -> "CutChain":
+        return CutChain(self.p, self.tails, self.heads, self.wts, self.m + s)
+
+
 def cut_function(g: Digraph) -> SetFunction:
     """F(A) = total weight of arcs leaving A."""
     tails, heads, wts = _arc_arrays(g)
@@ -61,7 +126,8 @@ def cut_function(g: Digraph) -> SetFunction:
         return float(np.sum(wts[out]))
 
     return SetFunction(g.p, fn, memoize=True,
-                       builder=lambda cap: _kernels.cut_table(tails, heads, wts, g.p))
+                       builder=lambda cap: _kernels.cut_table(tails, heads, wts, g.p),
+                       chainer=CutChain(g.p, tails, heads, wts, np.zeros(g.p)))
 
 
 def cut_lovasz(g: Digraph, w) -> float:
@@ -227,8 +293,12 @@ def concave_cardinality(g_table) -> SetFunction:
         counts = _kernels.subset_sums(np.ones(p)).astype(np.int64)
         return g_table[counts]
 
+    def chainer(order: np.ndarray, base: int) -> np.ndarray:
+        start = base.bit_count()
+        return g_table[start:start + order.shape[0] + 1].copy()
+
     return SetFunction(p, lambda mask: float(g_table[int(mask).bit_count()]),
-                       memoize=False, builder=builder)
+                       memoize=False, builder=builder, chainer=chainer)
 
 
 def concave_cardinality_lovasz(g_table, w) -> float:
@@ -277,7 +347,8 @@ def weighted_concave(s, kind: str, cap_value: Optional[float] = None) -> SetFunc
         return float(g(total))
 
     return SetFunction(len(s), fn, memoize=True,
-                       builder=lambda cap: g(_kernels.subset_sums(s)))
+                       builder=lambda cap: g(_kernels.subset_sums(s)),
+                       chainer=lambda order, base: g(modular_chain(s, order, base)))
 
 
 def weighted_concave_lovasz(s, kind: str, w, cap_value: Optional[float] = None) -> float:

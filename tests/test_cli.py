@@ -116,6 +116,14 @@ def test_exit_codes(capsys, tmp_path):
                        "--max-exhaustive", "3")
     assert code == 2 and "cap" in err
 
+    # the posimodularity scan covers 4**p pairs, so check refuses p = 11
+    spec = tmp_path / "cut11.json"
+    spec.write_text(json.dumps({"kind": "random", "p": 11, "family": "cut"}))
+    code, out, err = run(capsys, "check", spec)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "cap" in err
+    assert run_json(capsys, "check", spec, "--max-exhaustive", "22")["results"]
+
     code, _, err = run(capsys, "linesearch", DATA / "f_or.json",
                        "--direction=-1,-1")
     assert code == 2 and "positive" in err

@@ -94,6 +94,20 @@ def test_cap_enforced():
     assert so.is_submodular(small, cap=6).holds
 
 
+def test_posimodular_cap_counts_pairs_of_subsets():
+    # 4**p pairs: at the default cap of 20, p = 11 is already too many, and
+    # the refusal comes before any oracle call or table build
+    calls = []
+    F = so.SetFunction(11, lambda m: calls.append(m) or float(int(m).bit_count()))
+    calls.clear()
+    with pytest.raises(CapExceeded, match="2\\*\\*22"):
+        so.is_posimodular(F)
+    assert calls == []
+    assert so.is_posimodular(card(5), cap=10).holds
+    with pytest.raises(CapExceeded):
+        so.is_posimodular(card(5), cap=9)
+
+
 def test_random_submodular_families():
     for family in ("cut", "cover", "logdet", "cut+modular", "cover+modular",
                    "logdet+modular"):

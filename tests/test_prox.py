@@ -10,7 +10,7 @@ from submodopt.errors import (NoConvergence, NumericalInconsistency,
 from submodopt.prox import SeparableConvex, solve_increasing
 
 from helpers import (address_space_limit, batch_subset_sums, dyadic,
-                     dyadic_cover, dyadic_energy)
+                     dyadic_cover, dyadic_digraph, dyadic_energy)
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
 SYM_CUT2 = so.explicit_function([0.0, 1.0, 1.0, 0.0])
@@ -369,3 +369,23 @@ def test_decomposition_above_the_cap_allocates_no_dense_table():
         s = so.prox_decomposition(so.cover_function(c), q)
         pr = so.prox_minnorm(so.cover_function(c), q, eps=1e-11)
     assert np.max(np.abs(s - pr.s)) <= 1e-6
+
+
+@pytest.mark.parametrize("p", [40, 63])
+def test_decomposition_and_homotopy_on_large_cuts(p):
+    # cut + modular chains in one pass at every level of the recursion
+    rng = np.random.default_rng(p)
+    g = dyadic_digraph(rng, p, density=0.1)
+    shift = dyadic(rng, -1.0, 1.0, size=p)
+    q = so.Quadratic(dyadic(rng, 1.0, 4.0, size=p), dyadic(rng, -1.0, 1.0, size=p))
+
+    def build():
+        return so.add_modular(so.cut_function(g), shift)
+
+    assert build().chainer is not None
+    pr = so.prox_minnorm(build(), q, eps=1e-11)
+    s = so.prox_decomposition(build(), q)
+    u = so.prox_homotopy(build(), q)
+    assert np.max(np.abs(s - pr.s)) <= 1e-6
+    assert np.max(np.abs(u - pr.u)) <= 1e-6
+    assert len(np.unique(np.round(pr.u, 6))) > 5  # several blocks to peel
