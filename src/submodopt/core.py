@@ -90,18 +90,15 @@ class SetFunction:
     computed from the function's structure, or to None when it cannot do
     better than the per-mask loop under that cap; see :meth:`tabulate`.
 
-    ``chainer``, when given, maps ``(order, base)`` to the values of F along
-    the prefix chain, computed from the structure; see :meth:`chain`.  A
-    chainer may also offer ``restrict(elems)``, ``contract(elems)`` and
-    ``add_modular(s)``, each returning the chainer of that transform of F;
-    the transforms in ``transforms`` use them when present.
+    ``chainer``, when given, maps an order to the values of F along its
+    prefix chain, computed from the structure; see :meth:`chain`.
     """
 
     __slots__ = ("p", "_fn", "_memo", "_builder", "_chainer")
 
     def __init__(self, p: int, fn: Callable[[int], float], memoize: bool = False,
                  builder: Optional[Callable[[int], Optional[np.ndarray]]] = None,
-                 chainer: Optional[Callable[[np.ndarray, int], np.ndarray]] = None):
+                 chainer: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.p = validate_ground_size(p)
         self._fn = fn
         v0 = float(fn(0))
@@ -155,48 +152,43 @@ class SetFunction:
         """The structural chainer passed at construction, or None."""
         return self._chainer
 
-    def chain(self, order, base: int = 0) -> np.ndarray:
-        """F(base | first k elements of order) for k = 0..len(order), float64.
+    def chain(self, order) -> np.ndarray:
+        """F(first k elements of order) for k = 0..len(order), float64.
 
-        ``order`` lists distinct elements outside the mask ``base``; it may
-        be a partial order or empty.  Without a chainer this is the per-mask
-        loop through ``__call__``, which reads and fills the memo (the empty
-        set is never queried).  A chainer neither reads nor fills the memo,
+        ``order`` lists distinct elements; it may be a partial order or
+        empty.  Without a chainer this is the per-mask loop through
+        ``__call__``, which reads and fills the memo (the empty set is never
+        queried).  A chainer neither reads nor fills the memo,
         and its values equal the loop's exactly on dyadic data; the order is
         checked before a chainer sees it, since a repeated element would
         make its arrays wrong where the loop just takes unions.
         """
         order = np.asarray(order, dtype=np.int64)
-        base = int(base)
         if self._chainer is not None:
-            _check_chain(order, base, self.p)
-            return self._chainer(order, base)
-        mask = base
-        values = [self(mask) if mask else 0.0]
+            _check_chain(order, self.p)
+            return self._chainer(order)
+        mask = 0
+        values = [0.0]
         for j in order.tolist():
             mask |= 1 << j
             values.append(self(mask))
         return np.array(values, dtype=np.float64)
 
 
-def _check_chain(order: np.ndarray, base: int, p: int) -> None:
-    if not 0 <= base < (1 << p):
-        raise ValueError(f"base mask {base} out of range for p={p}")
+def _check_chain(order: np.ndarray, p: int) -> None:
     if order.ndim != 1:
         raise ValueError("chain order must be one-dimensional")
     # bincount rejects negative elements itself
     hits = np.bincount(order, minlength=p)
-    if (hits.shape[0] > p or np.count_nonzero(hits) != order.shape[0]
-            or (base and np.any((base >> order) & 1))):
-        raise ValueError(f"chain order leaves 0..{p - 1}, repeats an element "
-                         "or meets the base")
+    if hits.shape[0] > p or np.count_nonzero(hits) != order.shape[0]:
+        raise ValueError(f"chain order leaves 0..{p - 1} or repeats an element")
 
 
-def _prefix_masks(order: np.ndarray, base: int) -> np.ndarray:
-    """int64 masks base | first k of order, k = 0..len(order), for p < 63."""
+def _prefix_masks(order: np.ndarray) -> np.ndarray:
+    """int64 masks of the first k of order, k = 0..len(order), for p < 63."""
     masks = np.zeros(order.shape[0] + 1, dtype=np.int64)
     np.cumsum(np.left_shift(1, order), out=masks[1:])
-    return masks | base
+    return masks
 
 
 class ExplicitFunction(SetFunction):
@@ -212,7 +204,7 @@ class ExplicitFunction(SetFunction):
             raise ValueError(f"table length {n} is not a power of two >= 2")
         self.table = table
         super().__init__(p, lambda m: table[m], memoize=False,
-                         chainer=lambda order, base: table[_prefix_masks(order, base)])
+                         chainer=lambda order: table[_prefix_masks(order)])
 
     structured = True  # tabulate copies the stored table
 
@@ -247,12 +239,10 @@ class ModularSums:
         return total
 
 
-def modular_chain(s: np.ndarray, order: np.ndarray, base: int) -> np.ndarray:
-    """s(base | first k of order) for k = 0..len(order): one cumulative sum."""
-    out = np.empty(order.shape[0] + 1, dtype=np.float64)
-    out[0] = float(np.sum(s[elements_of(base)])) if base else 0.0
+def modular_chain(s: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """s(first k of order) for k = 0..len(order): one cumulative sum."""
+    out = np.zeros(order.shape[0] + 1, dtype=np.float64)
     np.cumsum(s[order], out=out[1:])
-    out[1:] += out[0]
     return out
 
 

@@ -267,13 +267,17 @@ def recover_level_values(F: SetFunction, x, group_tol: float = 1e-6) -> list[tup
             blocks.append([])
         blocks[-1].append(int(j))
 
-    values = F.chain(order)
     out = []
-    end = 0
+    prefix = 0
+    prev = 0.0
     for block in blocks:
-        value = float(values[end + len(block)] - values[end]) / len(block)
-        end += len(block)
-        mask = subset_of(block)
+        mask = 0
+        for j in block:
+            mask |= 1 << j
+        prefix |= mask
+        cur = F(prefix)
+        value = (cur - prev) / len(block)
+        prev = cur
         for j in block:
             if abs(value - x[j]) > 1e-6:
                 raise NumericalInconsistency(

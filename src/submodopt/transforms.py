@@ -14,12 +14,12 @@ inputs beyond the masks it needs.
 Chains (:meth:`SetFunction.chain`) follow the same rule with one
 difference.  ``add``, ``scale`` and ``add_modular`` chain by arithmetic on
 the chains of their inputs whenever every input chains from its structure.
-``restrict`` and ``contract`` chain structurally only when the input's
-chainer is closed under them, as the cut + modular structure of
-``zoo.cut_function`` is (``add_modular`` of a cut keeps that structure
-too): the transformed structure is built once, so a chain of any stack of
-these transforms over a cut costs one pass over the remaining arcs.  Any
-other restriction or contraction chains by one oracle call per prefix.
+``restrict`` and ``contract`` chain structurally only over the cut +
+modular structure of ``zoo.cut_function`` (:class:`zoo.CutChain`), the one
+structure closed under them and under ``add_modular``: the transformed
+structure is built once, so a chain of any stack of these transforms over
+a cut costs one pass over the remaining arcs.  Any other restriction or
+contraction chains by one oracle call per prefix.
 
 Restriction and contraction re-index their ground set compactly; the
 old-index list is recorded on the returned function (``elements``) so
@@ -37,6 +37,7 @@ from .core import (EXHAUSTIVE_CAP, ExplicitFunction, SetFunction, check_cap,
                    ModularSums, complement, elements_of, modular_chain,
                    to_explicit)
 from .errors import NegativeScale
+from .zoo import CutChain
 
 
 def embed_mask(mask: int, elements: Sequence[int]) -> int:
@@ -95,10 +96,9 @@ def _if_chained(chainer, *inputs):
     return chainer if all(F.chainer is not None for F in inputs) else None
 
 
-def _closed_chainer(F: SetFunction, transform: str, arg):
-    """The chainer of a transform of F, when F's chainer is closed under it."""
-    method = getattr(F.chainer, transform, None)
-    return None if method is None else method(arg)
+def _is_cut(F: SetFunction) -> bool:
+    """Whether F chains by the cut + modular structure of zoo.cut_function."""
+    return isinstance(F.chainer, CutChain)
 
 
 def _gather_builder(F: SetFunction, elems: Sequence[int], A: int = 0,
@@ -124,9 +124,9 @@ def restrict(F: SetFunction, A: int) -> ReindexedFunction:
     if A == 0:
         raise ValueError("cannot restrict to the empty set")
     elems = elements_of(A)
+    chainer = F.chainer.restrict(elems) if _is_cut(F) else None
     return ReindexedFunction(elems, lambda m: F(embed_mask(m, elems)),
-                             builder=_gather_builder(F, elems),
-                             chainer=_closed_chainer(F, "restrict", elems))
+                             builder=_gather_builder(F, elems), chainer=chainer)
 
 
 def contract(F: SetFunction, A: int) -> ReindexedFunction:
@@ -136,9 +136,9 @@ def contract(F: SetFunction, A: int) -> ReindexedFunction:
         raise ValueError("contraction by the full ground set leaves nothing")
     elems = elements_of(rest)
     base = F(A)
+    chainer = F.chainer.contract(elems) if _is_cut(F) else None
     return ReindexedFunction(elems, lambda m: F(A | embed_mask(m, elems)) - base,
-                             builder=_gather_builder(F, elems, A, base),
-                             chainer=_closed_chainer(F, "contract", elems))
+                             builder=_gather_builder(F, elems, A, base), chainer=chainer)
 
 
 def partial_min(G: SetFunction, W: int, cap: int = EXHAUSTIVE_CAP) -> ReindexedFunction:
@@ -228,8 +228,7 @@ def add(F: SetFunction, G: SetFunction) -> SetFunction:
     if F.p != G.p:
         raise ValueError("ground sets differ")
     builder = _if_structured(lambda cap: F.tabulate(cap) + G.tabulate(cap), F, G)
-    chainer = _if_chained(lambda order, base: F.chainer(order, base)
-                          + G.chainer(order, base), F, G)
+    chainer = _if_chained(lambda order: F.chainer(order) + G.chainer(order), F, G)
     return SetFunction(F.p, lambda m: F(m) + G(m), memoize=True, builder=builder,
                        chainer=chainer)
 
@@ -239,7 +238,7 @@ def scale(F: SetFunction, lam: float) -> SetFunction:
     if lam < 0.0:
         raise NegativeScale(f"scale factor must be nonnegative, got {lam}")
     builder = _if_structured(lambda cap: lam * F.tabulate(cap), F)
-    chainer = _if_chained(lambda order, base: lam * F.chainer(order, base), F)
+    chainer = _if_chained(lambda order: lam * F.chainer(order), F)
     return SetFunction(F.p, lambda m: lam * F(m), memoize=True, builder=builder,
                        chainer=chainer)
 
@@ -247,18 +246,19 @@ def scale(F: SetFunction, lam: float) -> SetFunction:
 def add_modular(F: SetFunction, s) -> SetFunction:
     """F + s, with s(A) read from byte tables (see :class:`core.ModularSums`).
 
-    Chains by the structure of F when it is closed under modular shifts,
-    otherwise by adding the cumulative sum of s to the chain of F.
+    A cut keeps its cut + modular chain structure; any other chained F
+    chains by adding the cumulative sum of s to the chain of F.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (F.p,):
         raise ValueError(f"vector has shape {s.shape}, expected ({F.p},)")
     sums = ModularSums(s)
     builder = _if_structured(lambda cap: F.tabulate(cap) + _kernels.subset_sums(s), F)
-    chainer = _closed_chainer(F, "add_modular", s)
-    if chainer is None:
-        chainer = _if_chained(lambda order, base: F.chainer(order, base)
-                              + modular_chain(s, order, base), F)
+    if _is_cut(F):
+        chainer = F.chainer.add_modular(s)
+    else:
+        chainer = _if_chained(lambda order: F.chainer(order)
+                              + modular_chain(s, order), F)
     return SetFunction(F.p, lambda m: F(m) + sums[m], memoize=True, builder=builder,
                        chainer=chainer)
 

@@ -17,7 +17,7 @@ from . import _kernels, _maxflow
 from .core import (SetFunction, elements_of, modular_chain, subset_of,
                    validate_ground_size)
 from .errors import NotConcave, NotPositiveDefinite, NotZeroAtZero
-from .lovasz import descending_order
+from .lovasz import lovasz_extension
 from .sfm import SfmResult
 
 
@@ -55,9 +55,9 @@ def _arc_arrays(g: Digraph):
 class CutChain:
     """Chainer of F(A) = cut(A) + m(A): arcs on 0..p-1 plus a modular vector.
 
-    A chain gives each element the prefix at which it joins (0 inside the
-    base, len(order) + 1 never); an arc u -> v is cut at prefix k exactly
-    when pos[u] <= k < pos[v].  So one weighted count of m by pos, two over
+    A chain gives each element the prefix at which it joins (len(order) + 1
+    for one that never does); an arc u -> v is cut at prefix k exactly when
+    pos[u] <= k < pos[v].  So one weighted count of m by pos, two over
     the arcs with pos[u] < pos[v] and one cumulative sum give every prefix
     value in O(arcs + p).  The structure is closed under restriction,
     contraction and modular shifts, which rebuild it once instead of per
@@ -70,13 +70,11 @@ class CutChain:
         self.p, self.tails, self.heads, self.wts, self.m = p, tails, heads, wts, m
         self._ends = np.concatenate((tails, heads))
 
-    def __call__(self, order: np.ndarray, base: int) -> np.ndarray:
+    def __call__(self, order: np.ndarray) -> np.ndarray:
         n = order.shape[0]
         pos = np.empty(self.p, dtype=np.int64)
         pos.fill(n + 1)
         pos[order] = np.arange(1, n + 1)
-        if base:
-            pos[elements_of(base)] = 0
         ends = pos[self._ends]
         a = self.wts.shape[0]
         pt, ph = ends[:a], ends[a:]
@@ -293,23 +291,18 @@ def concave_cardinality(g_table) -> SetFunction:
         counts = _kernels.subset_sums(np.ones(p)).astype(np.int64)
         return g_table[counts]
 
-    def chainer(order: np.ndarray, base: int) -> np.ndarray:
-        start = base.bit_count()
-        return g_table[start:start + order.shape[0] + 1].copy()
-
     return SetFunction(p, lambda mask: float(g_table[int(mask).bit_count()]),
-                       memoize=False, builder=builder, chainer=chainer)
+                       memoize=False, builder=builder,
+                       chainer=lambda order: g_table[:order.shape[0] + 1].copy())
 
 
 def concave_cardinality_lovasz(g_table, w) -> float:
-    """Order-statistic form: sum of sorted w times the increments of g."""
-    g_table = np.asarray(g_table, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    order = descending_order(w)
-    total = 0.0
-    for rank, j in enumerate(order, start=1):
-        total += w[j] * (g_table[rank] - g_table[rank - 1])
-    return float(total)
+    """Order-statistic form: sum of sorted w times the increments of g.
+
+    The chain of :func:`concave_cardinality` is the table itself, so this is
+    :func:`lovasz_extension` on it.
+    """
+    return lovasz_extension(concave_cardinality(g_table), w)
 
 
 _ANALYTIC = {
@@ -348,24 +341,13 @@ def weighted_concave(s, kind: str, cap_value: Optional[float] = None) -> SetFunc
 
     return SetFunction(len(s), fn, memoize=True,
                        builder=lambda cap: g(_kernels.subset_sums(s)),
-                       chainer=lambda order, base: g(modular_chain(s, order, base)))
+                       chainer=lambda order: g(modular_chain(s, order)))
 
 
 def weighted_concave_lovasz(s, kind: str, w, cap_value: Optional[float] = None) -> float:
-    """Fast extension path via the increments of g along sorted partial sums."""
-    s = np.asarray(s, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    g = _profile(kind, cap_value)
-    order = descending_order(w)
-    total = 0.0
-    acc = 0.0
-    prev = 0.0
-    for j in order:
-        acc += s[j]
-        cur = float(g(acc))
-        total += w[j] * (cur - prev)
-        prev = cur
-    return float(total)
+    """Increments of g along the sorted partial sums of s: the chain of
+    :func:`weighted_concave` read by :func:`lovasz_extension`."""
+    return lovasz_extension(weighted_concave(s, kind, cap_value), w)
 
 
 # ---------------------------------------------------------------------------
