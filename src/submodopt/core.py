@@ -158,10 +158,10 @@ class SetFunction:
         ``order`` lists distinct elements; it may be a partial order or
         empty.  Without a chainer this is the per-mask loop through
         ``__call__``, which reads and fills the memo (the empty set is never
-        queried).  A chainer neither reads nor fills the memo,
-        and its values equal the loop's exactly on dyadic data; the order is
-        checked before a chainer sees it, since a repeated element would
-        make its arrays wrong where the loop just takes unions.
+        queried).  A chainer neither reads nor fills the memo, and its
+        values equal the loop's exactly on dyadic data; the order is checked
+        before a chainer sees it, since a repeated element would make its
+        arrays wrong where the loop just takes unions.
         """
         order = np.asarray(order, dtype=np.int64)
         if self._chainer is not None:
