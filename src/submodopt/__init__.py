@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 from .core import (EXHAUSTIVE_CAP, ExplicitFunction, PropertyReport,
                    SetFunction, complement, elements_of, explicit_function,
                    is_monotone, is_posimodular, is_submodular, is_symmetric,
-                   modular_function, random_submodular, shift_to_zero,
-                   subset_of, to_explicit)
+                   modular_function, shift_to_zero, subset_of, to_explicit)
 from .errors import (CapExceeded, EmptySetNotZero, MonotonicityRequired,
                      NegativeScale, NoConvergence, NotConcave,
                      NotPositiveDefinite, NotZeroAtZero,
@@ -43,4 +42,4 @@ from .zoo import (CoverSystem, Digraph, FlowNetwork, concave_cardinality,
                   concave_cardinality_lovasz, cover_function, cover_lovasz,
                   cut_function, cut_lovasz, cut_minimize, flow_function,
                   graphic_matroid_rank, linear_matroid_rank, logdet_function,
-                  weighted_concave, weighted_concave_lovasz)
+                  random_submodular, weighted_concave, weighted_concave_lovasz)

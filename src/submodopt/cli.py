@@ -82,9 +82,9 @@ def build_function(spec: dict, seed: int = 0) -> core.SetFunction:
                                                   dtype=np.float64),
                                        spec.get("tol"))
     if kind == "random":
-        return core.random_submodular(int(spec.get("seed", seed)),
-                                      int(_need(spec, "p")),
-                                      spec.get("family", "cut"))
+        return zoo.random_submodular(int(spec.get("seed", seed)),
+                                     int(_need(spec, "p")),
+                                     spec.get("family", "cut"))
     if kind == "transform":
         return _build_transform(spec, seed)
     raise SpecError(f"unknown spec kind {kind!r}")
@@ -150,10 +150,6 @@ def _parse_vector(text: str, p: int, flag: str) -> np.ndarray:
     return vec
 
 
-def _mask_to_indices(mask: int) -> list[int]:
-    return core.elements_of(mask)
-
-
 def _report(command: str, spec: dict, results: dict, started: float) -> None:
     doc = {
         "command": command,
@@ -177,10 +173,7 @@ class PreconditionFailed(SubmodoptError):
     pass
 
 
-def cmd_check(args) -> None:
-    started = time.perf_counter()
-    spec = _load_spec(args.spec)
-    F = build_function(spec, args.seed)
+def cmd_check(F, args) -> dict:
     results = {}
     for name, checker in (("submodular", core.is_submodular),
                           ("monotone", core.is_monotone),
@@ -188,39 +181,29 @@ def cmd_check(args) -> None:
                           ("posimodular", core.is_posimodular)):
         rep = checker(F, tol=args.tol, cap=args.max_exhaustive)
         results[name] = {"holds": rep.holds, "witness": rep.witness}
-    _report("check", spec, results, started)
+    return results
 
 
-def cmd_minimize(args) -> None:
-    started = time.perf_counter()
-    spec = _load_spec(args.spec)
-    F = build_function(spec, args.seed)
+def cmd_minimize(F, args) -> dict:
     if args.verify and args.algo == "brute":  # one table for the check and the scan
         F = core.ExplicitFunction(core.to_explicit(F, cap=args.max_exhaustive))
     _verify_submodular(F, args)
     res = sfm.minimize(F, backend=args.algo, eps=args.eps, cap=args.max_exhaustive)
-    results = {
+    return {
         "min_value": res.min_value,
-        "minimal_minimizer": _mask_to_indices(res.minimal_minimizer),
-        "maximal_minimizer": _mask_to_indices(res.maximal_minimizer),
+        "minimal_minimizer": core.elements_of(res.minimal_minimizer),
+        "maximal_minimizer": core.elements_of(res.maximal_minimizer),
         "certificate": None if res.certificate is None else list(res.certificate),
         "gap": res.gap,
     }
-    _report("minimize", spec, results, started)
 
 
-def cmd_eval(args) -> None:
-    started = time.perf_counter()
-    spec = _load_spec(args.spec)
-    F = build_function(spec, args.seed)
+def cmd_eval(F, args) -> dict:
     w = _parse_vector(args.w, F.p, "--w")
-    _report("eval", spec, {"value": lovasz.lovasz_extension(F, w)}, started)
+    return {"value": lovasz.lovasz_extension(F, w)}
 
 
-def cmd_greedy(args) -> None:
-    started = time.perf_counter()
-    spec = _load_spec(args.spec)
-    F = build_function(spec, args.seed)
+def cmd_greedy(F, args) -> dict:
     w = _parse_vector(args.w, F.p, "--w")
     if args.truncated:
         if args.verify:
@@ -231,25 +214,17 @@ def cmd_greedy(args) -> None:
         s = lovasz.truncated_greedy(F, w)
     else:
         s = lovasz.greedy_base(F, w)
-    _report("greedy", spec,
-            {"base": list(s), "value": float(np.dot(w, s)),
-             "truncated": bool(args.truncated)}, started)
+    return {"base": list(s), "value": float(np.dot(w, s)),
+            "truncated": bool(args.truncated)}
 
 
-def cmd_conjugate(args) -> None:
-    started = time.perf_counter()
-    spec = _load_spec(args.spec)
-    F = build_function(spec, args.seed)
+def cmd_conjugate(F, args) -> dict:
     s = _parse_vector(args.s, F.p, "--s")
     value, arg = lovasz.conjugate(F, s, cap=args.max_exhaustive)
-    _report("conjugate", spec,
-            {"value": value, "argmax": _mask_to_indices(arg)}, started)
+    return {"value": value, "argmax": core.elements_of(arg)}
 
 
-def cmd_prox(args) -> None:
-    started = time.perf_counter()
-    spec = _load_spec(args.spec)
-    F = build_function(spec, args.seed)
+def cmd_prox(F, args) -> dict:
     _verify_submodular(F, args)
     a = (_parse_vector(args.weights, F.p, "--weights")
          if args.weights else np.ones(F.p))
@@ -278,29 +253,22 @@ def cmd_prox(args) -> None:
             alpha = float(text)
             lo, hi = prox.prox_threshold_sets(u, alpha)
             thresholds.append({"alpha": alpha,
-                               "minimal": _mask_to_indices(lo),
-                               "maximal": _mask_to_indices(hi)})
+                               "minimal": core.elements_of(lo),
+                               "maximal": core.elements_of(hi)})
         results["thresholds"] = thresholds
-    _report("prox", spec, results, started)
+    return results
 
 
-def cmd_linesearch(args) -> None:
-    started = time.perf_counter()
-    spec = _load_spec(args.spec)
-    F = build_function(spec, args.seed)
+def cmd_linesearch(F, args) -> dict:
     t = _parse_vector(args.direction, F.p, "--direction")
     s0 = (_parse_vector(args.s, F.p, "--s") if args.s else np.zeros(F.p))
     lam = prox.line_search_P(F, s0, t, tol=args.tol, cap=args.max_exhaustive)
-    _report("linesearch", spec, {"lambda": lam}, started)
+    return {"lambda": lam}
 
 
-def cmd_explicit(args) -> None:
-    started = time.perf_counter()
-    spec = _load_spec(args.spec)
-    F = build_function(spec, args.seed)
+def cmd_explicit(F, args) -> dict:
     table = core.to_explicit(F, cap=args.max_exhaustive)
-    _report("explicit", spec,
-            {"spec": {"kind": "explicit", "values": list(table)}}, started)
+    return {"spec": {"kind": "explicit", "values": list(table)}}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -381,7 +349,10 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        args.fn(args)
+        started = time.perf_counter()
+        spec = _load_spec(args.spec)
+        results = args.fn(build_function(spec, args.seed), args)
+        _report(args.command, spec, results, started)
     except SpecError as exc:
         return _fail(str(exc), 1)
     except PreconditionFailed as exc:

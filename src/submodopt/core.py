@@ -15,7 +15,12 @@ The greedy algorithm, the Lovász extension and the minimizer extraction read
 F along the prefixes of one ordering through :meth:`SetFunction.chain`.
 Cuts, explicit tables, the concave families and some transforms of these
 pass a chainer that computes the whole chain in array operations; every
-other function is chained by one oracle call per prefix.
+other function is chained by one oracle call per prefix.  Certificates that
+read F once per level set of a vector (block-value recovery, the level-set
+optimality and maximizer checks) walk those sets through
+:func:`level_sets`.
+
+Concrete families, the seeded random instances included, live in ``zoo``.
 """
 
 from __future__ import annotations
@@ -64,6 +69,24 @@ def elements_of(mask: int) -> list[int]:
         mask >>= 1
         k += 1
     return out
+
+
+def level_sets(values, tol: float = 0.0):
+    """Lazy (block, prefix_mask) pairs over the level sets of values, ascending.
+
+    A stable argsort of values, cut into a new block wherever consecutive
+    sorted values differ by more than tol (tol=0 gives exact level sets).
+    ``block`` is the int64 array of its elements in sorted order and
+    ``prefix_mask`` the bitmask of it and every block before it, so a caller
+    that reads F at each prefix can stop at the first failing level.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    prefix = 0
+    for block in np.split(order, np.nonzero(np.diff(values[order]) > tol)[0] + 1):
+        for j in block.tolist():
+            prefix |= 1 << j
+        yield block, prefix
 
 
 def complement(mask: int, p: int) -> int:
@@ -336,99 +359,3 @@ def is_posimodular(F: SetFunction, tol: float = DEFAULT_TOL,
         return PropertyReport(True)
     return PropertyReport(False, {"A": int(a), "B": int(b),
                                   "lhs": float(lhs), "rhs": float(rhs)})
-
-
-# ---------------------------------------------------------------------------
-# seeded random instances for tests and demos
-# ---------------------------------------------------------------------------
-
-_WEIGHT_GRID = 1 << 16  # weights are multiples of 2**-16 so sums stay exact
-
-
-def _dyadic(rng, low: int, high: int, size=None):
-    return rng.integers(low, high, size=size).astype(np.float64) / _WEIGHT_GRID
-
-
-def random_submodular(seed: int, p: int, family: str = "cut") -> SetFunction:
-    """Deterministic random submodular function from a named family.
-
-    Families: ``cut`` (random directed graph cut), ``cover`` (weighted set
-    cover), ``logdet`` (log-determinant of principal submatrices of a random
-    positive definite matrix).  Append ``+modular`` to any of them to add a
-    random modular shift, e.g. ``"cut+modular"``.
-
-    Cut and cover weights live on a dyadic grid (multiples of 2**-16) so
-    that table arithmetic downstream is exact in float64; logdet values are
-    irrational by nature.
-    """
-    p = validate_ground_size(p)
-    base, _, suffix = family.partition("+")
-    if suffix not in ("", "modular"):
-        raise ValueError(f"unknown family suffix {suffix!r}")
-    rng = np.random.default_rng(seed)
-
-    builder = None
-    if base == "cut":
-        pairs = [(i, j) for i in range(p) for j in range(p)
-                 if i != j and rng.random() < 0.4]
-        tails = np.array([i for i, _ in pairs], dtype=np.int64)
-        heads = np.array([j for _, j in pairs], dtype=np.int64)
-        wts = _dyadic(rng, 1, _WEIGHT_GRID, size=len(pairs))
-
-        def fn(mask: int) -> float:
-            inside_t = (mask >> tails) & 1
-            inside_h = (mask >> heads) & 1
-            return float(np.sum(wts[(inside_t == 1) & (inside_h == 0)]))
-
-        def builder(cap: int) -> np.ndarray:
-            return _kernels.cut_table(tails, heads, wts, p)
-
-    elif base == "cover":
-        n_groups = 2 * p
-        masks = rng.integers(1, 1 << p, size=n_groups, dtype=np.uint64,
-                             endpoint=(p == MAX_GROUND_SIZE))
-        gw = _dyadic(rng, 0, _WEIGHT_GRID, size=n_groups)
-        # singleton groups with positive weight keep F({k}) > 0 for every k
-        masks = np.concatenate([masks, (1 << np.arange(p)).astype(np.uint64)])
-        gw = np.concatenate([gw, _dyadic(rng, 1, 1 << 12, size=p)])
-
-        def fn(mask: int) -> float:
-            return float(np.sum(gw[(masks & np.uint64(mask)) != 0]))
-
-        def builder(cap: int) -> np.ndarray:
-            return _kernels.cover_table(masks.astype(np.int64), gw, p)
-
-    elif base == "logdet":
-        r = rng.standard_normal((p, p)) * 0.5
-        q = r @ r.T + np.eye(p)
-
-        def fn(mask: int) -> float:
-            if mask == 0:
-                return 0.0
-            idx = elements_of(mask)
-            sub = q[np.ix_(idx, idx)]
-            chol = np.linalg.cholesky(sub)
-            return float(2.0 * np.sum(np.log(np.diag(chol))))
-
-    else:
-        raise ValueError(f"unknown family {base!r}")
-
-    if suffix == "modular":
-        shift = _dyadic(rng, -_WEIGHT_GRID, _WEIGHT_GRID, size=p)
-        inner = fn
-        if builder is not None:
-            inner_builder = builder
-
-            def builder(cap: int) -> np.ndarray:  # noqa: F811 - deliberate rewrap
-                return inner_builder(cap) + _kernels.subset_sums(shift)
-
-        def fn(mask: int) -> float:  # noqa: F811 - deliberate rewrap
-            total = inner(mask)
-            m = mask
-            while m:
-                low = m & -m
-                total += shift[low.bit_length() - 1]
-                m ^= low
-            return total
-
-    return SetFunction(p, fn, memoize=True, builder=builder)

@@ -1,8 +1,10 @@
 """Membership, tight sets, dependence structure, and optimality certificates
 for the polyhedra attached to a submodular function.
 
-All tests here are exhaustive over the 2**p constraints s(A) <= F(A), so
-they live under the same cap as the other enumeration-based operations.
+Membership and tight-set tests are exhaustive over the 2**p constraints
+s(A) <= F(A), so they live under the same cap as the other
+enumeration-based operations.  The maximizer certificates read F once per
+level set of the weight vector (:func:`core.level_sets`) and need no cap.
 Tolerances are additive and shared through the ``tol`` argument.
 """
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_cap,
-                   elements_of, to_explicit)
+                   elements_of, level_sets, to_explicit)
 from .errors import NumericalInconsistency
 from .lovasz import conjugate
 
@@ -96,35 +98,23 @@ def exchangeable_pairs(F: SetFunction, s, tol: float = DEFAULT_TOL,
             for q in elements_of(_smallest_containing(tight, k, F.p)) if q != k]
 
 
-def _level_prefixes(w, descending: bool) -> list[np.ndarray]:
-    """Index arrays of the upper (or lower) level sets of w, one per distinct value."""
-    w = np.asarray(w, dtype=np.float64)
-    values = np.unique(w)  # ascending
-    if descending:
-        values = values[::-1]
-    prefixes = []
-    for v in values:
-        sel = w >= v if descending else w <= v
-        prefixes.append(np.nonzero(sel)[0])
-    return prefixes
+def _prefix_gap(F: SetFunction, s: np.ndarray, mask: int) -> float:
+    """|s(A) - F(A)| for A = mask, with s(A) summed in ascending element order."""
+    return abs(float(np.sum(s[elements_of(mask)])) - F(mask))
 
 
-def is_base_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL,
-                      cap: int = EXHAUSTIVE_CAP) -> bool:
+def is_base_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     """Whether a base s maximizes w^T s over the base polytope.
 
-    Primary criterion: every upper level set of w must be tight for s.
-    The exchangeable-pair form is available separately as
-    :func:`base_maximizer_exchange_check` for cross-checking.
+    Primary criterion: every upper level set of w must be tight for s, one
+    oracle call per distinct value of w.  The exchangeable-pair form is
+    available separately as :func:`base_maximizer_exchange_check` for
+    cross-checking.
     """
     s = _vector(F, s)
     w = _vector(F, w)
-    check_cap(F.p, cap)
-    for idx in _level_prefixes(w, descending=True):
-        mask = int(np.sum(1 << idx.astype(np.int64)))
-        if abs(float(np.sum(s[idx])) - F(mask)) > tol:
-            return False
-    return True
+    # the upper level sets of w are the lower level sets of -w
+    return not any(_prefix_gap(F, s, mask) > tol for _, mask in level_sets(-w))
 
 
 def base_maximizer_exchange_check(F: SetFunction, s, w, tol: float = DEFAULT_TOL,
@@ -137,8 +127,7 @@ def base_maximizer_exchange_check(F: SetFunction, s, w, tol: float = DEFAULT_TOL
     return True
 
 
-def is_P_plus_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL,
-                        cap: int = EXHAUSTIVE_CAP) -> bool:
+def is_P_plus_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     """Whether s maximizes w^T s over P(F) & positive orthant (F non-decreasing).
 
     Blocks of w with negative value must carry s identically zero; prefixes
@@ -146,20 +135,12 @@ def is_P_plus_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL,
     """
     s = _vector(F, s)
     w = _vector(F, w)
-    check_cap(F.p, cap)
-    values = np.unique(w)[::-1]
-    prefix = np.zeros(F.p, dtype=bool)
-    for v in values:
-        block = w == v
-        if v < 0.0:
+    for block, mask in level_sets(-w):
+        if w[block[0]] < 0.0:
             if np.any(np.abs(s[block]) > tol):
                 return False
-        else:
-            prefix |= block
-            idx = np.nonzero(prefix)[0]
-            mask = int(np.sum(1 << idx.astype(np.int64)))
-            if abs(float(np.sum(s[idx])) - F(mask)) > tol:
-                return False
+        elif _prefix_gap(F, s, mask) > tol:
+            return False
     return True
 
 

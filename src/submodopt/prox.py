@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels, transforms
 from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, elements_of,
-                   subset_of, to_explicit)
+                   level_sets, subset_of, to_explicit)
 from .errors import (MonotonicityRequired, NoConvergence,
                      NumericalInconsistency, RecursionOverflow, Unbounded)
 from .lovasz import lovasz_extension
@@ -516,18 +516,12 @@ def check_separable_optimality(F: SetFunction, s, g: DerivativeSpec,
             break
 
     # level-set form: cluster the derivative values, check prefixes tight
-    order = np.argsort(w, kind="stable")
-    clusters: list[list[int]] = [[int(order[0])]]
-    for j in order[1:]:
-        if w[j] - w[clusters[-1][-1]] > tol:
-            clusters.append([])
-        clusters[-1].append(int(j))
     ok_levels = True
-    mask = 0
     acc = 0.0
-    for cl in clusters[:-1]:  # the final prefix is V, always tight for a base
-        for j in cl:
-            mask |= 1 << j
+    for block, mask in level_sets(w, tol):
+        if mask == (1 << F.p) - 1:  # the final prefix is V, always tight for a base
+            break
+        for j in block.tolist():
             acc += s[j]
         if abs(acc - F(mask)) > max(tol, tight_tol):
             ok_levels = False

@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import EXHAUSTIVE_CAP, SetFunction, subset_of, to_explicit
+from .core import (EXHAUSTIVE_CAP, SetFunction, level_sets, subset_of,
+                   to_explicit)
 from .errors import NoConvergence, NumericalInconsistency
 from .lovasz import greedy_base
 
@@ -260,27 +261,17 @@ def recover_level_values(F: SetFunction, x, group_tol: float = 1e-6) -> list[tup
     NumericalInconsistency (the grouping tolerance was misjudged).
     """
     x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    blocks: list[list[int]] = [[int(order[0])]]
-    for j in order[1:]:
-        if x[j] - x[blocks[-1][-1]] > group_tol:
-            blocks.append([])
-        blocks[-1].append(int(j))
-
     out = []
-    prefix = 0
+    seen = 0
     prev = 0.0
-    for block in blocks:
-        mask = 0
-        for j in block:
-            mask |= 1 << j
-        prefix |= mask
+    for block, prefix in level_sets(x, group_tol):
         cur = F(prefix)
         value = (cur - prev) / len(block)
         prev = cur
-        for j in block:
+        for j in block.tolist():
             if abs(value - x[j]) > 1e-6:
                 raise NumericalInconsistency(
                     f"recovered block value {value} differs from x[{j}]={x[j]}")
-        out.append((mask, value))
+        out.append((prefix ^ seen, value))
+        seen = prefix
     return out

@@ -4,6 +4,11 @@ the structure gives one and a max-flow route for cut minimization.  Cuts,
 covers and the concave families also build their 2**p tables from their
 structure (see :meth:`SetFunction.tabulate`); cuts and the concave families
 also chain from it (see :meth:`SetFunction.chain`).
+
+:func:`random_submodular` draws seeded cut, cover and log-determinant
+instances, optionally plus a modular shift, and builds them with the
+constructors here and ``transforms.add_modular``, so each random family
+tabulates and chains exactly as its constructor does.
 """
 
 from __future__ import annotations
@@ -444,3 +449,58 @@ def linear_matroid_rank(matrix, tol: Optional[float] = None) -> SetFunction:
         return float(rank)
 
     return SetFunction(p, fn, memoize=True)
+
+
+# ---------------------------------------------------------------------------
+# seeded random instances for tests and demos
+# ---------------------------------------------------------------------------
+
+_WEIGHT_GRID = 1 << 16  # weights are multiples of 2**-16 so sums stay exact
+
+
+def _dyadic(rng, low: int, high: int, size=None):
+    return rng.integers(low, high, size=size).astype(np.float64) / _WEIGHT_GRID
+
+
+def random_submodular(seed: int, p: int, family: str = "cut") -> SetFunction:
+    """Deterministic random submodular function from a named family.
+
+    Families: ``cut`` (random directed graph cut, a :func:`cut_function`),
+    ``cover`` (weighted set cover, a :func:`cover_function`), ``logdet``
+    (log-determinant of principal submatrices of a random positive definite
+    matrix, a :func:`logdet_function`).  Append ``+modular`` to any of them
+    to add a random modular shift through ``transforms.add_modular``, e.g.
+    ``"cut+modular"``.
+
+    Cut and cover weights live on a dyadic grid (multiples of 2**-16) so
+    that table arithmetic downstream is exact in float64; logdet values are
+    irrational by nature.
+    """
+    p = validate_ground_size(p)
+    base, _, suffix = family.partition("+")
+    if suffix not in ("", "modular"):
+        raise ValueError(f"unknown family suffix {suffix!r}")
+    rng = np.random.default_rng(seed)
+
+    if base == "cut":
+        pairs = [(i, j) for i in range(p) for j in range(p)
+                 if i != j and rng.random() < 0.4]
+        wts = _dyadic(rng, 1, _WEIGHT_GRID, size=len(pairs)).tolist()
+        F = cut_function(Digraph(p, tuple((i, j, w) for (i, j), w in zip(pairs, wts))))
+    elif base == "cover":
+        masks = rng.integers(1, 1 << p, size=2 * p, dtype=np.uint64).tolist()
+        gw = _dyadic(rng, 0, _WEIGHT_GRID, size=2 * p).tolist()
+        # singleton groups with positive weight keep F({k}) > 0 for every k
+        singles = _dyadic(rng, 1, 1 << 12, size=p).tolist()
+        groups = list(zip(masks, gw)) + [(1 << k, w) for k, w in enumerate(singles)]
+        F = cover_function(CoverSystem(p, tuple(groups)))
+    elif base == "logdet":
+        r = rng.standard_normal((p, p)) * 0.5
+        F = logdet_function(r @ r.T + np.eye(p))
+    else:
+        raise ValueError(f"unknown family {base!r}")
+
+    if suffix == "modular":
+        from .transforms import add_modular  # transforms imports zoo for CutChain
+        F = add_modular(F, _dyadic(rng, -_WEIGHT_GRID, _WEIGHT_GRID, size=p))
+    return F

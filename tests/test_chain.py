@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import submodopt as so
 from submodopt import sfm, transforms
 from submodopt.core import SetFunction
+from submodopt.zoo import CutChain
 
 from helpers import dyadic, dyadic_digraph, dyadic_energy
 
@@ -62,6 +63,17 @@ def test_cut_stacks_chain_like_the_loop(data, p, seed, depth):
     F = so.cut_function(dyadic_digraph(rng, p, density=0.4))
     F = transform_stack(F, data, rng, depth)
     assert F.chainer is not None  # the cut structure survives every layer
+    check_chain(F, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
+       depth=st.integers(0, 4), family=st.sampled_from(["cut", "cut+modular"]))
+def test_random_cut_stacks_chain_like_the_loop(data, p, seed, depth, family):
+    F = so.random_submodular(seed, p, family)
+    assert isinstance(F.chainer, CutChain)
+    F = transform_stack(F, data, np.random.default_rng(seed), depth)
+    assert isinstance(F.chainer, CutChain)
     check_chain(F, data)
 
 
@@ -136,6 +148,11 @@ def test_chains_follow_the_structure_of_their_inputs():
     assert so.contract(concave, 1).chainer is None
     assert so.add(cut, oracle).chainer is None
     assert so.add_modular(oracle, np.ones(6)).chainer is None
+    # the random families chain exactly as the constructors they are built by
+    for family in ("cut", "cut+modular"):
+        assert isinstance(so.random_submodular(0, 6, family).chainer, CutChain)
+    for family in ("cover", "cover+modular", "logdet", "logdet+modular"):
+        assert so.random_submodular(0, 6, family).chainer is None
 
 
 def test_unstructured_chain_fills_the_memo_as_the_loop_did():
@@ -188,13 +205,13 @@ def test_empty_order_gives_the_empty_set_value():
     assert F.chain(np.array([], dtype=np.int64)).tolist() == [0.0]
 
 
-def test_energy_chains_make_constant_oracle_calls(monkeypatch):
-    # an s-t energy restrict(contract(cut)) chains in one pass; the same
-    # function behind a plain oracle needs one call per prefix
-    rng = np.random.default_rng(56)
-    F = dyadic_energy(rng, 56, density=0.1)
-    oracle = SetFunction(56, F, memoize=True)
-    ws = [rng.standard_normal(56) for _ in range(3)]
+def assert_constant_oracle_calls(F, rng, monkeypatch):
+    """greedy_base, lovasz_extension and sfm.minimize on a structurally
+    chained F make at most 2 per-mask calls; the same function behind a
+    plain oracle needs one call per prefix, and gives the same answers."""
+    p = F.p
+    oracle = SetFunction(p, F, memoize=True)
+    ws = [rng.standard_normal(p) for _ in range(3)]
 
     calls = [0]
     original = SetFunction.__call__
@@ -213,7 +230,7 @@ def test_energy_chains_make_constant_oracle_calls(monkeypatch):
     for w in ws:
         s, n = count(so.greedy_base, F, w)
         s_ref, n_ref = count(so.greedy_base, oracle, w)
-        assert n <= 2 and n_ref >= 56
+        assert n <= 2 and n_ref >= p
         assert_bitwise_equal(s, s_ref)
         v, n = count(so.lovasz_extension, F, w)
         assert n <= 2 and v == so.lovasz_extension(oracle, w)
@@ -222,3 +239,16 @@ def test_energy_chains_make_constant_oracle_calls(monkeypatch):
     res_ref = sfm.minimize(oracle)
     assert (res.min_value, res.minimal_minimizer, res.maximal_minimizer) == \
         (res_ref.min_value, res_ref.minimal_minimizer, res_ref.maximal_minimizer)
+
+
+def test_energy_chains_make_constant_oracle_calls(monkeypatch):
+    # an s-t energy restrict(contract(cut)) chains in one pass
+    rng = np.random.default_rng(56)
+    assert_constant_oracle_calls(dyadic_energy(rng, 56, density=0.1), rng, monkeypatch)
+
+
+@pytest.mark.parametrize("family", ["cut", "cut+modular"])
+def test_random_cuts_chain_with_constant_oracle_calls(family, monkeypatch):
+    rng = np.random.default_rng(40)
+    assert_constant_oracle_calls(so.random_submodular(40, 40, family), rng,
+                                 monkeypatch)

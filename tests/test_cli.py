@@ -137,7 +137,7 @@ def test_exit_codes(capsys, tmp_path):
                                  RuntimeError("line one\nline two"),
                                  KeyError("k")])
 def test_unexpected_errors_exit_2_with_one_line(capsys, monkeypatch, exc):
-    def boom(args):
+    def boom(F, args):
         raise exc
 
     monkeypatch.setattr(cli, "cmd_minimize", boom)
@@ -175,11 +175,18 @@ def test_reports_deterministic(capsys):
 def test_verified_brute_minimize_tabulates_once(capsys, monkeypatch):
     plain = run_json(capsys, "minimize", DATA / "random_cut6.json", "--algo", "brute")
     builds = []
+    depth = [0]
     tabulate = core.SetFunction.tabulate
 
     def counted(F, cap=core.EXHAUSTIVE_CAP):
-        builds.append(F.p)
-        return tabulate(F, cap)
+        # only outermost builds count: a transform's builder tabulates its input
+        if depth[0] == 0:
+            builds.append(F.p)
+        depth[0] += 1
+        try:
+            return tabulate(F, cap)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(core.SetFunction, "tabulate", counted)
     verified = run_json(capsys, "minimize", DATA / "random_cut6.json",

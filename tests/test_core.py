@@ -108,6 +108,23 @@ def test_posimodular_cap_counts_pairs_of_subsets():
         so.is_posimodular(card(5), cap=9)
 
 
+def test_level_sets_split_where_consecutive_sorted_values_differ():
+    x = [0.3, -1.0, 0.3, 0.31, 2.0, -1.0]
+
+    def walk(values, tol=0.0):
+        return [(block.tolist(), mask) for block, mask in so.core.level_sets(values, tol)]
+
+    assert walk(x) == [([1, 5], 0b100010), ([0, 2], 0b100111),
+                       ([3], 0b101111), ([4], 0b111111)]
+    assert walk(x, 0.05) == [([1, 5], 0b100010), ([0, 2, 3], 0b101111),
+                             ([4], 0b111111)]
+    # gaps are measured between neighbours, so blocks chain past tol
+    assert walk([0.0, 0.08, 0.04], 0.05) == [([0, 2, 1], 0b111)]
+    # lazy: the first block comes before the rest are built
+    walker = so.core.level_sets(np.arange(63.0))
+    assert next(walker)[1] == 1
+
+
 def test_random_submodular_families():
     for family in ("cut", "cover", "logdet", "cut+modular", "cover+modular",
                    "logdet+modular"):

@@ -200,3 +200,27 @@ def test_tangent_cone_generators():
                 continue
             _, residual = nnls(gens, direction)
             assert residual <= 1e-8, (seed, direction)
+
+
+def test_maximizer_checks_read_F_once_per_level_at_p30():
+    # no 2**30 enumeration: one oracle call per distinct value of w
+    w = np.arange(30.0)
+    F = so.modular_function(w)
+    assert so.is_base_maximizer(F, so.greedy_base(F, w), w)
+
+    calls = []
+    G = so.random_submodular(4, 30, "cut+modular")
+    counted = so.SetFunction(30, lambda m: calls.append(m) or G(m))
+    levels = np.arange(30) // 3 - 4.5  # 10 levels of 3 elements, half negative
+    calls.clear()
+    assert so.is_base_maximizer(counted, so.greedy_base(G, levels), levels)
+    assert len(calls) == 10
+    assert not so.is_base_maximizer(counted, so.greedy_base(G, -levels), levels)
+
+    H = so.random_submodular(5, 30, "cover")
+    assert so.is_P_plus_maximizer(H, so.truncated_greedy(H, levels), levels)
+    assert not so.is_P_plus_maximizer(H, so.truncated_greedy(H, -levels), levels)
+    # the nonnegative blocks are tight, so only the zero check can fail
+    s = so.truncated_greedy(H, levels)
+    s[0] = 1e-3
+    assert not so.is_P_plus_maximizer(H, s, levels)
