@@ -39,7 +39,7 @@ from .transforms import (add, add_modular, contract, convolve_modular,
                          embed_mask, mobius, mobius_reconstruct, monotonize,
                          partial_min, project_mask, restrict, scale)
 from .zoo import (CoverSystem, Digraph, FlowNetwork, concave_cardinality,
-                  concave_cardinality_lovasz, cover_function, cover_lovasz,
-                  cut_function, cut_lovasz, cut_minimize, flow_function,
-                  graphic_matroid_rank, linear_matroid_rank, logdet_function,
-                  random_submodular, weighted_concave, weighted_concave_lovasz)
+                  cover_function, cover_lovasz, cut_function, cut_lovasz,
+                  cut_minimize, flow_function, graphic_matroid_rank,
+                  linear_matroid_rank, logdet_function, random_submodular,
+                  weighted_concave)

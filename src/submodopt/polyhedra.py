@@ -131,7 +131,8 @@ def is_P_plus_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     """Whether s maximizes w^T s over P(F) & positive orthant (F non-decreasing).
 
     Blocks of w with negative value must carry s identically zero; prefixes
-    of nonnegative-value blocks must be tight.
+    of positive-value blocks must be tight; a block where w is zero carries
+    no condition.
     """
     s = _vector(F, s)
     w = _vector(F, w)
@@ -139,7 +140,7 @@ def is_P_plus_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
         if w[block[0]] < 0.0:
             if np.any(np.abs(s[block]) > tol):
                 return False
-        elif _prefix_gap(F, s, mask) > tol:
+        elif w[block[0]] > 0.0 and _prefix_gap(F, s, mask) > tol:
             return False
     return True
 

@@ -31,8 +31,11 @@ class Corral:
 
     ``bases`` rows are vertices of the base polytope produced by the greedy
     oracle; ``coeffs`` are their convex weights (nonnegative, summing to one
-    within 1e-12); the current iterate is coeffs @ bases.  ``gram`` caches
-    the metric inner products of the centered bases.
+    within 1e-12); the current iterate is coeffs @ bases.  ``gram`` is the
+    metric Gram matrix of the centered bases, ((bases - c) * d) @ (bases - c).T
+    for weights d and center c.  ``gap`` is the linearization gap at the
+    iterate, and ``major_cycles`` counts the vertices added to the corral
+    after the starting one.
     """
 
     bases: np.ndarray
@@ -108,42 +111,37 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
     if max_major is None:
         max_major = 100 * p
 
-    def dot(u, v):
-        return float(np.sum(d * u * v))
-
-    s0 = greedy_base(F, -d * (np.zeros(p) - c))
+    s0 = greedy_base(F, d * c)
     bases = s0[np.newaxis, :].copy()
     coeffs = np.array([1.0])
-    gram = np.array([[dot(s0 - c, s0 - c)]])
-    x = s0.copy()
-
-    gap = np.inf
-    converged = False
+    x = s0
+    prev_norm = np.inf
     majors = 0
-    prev_norm = dot(x - c, x - c)
 
-    for majors in range(1, max_major + 1):
+    while True:
         g = x - c
+        norm = float(d @ (g * g))
+        if norm > prev_norm + 1e-9 * (1.0 + prev_norm):
+            raise NumericalInconsistency(
+                f"norm increased across major cycle {majors}: "
+                f"{prev_norm!r} -> {norm!r}")
+        prev_norm = norm
         q = greedy_base(F, -d * g)
-        gap = dot(g, x) - dot(g, q)
-        if gap <= eps * (1.0 + dot(x, x)):
-            converged = True
+        gap = float(d @ (g * x)) - float(d @ (g * q))
+        converged = gap <= eps * (1.0 + float(d @ (x * x)))
+        # stop on convergence, at the cap, or when the oracle repeats a vertex
+        if (converged or majors == max_major
+                or np.any(np.all(np.abs(bases - q) <= 1e-12, axis=1))):
             break
-
-        # grow the corral, unless the oracle returned a vertex already in it
-        dup = np.any(np.all(np.abs(bases - q) <= 1e-12, axis=1))
-        if dup:
-            break
-        col = np.array([dot(b - c, q - c) for b in bases])
-        gram = np.block([[gram, col[:, None]],
-                         [col[None, :], np.array([[dot(q - c, q - c)]])]])
+        majors += 1
         bases = np.vstack([bases, q])
         coeffs = np.append(coeffs, 0.0)
 
         # minor cycles: step toward the affine minimizer, dropping vertices
         # whose convex coefficient hits zero, until it is a convex minimizer
         while True:
-            y = _affine_minimizer(gram)
+            centered = bases - c
+            y = _affine_minimizer((centered * d) @ centered.T)
             if np.all(y >= _DROP_COEFF):
                 coeffs = y
                 break
@@ -157,7 +155,6 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
                 # numerical stall: keep the smallest coefficient anyway
                 keep[int(np.argmin(coeffs))] = False
             bases = bases[keep]
-            gram = gram[np.ix_(keep, keep)]
             coeffs = coeffs[keep]
             coeffs = coeffs / float(np.sum(coeffs))
             if bases.shape[0] == 1:
@@ -165,19 +162,8 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
                 break
         x = coeffs @ bases
 
-        norm = dot(x - c, x - c)
-        if norm > prev_norm + 1e-9 * (1.0 + prev_norm):
-            raise NumericalInconsistency(
-                f"norm increased across major cycle {majors}: "
-                f"{prev_norm!r} -> {norm!r}")
-        prev_norm = norm
-
-    g = x - c
-    q = greedy_base(F, -d * g)
-    gap = dot(g, x) - dot(g, q)
-    if gap <= eps * (1.0 + dot(x, x)):
-        converged = True
-
+    centered = bases - c
+    gram = (centered * d) @ centered.T
     corral = Corral(bases=bases, coeffs=coeffs, gram=gram, gap=gap,
                     converged=converged, major_cycles=majors)
     if not converged:

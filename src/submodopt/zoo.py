@@ -22,7 +22,6 @@ from . import _kernels, _maxflow
 from .core import (SetFunction, elements_of, modular_chain, subset_of,
                    validate_ground_size)
 from .errors import NotConcave, NotPositiveDefinite, NotZeroAtZero
-from .lovasz import lovasz_extension
 from .sfm import SfmResult
 
 
@@ -301,15 +300,6 @@ def concave_cardinality(g_table) -> SetFunction:
                        chainer=lambda order: g_table[:order.shape[0] + 1].copy())
 
 
-def concave_cardinality_lovasz(g_table, w) -> float:
-    """Order-statistic form: sum of sorted w times the increments of g.
-
-    The chain of :func:`concave_cardinality` is the table itself, so this is
-    :func:`lovasz_extension` on it.
-    """
-    return lovasz_extension(concave_cardinality(g_table), w)
-
-
 _ANALYTIC = {
     "sqrt": np.sqrt,
     "log1p": np.log1p,
@@ -347,12 +337,6 @@ def weighted_concave(s, kind: str, cap_value: Optional[float] = None) -> SetFunc
     return SetFunction(len(s), fn, memoize=True,
                        builder=lambda cap: g(_kernels.subset_sums(s)),
                        chainer=lambda order: g(modular_chain(s, order)))
-
-
-def weighted_concave_lovasz(s, kind: str, w, cap_value: Optional[float] = None) -> float:
-    """Increments of g along the sorted partial sums of s: the chain of
-    :func:`weighted_concave` read by :func:`lovasz_extension`."""
-    return lovasz_extension(weighted_concave(s, kind, cap_value), w)
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,8 @@ def test_criterion_10_worked_micro_examples():
     assert tri(0b111) == 2.0
     lin = so.linear_matroid_rank([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
     assert lin(0b111) == 2.0
-    assert so.concave_cardinality_lovasz(
-        [0.0, 1.0, math.sqrt(2.0)], [4.0, 1.0]) == \
+    assert so.lovasz_extension(so.concave_cardinality(
+        [0.0, 1.0, math.sqrt(2.0)]), [4.0, 1.0]) == \
         pytest.approx(4.0 + math.sqrt(2.0) - 1.0, abs=1e-9)
     net = so.FlowNetwork(4, (0,), (2, 3), [(0, 1, 1.0), (1, 2, 1.0),
                                            (1, 3, 1.0)])

@@ -98,6 +98,10 @@ def test_p_plus_maximizer_examples():
     assert so.is_P_plus_maximizer(F_OR, [1.0, 0.0], [3.0, -1.0])
     assert not so.is_P_plus_maximizer(F_OR, [1.0, 0.0], [-1.0, -1.0])
     assert so.is_P_plus_maximizer(F_OR, [0.0, 0.0], [-1.0, -2.0])
+    # a block where w is zero carries no condition, so its prefix need not be tight
+    M = so.modular_function([1.0, 1.0])
+    assert so.is_P_plus_maximizer(M, [1.0, 0.0], [1.0, 0.0])
+    assert not so.is_P_plus_maximizer(M, [0.5, 0.0], [1.0, 0.0])
 
 
 def test_separable_witness_examples():
@@ -224,3 +228,6 @@ def test_maximizer_checks_read_F_once_per_level_at_p30():
     s = so.truncated_greedy(H, levels)
     s[0] = 1e-3
     assert not so.is_P_plus_maximizer(H, s, levels)
+    zero_level = np.arange(30) // 3 - 4.0  # elements 12..14 have w = 0
+    assert so.is_P_plus_maximizer(H, so.truncated_greedy(H, zero_level), zero_level)
+    assert not so.is_P_plus_maximizer(H, so.truncated_greedy(H, -zero_level), zero_level)

@@ -39,6 +39,43 @@ def test_corral_invariants_across_instances():
             assert so.in_B(F, base, tol=1e-9)
 
 
+def test_corral_gram_is_the_metric_gram_of_the_centered_bases():
+    rng = np.random.default_rng(5)
+    for seed in range(5):
+        F = so.random_submodular(seed, 7, "cover+modular")
+        d = rng.uniform(0.5, 4.0, 7)
+        c = rng.uniform(-1.0, 1.0, 7)
+        _, corral = so.min_norm_point(F, weights=d, center=c)
+        centered = corral.bases - c
+        assert np.allclose(corral.gram, (centered * d) @ centered.T,
+                           rtol=0.0, atol=1e-12)
+
+
+def test_min_norm_point_makes_one_greedy_call_per_iterate(monkeypatch):
+    from submodopt import sfm
+    from submodopt.errors import NoConvergence
+
+    calls = []
+    greedy = sfm.greedy_base
+    monkeypatch.setattr(sfm, "greedy_base",
+                        lambda F, w: calls.append(1) or greedy(F, w))
+
+    # the starting vertex of a modular function is optimal: no vertex is added
+    _, corral = so.min_norm_point(so.modular_function([0.4, -1.3, 2.2]))
+    assert (len(calls), corral.major_cycles) == (2, 0)
+    # one call for the start, one per added vertex, one to confirm the last
+    for seed in range(5):
+        calls.clear()
+        _, corral = so.min_norm_point(so.random_submodular(seed, 8, "logdet+modular"))
+        assert corral.major_cycles > 0
+        assert len(calls) == corral.major_cycles + 2
+    calls.clear()
+    with pytest.raises(NoConvergence) as info:
+        so.min_norm_point(so.random_submodular(0, 8, "logdet+modular"),
+                          max_major=1, eps=1e-14)
+    assert (len(calls), info.value.result[1].major_cycles) == (3, 1)
+
+
 def test_min_norm_with_metric_and_center():
     # projection of the center onto the base polytope in the given metric
     c = np.array([1.0, -1.0])

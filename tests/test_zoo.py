@@ -204,7 +204,8 @@ def test_concave_cardinality_examples():
                               int(m).bit_count()))))
     f_or = so.concave_cardinality([0.0, 1.0, 1.0])
     assert np.array_equal(so.to_explicit(f_or), [0.0, 1.0, 1.0, 1.0])
-    got = so.concave_cardinality_lovasz([0.0, 1.0, math.sqrt(2)], [4.0, 1.0])
+    got = so.lovasz_extension(so.concave_cardinality([0.0, 1.0, math.sqrt(2)]),
+                              [4.0, 1.0])
     assert got == pytest.approx(4.0 + math.sqrt(2) - 1.0, abs=1e-12)
 
 
@@ -218,14 +219,19 @@ def test_concave_validation():
 def test_weighted_concave():
     rng = np.random.default_rng(3)
     s = np.abs(rng.standard_normal(5))
-    for kind, cap in (("sqrt", None), ("log1p", None), ("cap", 1.2)):
+    profiles = (("sqrt", None, np.sqrt), ("log1p", None, np.log1p),
+                ("cap", 1.2, lambda x: np.minimum(x, 1.2)))
+    for kind, cap, g in profiles:
         F = so.weighted_concave(s, kind, cap)
         assert so.is_submodular(F, tol=1e-9).holds
         assert so.is_monotone(F, tol=1e-9).holds
         for _ in range(20):
             w = rng.standard_normal(5)
-            assert so.weighted_concave_lovasz(s, kind, w, cap) == pytest.approx(
-                so.lovasz_extension(F, w), rel=1e-10, abs=1e-12)
+            # increments of g along the partial sums of s in decreasing w
+            order = np.argsort(-w, kind="stable")
+            steps = np.diff(g(np.concatenate([[0.0], np.cumsum(s[order])])))
+            assert so.lovasz_extension(F, w) == pytest.approx(
+                float(np.sum(w[order] * steps)), rel=1e-10, abs=1e-12)
 
 
 def test_logdet_examples():
