@@ -272,15 +272,14 @@ def modular_chain(s: np.ndarray, order: np.ndarray) -> np.ndarray:
 def modular_function(s) -> SetFunction:
     """Modular function A -> sum of s[k] over k in A.
 
-    Explicit up to the exhaustive cap; above it a lazy oracle that still
-    tabulates from s when a larger cap allows.
+    A lazy oracle over byte tables (see :class:`ModularSums`) at every p;
+    it tabulates and chains from s.
     """
     s = np.asarray(s, dtype=np.float64)
-    if s.shape[0] <= EXHAUSTIVE_CAP:
-        return ExplicitFunction(_kernels.subset_sums(s))
     sums = ModularSums(s)
     return SetFunction(len(s), lambda m: sums[m],
-                       builder=lambda cap: _kernels.subset_sums(s))
+                       builder=lambda cap: _kernels.subset_sums(s),
+                       chainer=lambda order: modular_chain(s, order))
 
 
 def shift_to_zero(p: int, fn: Callable[[int], float], memoize: bool = False) -> SetFunction:

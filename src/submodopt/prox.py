@@ -116,6 +116,10 @@ class SeparableConvex:
         self.p = int(p)
         self.deriv = deriv
         self.value = value
+        # the callables as given, and the root penalty and its coordinates,
+        # so that a subset lifts the root's callables once at any depth
+        self._given = (deriv, inv_deriv, value, conj_value)
+        self._root, self._idx = self, np.arange(self.p)
         self.inv_deriv = inv_deriv if inv_deriv is not None else self._invert
         if conj_value is not None:
             self.conj_value = conj_value
@@ -174,23 +178,29 @@ class SeparableConvex:
             raise ValueError("inverse derivative does not invert the derivative")
 
     def subset(self, idx: Sequence[int]) -> "SeparableConvex":
-        """The penalty restricted to the given coordinates (new compact frame)."""
-        idx = np.asarray(idx, dtype=np.int64)
+        """The penalty restricted to the given coordinates (new compact frame).
+
+        The subset evaluates the root penalty's callables at the composed
+        coordinates; an inverse or conjugate the root synthesized is
+        synthesized again over the subset's own coordinates.
+        """
+        root = self._root
+        idx = self._idx[np.asarray(idx, dtype=np.int64)]
 
         def lift(fn):
             if fn is None:
                 return None
 
             def sub(x):
-                full = np.zeros(self.p)
+                full = np.zeros(root.p)
                 full[idx] = np.asarray(x, dtype=np.float64)
                 return np.asarray(fn(full), dtype=np.float64)[idx]
 
             return sub
 
-        return SeparableConvex(len(idx), lift(self.deriv), lift(self.inv_deriv),
-                               lift(self.value), lift(self.conj_value),
-                               validate=False)
+        part = SeparableConvex(len(idx), *map(lift, root._given), validate=False)
+        part._root, part._idx = root, idx
+        return part
 
 
 class Quadratic(SeparableConvex):
@@ -327,19 +337,6 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
     return solve(F, psi, 1)
 
 
-def _maximal_tight_set(F: SetFunction, psi: SeparableConvex, alpha: float,
-                       backend: str, eps: float, fallback_mask: int,
-                       tol: float) -> int:
-    """Largest minimizer of F + psi'(alpha), unioned with a known tight set."""
-    shifted = transforms.add_modular(F, psi.deriv_at(alpha))
-    res = minimize(shifted, backend=backend, eps=eps)
-    mask = res.maximal_minimizer | fallback_mask
-    if shifted(mask) > tol:
-        raise NumericalInconsistency(
-            f"peel set value {shifted(mask):.3e} exceeds tolerance {tol:.3e}")
-    return mask
-
-
 def prox_homotopy(F: SetFunction, psi: SeparableConvex,
                   sfm_backend: str = "minnorm", eps: float = 1e-9) -> np.ndarray:
     """Primal prox solution by peeling level sets from the top value down.
@@ -347,7 +344,10 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     For each remaining block, find the smallest alpha at which
     g(alpha) = min_A F(A) + psi'(alpha)(A) reaches zero (secant iteration on
     the current minimizer), fix u = alpha on the maximal tight set, and
-    recurse on the contraction by it.
+    recurse on the contraction by it.  The secant loop stops on a
+    minimization of F + psi'(alpha) at the final alpha; its maximal
+    minimizer, united with the last tight set, is the peeled block, so no
+    SFM is repeated for the peel.
     """
     if psi.p != F.p:
         raise ValueError("penalty dimension does not match the ground set")
@@ -379,8 +379,11 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
         else:
             raise NoConvergence("homotopy root search exceeded iteration cap")
 
-        peel = _maximal_tight_set(cur_f, cur_psi, alpha, sfm_backend, eps,
-                                  last_tight, 10.0 * tol)
+        peel = res.maximal_minimizer | last_tight
+        if shifted(peel) > 10.0 * tol:
+            raise NumericalInconsistency(
+                f"peel set value {shifted(peel):.3e} exceeds tolerance "
+                f"{10.0 * tol:.3e}")
         for k in elements_of(peel):
             u[frame[k]] = alpha
         if peel == full:
@@ -487,10 +490,18 @@ DerivativeSpec = Union[SeparableConvex, Callable, Sequence[Callable]]
 
 def _derivative_values(g: DerivativeSpec, s: np.ndarray) -> np.ndarray:
     if isinstance(g, SeparableConvex):
-        return np.asarray(g.deriv(s), dtype=np.float64)
-    if callable(g):
-        return np.asarray(g(s), dtype=np.float64)
-    return np.array([float(gj(sj)) for gj, sj in zip(g, s)])
+        w = np.asarray(g.deriv(s), dtype=np.float64)
+    elif callable(g):
+        w = np.asarray(g(s), dtype=np.float64)
+    else:
+        if len(g) != s.shape[0]:
+            raise ValueError(f"{len(g)} derivatives for a vector of length "
+                             f"{s.shape[0]}")
+        w = np.array([float(gj(sj)) for gj, sj in zip(g, s)])
+    if w.shape != s.shape:
+        raise ValueError(f"derivative values have shape {w.shape}, "
+                         f"expected {s.shape}")
+    return w
 
 
 def check_separable_optimality(F: SetFunction, s, g: DerivativeSpec,
@@ -541,6 +552,8 @@ def lex_compare(s1, s2, g: Optional[DerivativeSpec] = None) -> int:
     """
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
+    if s1.shape != s2.shape:
+        raise ValueError(f"vectors of shapes {s1.shape} and {s2.shape}")
     w1 = s1 if g is None else _derivative_values(g, s1)
     w2 = s2 if g is None else _derivative_values(g, s2)
     t1 = np.sort(w1)

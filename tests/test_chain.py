@@ -132,7 +132,8 @@ def test_arithmetic_transforms_chain_like_the_loop(data, p, seed):
     concave = so.weighted_concave(dyadic(rng, 0.0, 1.0, size=p), "sqrt")
     s = dyadic(rng, -1.0, 1.0, size=p)
     for F in (so.add(cut, concave), so.scale(concave, 0.75),
-              so.add_modular(concave, s), so.add_modular(so.scale(cut, 1.5), s)):
+              so.add_modular(concave, s), so.add_modular(so.scale(cut, 1.5), s),
+              so.modular_function(s)):
         assert F.chainer is not None
         check_chain(F, data)
 
@@ -148,6 +149,12 @@ def test_chains_follow_the_structure_of_their_inputs():
     assert so.contract(concave, 1).chainer is None
     assert so.add(cut, oracle).chainer is None
     assert so.add_modular(oracle, np.ones(6)).chainer is None
+    # a modular function chains at every p, above the cap too
+    for p in (6, 40):
+        modular = so.modular_function(np.ones(p))
+        assert modular.chainer is not None
+        assert so.add_modular(modular, np.ones(p)).chainer is not None
+        assert so.restrict(modular, 7).chainer is None
     # the random families chain exactly as the constructors they are built by
     for family in ("cut", "cut+modular"):
         assert isinstance(so.random_submodular(0, 6, family).chainer, CutChain)
@@ -205,10 +212,11 @@ def test_empty_order_gives_the_empty_set_value():
     assert F.chain(np.array([], dtype=np.int64)).tolist() == [0.0]
 
 
-def assert_constant_oracle_calls(F, rng, monkeypatch):
-    """greedy_base, lovasz_extension and sfm.minimize on a structurally
-    chained F make at most 2 per-mask calls; the same function behind a
-    plain oracle needs one call per prefix, and gives the same answers."""
+def assert_constant_oracle_calls(F, rng, monkeypatch, chain_calls=2):
+    """greedy_base and lovasz_extension on a structurally chained F make at
+    most ``chain_calls`` per-mask calls, and sfm.minimize at most 2; the same
+    function behind a plain oracle needs one call per prefix, and gives the
+    same answers."""
     p = F.p
     oracle = SetFunction(p, F, memoize=True)
     ws = [rng.standard_normal(p) for _ in range(3)]
@@ -230,10 +238,10 @@ def assert_constant_oracle_calls(F, rng, monkeypatch):
     for w in ws:
         s, n = count(so.greedy_base, F, w)
         s_ref, n_ref = count(so.greedy_base, oracle, w)
-        assert n <= 2 and n_ref >= p
+        assert n <= chain_calls and n_ref >= p
         assert_bitwise_equal(s, s_ref)
         v, n = count(so.lovasz_extension, F, w)
-        assert n <= 2 and v == so.lovasz_extension(oracle, w)
+        assert n <= chain_calls and v == so.lovasz_extension(oracle, w)
     res, n = count(sfm.minimize, F)
     assert n <= 2
     res_ref = sfm.minimize(oracle)
@@ -252,3 +260,9 @@ def test_random_cuts_chain_with_constant_oracle_calls(family, monkeypatch):
     rng = np.random.default_rng(40)
     assert_constant_oracle_calls(so.random_submodular(40, 40, family), rng,
                                  monkeypatch)
+
+
+def test_modular_chains_make_no_oracle_calls(monkeypatch):
+    rng = np.random.default_rng(41)
+    F = so.modular_function(dyadic(rng, -1.0, 1.0, size=40))
+    assert_constant_oracle_calls(F, rng, monkeypatch, chain_calls=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import submodopt as so
-from submodopt import prox
+from submodopt import prox, transforms
 from submodopt.errors import (NoConvergence, NumericalInconsistency,
                               RecursionOverflow, Unbounded)
 from submodopt.prox import SeparableConvex, solve_increasing
@@ -65,6 +65,46 @@ def test_separable_default_inversion():
     assert np.allclose(pen.inv_deriv(y), np.arcsinh(y), atol=1e-9)
     ref = cosh_penalty(2)
     assert np.allclose(pen.conj_value(y), ref.conj_value(y), atol=1e-9)
+
+
+def _counting_cubic(a, z, b, **kw):
+    """Derivative-only cubic a(w-z) + b(w-z)^3 and a list of its deriv calls."""
+    calls = []
+
+    def deriv(w):
+        calls.append(len(w))
+        return a * (w - z) + b * (w - z) ** 3
+
+    return SeparableConvex(len(a), deriv=deriv, **kw), calls
+
+
+def test_subsets_lift_the_root_penalty_once():
+    rng = np.random.default_rng(20)
+    a = rng.uniform(0.5, 8.0, 20)
+    z = rng.uniform(-4.0, 4.0, 20)
+    b = rng.uniform(0.1, 2.0, 20)
+    y = rng.uniform(-5.0, 5.0, 20)
+    pen, calls = _counting_cubic(a, z, b)
+    outer = np.array([17, 3, 8, 12, 0, 5])
+    inner = np.array([4, 1, 2])
+    for sub, coords in ((pen.subset([3]), np.array([3])),
+                        (pen.subset(outer).subset(inner), outer[inner])):
+        alone, alone_calls = _counting_cubic(a[coords], z[coords], b[coords])
+        alone_calls.clear()
+        want = alone.inv_deriv(y[coords])
+        calls.clear()
+        got = sub.inv_deriv(y[coords])
+        # one root search per own coordinate, each evaluating the root once
+        assert 0 < len(calls) <= len(alone_calls)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == pen.inv_deriv(y)[coords].tobytes()
+
+    # a conjugate synthesized from the value is synthesized again per subset
+    with_value, _ = _counting_cubic(
+        a, z, b, value=lambda w: a / 2 * (w - z) ** 2 + b / 4 * (w - z) ** 4)
+    nested = with_value.subset(outer).subset(inner)
+    assert nested.conj_value(y[outer[inner]]).tobytes() == \
+        with_value.conj_value(y)[outer[inner]].tobytes()
 
 
 def test_prox_minnorm_examples():
@@ -279,12 +319,21 @@ def test_check_separable_optimality_examples():
     assert not so.check_separable_optimality(F_OR, [1.0, 0.0], quad(2))
     t = so.modular_function([0.2, -0.9])
     assert so.check_separable_optimality(t, [0.2, -0.9], cosh_penalty(2))
+    # derivative values must have the shape of s
+    with pytest.raises(ValueError):
+        so.check_separable_optimality(t, [0.2, -0.9], [lambda x: x])
+    with pytest.raises(ValueError):
+        so.check_separable_optimality(t, [0.2, -0.9], lambda s: s[:1])
 
 
 def test_lex_compare_examples():
     assert so.lex_compare([0.5, 0.5], [0.5, 0.5]) == 0
     assert so.lex_compare([0.5, 0.5], [1.0, 0.0]) == 1
     assert so.lex_compare([0.0, 1.0], [1.0, 0.0]) == 0
+    with pytest.raises(ValueError):
+        so.lex_compare([1, 2], [1, 2, 3])
+    with pytest.raises(ValueError):
+        so.lex_compare([1, 2], [1, 2], [lambda x: x])
 
 
 def test_lex_optimality_of_prox_solution():
@@ -336,6 +385,33 @@ def _check_cubic_routes(F, a, z, b):
     assert np.max(np.abs(s + cubic.deriv(u))) <= 1e-6
     assert abs(float(np.sum(s)) - table[-1]) <= 1e-6
     assert np.max(batch_subset_sums([s])[0] - table) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["cover", "energy"])
+def test_homotopy_never_minimizes_the_same_shifted_function_twice(kind, monkeypatch):
+    # the peel reads the secant loop's last minimization of F + psi'(alpha)
+    rng = np.random.default_rng(9)
+    p = 12
+    F = (so.cover_function(dyadic_cover(rng, p)) if kind == "cover"
+         else dyadic_energy(rng, p))
+    a = dyadic(rng, 0.5, 2.0, size=p)
+    z = dyadic(rng, -4.0, 4.0, size=p)
+    b = dyadic(rng, 0.25, 1.0, size=p)
+    shifts = []
+    original = transforms.add_modular
+
+    def recording(G, s):
+        shifts.append((G, np.asarray(s, dtype=np.float64).tobytes()))
+        return original(G, s)
+
+    monkeypatch.setattr(transforms, "add_modular", recording)
+    for psi in (so.Quadratic(a, z),
+                SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)):
+        shifts.clear()
+        so.prox_homotopy(F, psi)
+        assert len(shifts) > p
+        for (f0, s0), (f1, s1) in zip(shifts, shifts[1:]):
+            assert not (f0 is f1 and s0 == s1)
 
 
 @pytest.mark.parametrize("kind", ["cover", "energy"])
