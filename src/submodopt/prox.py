@@ -9,7 +9,8 @@ psi_j, equivalently the concave separable maximization of
 * ``prox_decomposition``: splits the ground set by one submodular
   minimization per level and recurses on restriction/contraction;
 * ``prox_homotopy``: peels the coordinate blocks of the solution from the
-  largest value down, each found by a scalar root search.
+  largest value down, each found by a secant iteration that starts at the
+  largest singleton root, a lower bound on the block value.
 
 Threshold-set extraction, line search inside P(F), the P(F) and positive
 P(F) variants, and separable optimality checks round out the toolbox.
@@ -337,6 +338,23 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
     return solve(F, psi, 1)
 
 
+def _largest_singleton_root(singles: np.ndarray,
+                            psi: SeparableConvex) -> tuple[float, int]:
+    """Largest alpha_k with F({k}) + psi'_k(alpha_k) = 0, and its k.
+
+    It is the root of the increasing alpha -> min_k psi'_k(alpha) + F({k}),
+    found by one scalar root search, and k attains that min there; a
+    quadratic inverts its derivative in closed form instead.
+    """
+    if isinstance(psi, Quadratic):
+        roots = psi.inv_deriv(-singles)
+        k = int(np.argmax(roots))
+        return float(roots[k]), k
+    alpha = solve_increasing(
+        lambda x: float(np.min(psi.deriv_at(x) + singles)), 0.0)
+    return alpha, int(np.argmin(psi.deriv_at(alpha) + singles))
+
+
 def prox_homotopy(F: SetFunction, psi: SeparableConvex,
                   sfm_backend: str = "minnorm", eps: float = 1e-9) -> np.ndarray:
     """Primal prox solution by peeling level sets from the top value down.
@@ -344,7 +362,12 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     For each remaining block, find the smallest alpha at which
     g(alpha) = min_A F(A) + psi'(alpha)(A) reaches zero (secant iteration on
     the current minimizer), fix u = alpha on the maximal tight set, and
-    recurse on the contraction by it.  The secant loop stops on a
+    recurse on the contraction by it.  The secant starts at the largest
+    singleton root, max_k alpha_k with F({k}) + psi'_k(alpha_k) = 0: at the
+    block value alpha*, F + psi'(alpha*) is nonnegative on every set,
+    singletons included, so every alpha_k <= alpha*, and the singleton
+    attaining the max is tight at the start.  When the top block is one
+    element, the first SFM confirms it.  The secant loop stops on a
     minimization of F + psi'(alpha) at the final alpha; its maximal
     minimizer, united with the last tight set, is the peeled block, so no
     SFM is repeated for the peel.
@@ -360,9 +383,8 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
         full = (1 << p) - 1
         singles = np.array([cur_f(1 << k) for k in range(p)])
         tol = 1e-9 * (1.0 + float(np.max(np.abs(singles))))
-        starts = cur_psi.inv_deriv(-singles)
-        alpha = float(np.min(starts))
-        last_tight = 1 << int(np.argmin(starts))
+        alpha, k = _largest_singleton_root(singles, cur_psi)
+        last_tight = 1 << k
 
         for _ in range(_ROOT_MAX_ITER):
             shifted = transforms.add_modular(cur_f, cur_psi.deriv_at(alpha))

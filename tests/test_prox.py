@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import submodopt as so
 from submodopt import prox, transforms
@@ -408,10 +410,67 @@ def test_homotopy_never_minimizes_the_same_shifted_function_twice(kind, monkeypa
     for psi in (so.Quadratic(a, z),
                 SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)):
         shifts.clear()
-        so.prox_homotopy(F, psi)
-        assert len(shifts) > p
+        u = so.prox_homotopy(F, psi)
+        assert len(shifts) > len(np.unique(u))  # some peel took a secant step
         for (f0, s0), (f1, s1) in zip(shifts, shifts[1:]):
             assert not (f0 is f1 and s0 == s1)
+
+
+def test_homotopy_confirms_each_modular_peel_with_its_first_sfm(monkeypatch):
+    # every block of a modular function's solution is one element, whose
+    # singleton root is the block value, so no peel takes a secant step
+    rng = np.random.default_rng(11)
+    p = 10
+    t = dyadic(rng, -2.0, 2.0, size=p)
+    a = dyadic(rng, 0.5, 2.0, size=p)
+    z = dyadic(rng, -1.0, 1.0, size=p)
+    b = dyadic(rng, 0.25, 1.0, size=p)
+    calls = []
+    original = transforms.add_modular
+
+    def recording(G, s):
+        calls.append(G)
+        return original(G, s)
+
+    monkeypatch.setattr(transforms, "add_modular", recording)
+    for psi in (so.Quadratic(a, z),
+                SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)):
+        calls.clear()
+        u = so.prox_homotopy(so.modular_function(t), psi)
+        assert len(np.unique(u)) == p
+        assert len(calls) == p
+        assert np.max(np.abs(psi.deriv(u) + t)) <= 1e-9
+
+
+def _exponential(a, z, c):
+    """Derivative-only a(w-z) + c(exp(w-z) - 1), increasing onto all of R."""
+    return SeparableConvex(len(a), deriv=lambda w: a * (w - z) + c * np.expm1(w - z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(5, 8), seed=st.integers(0, 2 ** 32 - 1),
+       family=st.sampled_from(["cubic", "exponential"]),
+       kind=st.sampled_from(["cover", "energy"]))
+def test_homotopy_start_is_the_largest_singleton_root(p, seed, family, kind):
+    # p >= 5: dyadic covers draw groups of up to 5 members
+    rng = np.random.default_rng(seed)
+    a = dyadic(rng, 0.25, 4.0, size=p)
+    z = dyadic(rng, -2.0, 2.0, size=p)
+    c = dyadic(rng, 0.0, 1.0, size=p)
+    psi = (SeparableConvex(p, deriv=lambda w: a * (w - z) + c * (w - z) ** 3)
+           if family == "cubic" else _exponential(a, z, c))
+    singles = rng.uniform(-4.0, 4.0, size=p)
+    alpha, k = prox._largest_singleton_root(singles, psi)
+    want = float(np.max(psi.inv_deriv(-singles)))
+    assert abs(alpha - want) <= 1e-9 * (1.0 + abs(want))
+    assert abs(psi.deriv_at(alpha)[k] + singles[k]) <= 1e-9 * (1.0 + abs(singles[k]))
+
+    # every singleton root lies below the top block value of the solution
+    F = (so.cover_function(dyadic_cover(rng, p)) if kind == "cover"
+         else dyadic_energy(rng, p))
+    singles = np.array([F(1 << j) for j in range(p)])
+    alpha, _ = prox._largest_singleton_root(singles, psi)
+    assert alpha <= float(np.max(so.prox_homotopy(F, psi))) + 1e-9
 
 
 @pytest.mark.parametrize("kind", ["cover", "energy"])
@@ -462,6 +521,20 @@ def test_decomposition_and_homotopy_on_large_cuts(p):
     pr = so.prox_minnorm(build(), q, eps=1e-11)
     s = so.prox_decomposition(build(), q)
     u = so.prox_homotopy(build(), q)
+    assert np.max(np.abs(s - pr.s)) <= 1e-6
+    assert np.max(np.abs(u - pr.u)) <= 1e-6
+    assert len(np.unique(np.round(pr.u, 6))) > 5  # several blocks to peel
+
+
+@pytest.mark.parametrize("p", [40, 63])
+def test_decomposition_and_homotopy_on_large_covers(p):
+    rng = np.random.default_rng(p)
+    c = dyadic_cover(rng, p)
+    q = so.Quadratic(dyadic(rng, 1.0, 4.0, size=p), dyadic(rng, -1.0, 1.0, size=p))
+    with address_space_limit():
+        pr = so.prox_minnorm(so.cover_function(c), q, eps=1e-11)
+        s = so.prox_decomposition(so.cover_function(c), q)
+        u = so.prox_homotopy(so.cover_function(c), q)
     assert np.max(np.abs(s - pr.s)) <= 1e-6
     assert np.max(np.abs(u - pr.u)) <= 1e-6
     assert len(np.unique(np.round(pr.u, 6))) > 5  # several blocks to peel
