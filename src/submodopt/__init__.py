@@ -39,7 +39,6 @@ from .transforms import (add, add_modular, contract, convolve_modular,
                          embed_mask, mobius, mobius_reconstruct, monotonize,
                          partial_min, project_mask, restrict, scale)
 from .zoo import (CoverSystem, Digraph, FlowNetwork, concave_cardinality,
-                  cover_function, cover_lovasz, cut_function, cut_lovasz,
-                  cut_minimize, flow_function, graphic_matroid_rank,
-                  linear_matroid_rank, logdet_function, random_submodular,
-                  weighted_concave)
+                  cover_function, cut_function, cut_minimize, flow_function,
+                  graphic_matroid_rank, linear_matroid_rank, logdet_function,
+                  random_submodular, weighted_concave)

@@ -13,12 +13,18 @@ every other function is tabulated by one oracle call per mask.
 
 The greedy algorithm, the Lovász extension and the minimizer extraction read
 F along the prefixes of one ordering through :meth:`SetFunction.chain`.
-Cuts, explicit tables, the concave families and some transforms of these
-pass a chainer that computes the whole chain in array operations; every
-other function is chained by one oracle call per prefix.  Certificates that
-read F once per level set of a vector (block-value recovery, the level-set
-optimality and maximizer checks) walk those sets through
+Cuts, covers, explicit tables, the concave families and some transforms of
+these pass a chainer that computes the whole chain in array operations;
+every other function is chained by one oracle call per prefix.  Certificates
+that read F once per level set of a vector (block-value recovery, the
+level-set optimality and maximizer checks) walk those sets through
 :func:`level_sets`.
+
+Cuts and covers, each plus a modular term, chain by a
+:class:`ClosedStructure`: it also evaluates, tabulates and lists the
+singleton values of its function, and it is closed under restriction,
+contraction and modular shifts, so ``transforms`` rebuilds the oracle, the
+table and the chain of such a transform from the reduced structure.
 
 Concrete families, the seeded random instances included, live in ``zoo``.
 """
@@ -175,6 +181,17 @@ class SetFunction:
         """The structural chainer passed at construction, or None."""
         return self._chainer
 
+    def singletons(self) -> np.ndarray:
+        """F({k}) for k = 0..p-1, float64.
+
+        Read from the closed structure when F chains by one (see
+        :class:`ClosedStructure`), which neither reads nor fills the memo;
+        otherwise one oracle call per element.
+        """
+        if isinstance(self._chainer, ClosedStructure):
+            return self._chainer.singles()
+        return np.array([self(1 << k) for k in range(self.p)], dtype=np.float64)
+
     def chain(self, order) -> np.ndarray:
         """F(first k elements of order) for k = 0..len(order), float64.
 
@@ -196,6 +213,33 @@ class SetFunction:
             mask |= 1 << j
             values.append(self(mask))
         return np.array(values, dtype=np.float64)
+
+
+class ClosedStructure:
+    """Chainer of a family closed under restrict, contract and add_modular.
+
+    A cut or a cover plus a modular vector ``m`` stays one under these
+    transforms (``zoo.CutChain``, ``zoo.CoverChain``).  A subclass has the
+    ground size ``p`` and provides:
+
+    - ``__call__(order)``, the chain;
+    - ``value(mask)``, the oracle;
+    - ``table(cap)``, the table builder;
+    - ``singles()``, F({k}) for every k;
+    - ``restrict(elems)``, ``contract(elems)`` and ``add_modular(s)``, the
+      structure of the transformed function on the sorted ``elems``.
+
+    ``transforms`` builds the transformed function from the returned
+    structure alone, so a stack of transforms never calls back into its
+    parents.
+    """
+
+    __slots__ = ()
+
+    def function(self) -> "SetFunction":
+        """The memoized function whose oracle, table and chain are this structure."""
+        return SetFunction(self.p, self.value, memoize=True, builder=self.table,
+                           chainer=self)
 
 
 def _check_chain(order: np.ndarray, p: int) -> None:

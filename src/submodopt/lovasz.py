@@ -7,9 +7,9 @@ greedy algorithm); sorting is stable with ascending-index tie-break so all
 outputs are deterministic even when maximizers are not unique.
 
 Each chain is one :meth:`SetFunction.chain` call, so functions with a
-structural chainer (cuts and their restrictions, contractions and modular
-shifts, explicit tables, the concave families) cost a few array operations
-per chain instead of one oracle call per prefix.
+structural chainer (cuts, covers and their restrictions, contractions and
+modular shifts, explicit tables, the concave families) cost a few array
+operations per chain instead of one oracle call per prefix.
 """
 
 from __future__ import annotations

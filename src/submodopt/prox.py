@@ -381,7 +381,7 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     for _ in range(F.p):
         p = cur_f.p
         full = (1 << p) - 1
-        singles = np.array([cur_f(1 << k) for k in range(p)])
+        singles = cur_f.singletons()
         tol = 1e-9 * (1.0 + float(np.max(np.abs(singles))))
         alpha, k = _largest_singleton_root(singles, cur_psi)
         last_tight = 1 << k

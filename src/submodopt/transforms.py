@@ -13,13 +13,18 @@ inputs beyond the masks it needs.
 
 Chains (:meth:`SetFunction.chain`) follow the same rule with one
 difference.  ``add``, ``scale`` and ``add_modular`` chain by arithmetic on
-the chains of their inputs whenever every input chains from its structure.
-``restrict`` and ``contract`` chain structurally only over the cut +
-modular structure of ``zoo.cut_function`` (:class:`zoo.CutChain`), the one
-structure closed under them and under ``add_modular``: the transformed
-structure is built once, so a chain of any stack of these transforms over
-a cut costs one pass over the remaining arcs.  Any other restriction or
-contraction chains by one oracle call per prefix.
+the chains of their inputs whenever every input chains from its structure;
+any other restriction or contraction chains by one oracle call per prefix.
+
+Cuts and covers, each plus a modular term, are closed under ``restrict``,
+``contract`` and ``add_modular`` (:class:`core.ClosedStructure`, with
+``zoo.CutChain`` and ``zoo.CoverChain``).  On such an input these three
+transforms build the reduced structure once and take the oracle, the
+table, the singleton values and the chain of their result from it alone:
+no call into the parent, no memo per layer, and no table over the parent's
+ground set.  So any stack of them over a cut or a cover evaluates and
+chains in one pass over the remaining arcs or group members, and
+tabulates at its own size even when the parent is above the cap.
 
 Restriction and contraction re-index their ground set compactly; the
 old-index list is recorded on the returned function (``elements``) so
@@ -33,11 +38,10 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .core import (EXHAUSTIVE_CAP, ExplicitFunction, SetFunction, check_cap,
-                   ModularSums, complement, elements_of, modular_chain,
-                   to_explicit)
+from .core import (EXHAUSTIVE_CAP, ClosedStructure, ExplicitFunction,
+                   SetFunction, check_cap, ModularSums, complement, elements_of,
+                   modular_chain, to_explicit)
 from .errors import NegativeScale
-from .zoo import CutChain
 
 
 def embed_mask(mask: int, elements: Sequence[int]) -> int:
@@ -96,9 +100,14 @@ def _if_chained(chainer, *inputs):
     return chainer if all(F.chainer is not None for F in inputs) else None
 
 
-def _is_cut(F: SetFunction) -> bool:
-    """Whether F chains by the cut + modular structure of zoo.cut_function."""
-    return isinstance(F.chainer, CutChain)
+def _structure(F: SetFunction):
+    """The closed structure F chains by (see core.ClosedStructure), or None."""
+    S = F.chainer
+    return S if isinstance(S, ClosedStructure) else None
+
+
+def _reindexed(elems, S: ClosedStructure) -> ReindexedFunction:
+    return ReindexedFunction(elems, S.value, builder=S.table, chainer=S)
 
 
 def _gather_builder(F: SetFunction, elems: Sequence[int], A: int = 0,
@@ -123,22 +132,30 @@ def restrict(F: SetFunction, A: int) -> ReindexedFunction:
     """Restriction of F to the subsets of A, re-indexed to 0..|A|-1."""
     if A == 0:
         raise ValueError("cannot restrict to the empty set")
+    if not 0 < A < (1 << F.p):
+        raise ValueError(f"subset mask {A} out of range for p={F.p}")
     elems = elements_of(A)
-    chainer = F.chainer.restrict(elems) if _is_cut(F) else None
+    S = _structure(F)
+    if S is not None:
+        return _reindexed(elems, S.restrict(elems))
     return ReindexedFunction(elems, lambda m: F(embed_mask(m, elems)),
-                             builder=_gather_builder(F, elems), chainer=chainer)
+                             builder=_gather_builder(F, elems))
 
 
 def contract(F: SetFunction, A: int) -> ReindexedFunction:
     """Contraction by A: B -> F(A | B) - F(A) on the complement, re-indexed."""
+    if not 0 <= A < (1 << F.p):
+        raise ValueError(f"subset mask {A} out of range for p={F.p}")
     rest = complement(A, F.p)
     if rest == 0:
         raise ValueError("contraction by the full ground set leaves nothing")
     elems = elements_of(rest)
+    S = _structure(F)
+    if S is not None:
+        return _reindexed(elems, S.contract(elems))
     base = F(A)
-    chainer = F.chainer.contract(elems) if _is_cut(F) else None
     return ReindexedFunction(elems, lambda m: F(A | embed_mask(m, elems)) - base,
-                             builder=_gather_builder(F, elems, A, base), chainer=chainer)
+                             builder=_gather_builder(F, elems, A, base))
 
 
 def partial_min(G: SetFunction, W: int, cap: int = EXHAUSTIVE_CAP) -> ReindexedFunction:
@@ -244,21 +261,22 @@ def scale(F: SetFunction, lam: float) -> SetFunction:
 
 
 def add_modular(F: SetFunction, s) -> SetFunction:
-    """F + s, with s(A) read from byte tables (see :class:`core.ModularSums`).
+    """F + s.
 
-    A cut keeps its cut + modular chain structure; any other chained F
-    chains by adding the cumulative sum of s to the chain of F.
+    A cut or a cover adds s to the modular vector of its structure, and the
+    result is built from that structure without wrapping F.  Any other F
+    reads s(A) from byte tables (see :class:`core.ModularSums`), and chains,
+    when F does, by adding the cumulative sum of s to the chain of F.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (F.p,):
         raise ValueError(f"vector has shape {s.shape}, expected ({F.p},)")
+    S = _structure(F)
+    if S is not None:
+        return S.add_modular(s).function()
     sums = ModularSums(s)
     builder = _if_structured(lambda cap: F.tabulate(cap) + _kernels.subset_sums(s), F)
-    if _is_cut(F):
-        chainer = F.chainer.add_modular(s)
-    else:
-        chainer = _if_chained(lambda order: F.chainer(order)
-                              + modular_chain(s, order), F)
+    chainer = _if_chained(lambda order: F.chainer(order) + modular_chain(s, order), F)
     return SetFunction(F.p, lambda m: F(m) + sums[m], memoize=True, builder=builder,
                        chainer=chainer)
 

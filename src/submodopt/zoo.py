@@ -1,9 +1,15 @@
 """Concrete submodular functions: cuts, covers, flows, concave-of-modular,
-log-determinants, and matroid ranks, plus fast Lovász-extension paths where
-the structure gives one and a max-flow route for cut minimization.  Cuts,
-covers and the concave families also build their 2**p tables from their
-structure (see :meth:`SetFunction.tabulate`); cuts and the concave families
-also chain from it (see :meth:`SetFunction.chain`).
+log-determinants, and matroid ranks, plus a max-flow route for cut
+minimization.  Cuts, covers and the concave families build their 2**p
+tables from their structure (see :meth:`SetFunction.tabulate`) and chain
+from it (see :meth:`SetFunction.chain`).
+
+A cut or a cover plus a modular vector is held by :class:`CutChain` or
+:class:`CoverChain`, the two :class:`core.ClosedStructure` families: each
+is its function's oracle, table builder, singleton values and chainer, and
+each is closed under restriction, contraction and modular shifts, so that
+``transforms`` rebuilds those three transforms of a cut or a cover from the
+reduced structure instead of reading through the parent.
 
 :func:`random_submodular` draws seeded cut, cover and log-determinant
 instances, optionally plus a modular shift, and builds them with the
@@ -19,10 +25,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, _maxflow
-from .core import (SetFunction, elements_of, modular_chain, subset_of,
-                   validate_ground_size)
+from .core import (ClosedStructure, SetFunction, elements_of, modular_chain,
+                   subset_of, validate_ground_size)
 from .errors import NotConcave, NotPositiveDefinite, NotZeroAtZero
 from .sfm import SfmResult
+from .transforms import add_modular
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +63,44 @@ def _arc_arrays(g: Digraph):
     return tails, heads, wts
 
 
-class CutChain:
-    """Chainer of F(A) = cut(A) + m(A): arcs on 0..p-1 plus a modular vector.
+def _positions(p: int, order: np.ndarray) -> np.ndarray:
+    """The prefix at which each element joins the chain of order (len + 1 if never)."""
+    n = order.shape[0]
+    pos = np.empty(p, dtype=np.int64)
+    pos.fill(n + 1)
+    pos[order] = np.arange(1, n + 1)
+    return pos
+
+
+def _local_index(p: int, elems) -> np.ndarray:
+    """Index of each element within elems, -1 outside."""
+    local = np.full(p, -1, dtype=np.int64)
+    local[elems] = np.arange(len(elems))
+    return local
+
+
+_BIT_INDEX = np.arange(63)
+
+
+def _bits(mask: int, p: int) -> np.ndarray:
+    return ((mask >> _BIT_INDEX[:p]) & 1).astype(bool)
+
+
+def _plus_modular(table: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return table + _kernels.subset_sums(m) if np.any(m) else table
+
+
+class CutChain(ClosedStructure):
+    """Structure of F(A) = cut(A) + m(A): arcs on 0..p-1 plus a modular vector.
 
     A chain gives each element the prefix at which it joins (len(order) + 1
     for one that never does); an arc u -> v is cut at prefix k exactly when
     pos[u] <= k < pos[v].  So one weighted count of m by pos, two over
     the arcs with pos[u] < pos[v] and one cumulative sum give every prefix
-    value in O(arcs + p).  The structure is closed under restriction,
-    contraction and modular shifts, which rebuild it once instead of per
-    chain.
+    value in O(arcs + p).  Restricting to elems keeps the arcs inside elems
+    and turns the arcs leaving it into modular out-weight; contracting by
+    the complement of elems keeps the arcs inside elems and subtracts the
+    arcs entering from the contracted set.
     """
 
     __slots__ = ("p", "tails", "heads", "wts", "m", "_ends")
@@ -76,9 +111,7 @@ class CutChain:
 
     def __call__(self, order: np.ndarray) -> np.ndarray:
         n = order.shape[0]
-        pos = np.empty(self.p, dtype=np.int64)
-        pos.fill(n + 1)
-        pos[order] = np.arange(1, n + 1)
+        pos = _positions(self.p, order)
         ends = pos[self._ends]
         a = self.wts.shape[0]
         pt, ph = ends[:a], ends[a:]
@@ -89,14 +122,26 @@ class CutChain:
         steps -= np.bincount(ph[cut], w, minlength=n + 2)
         return steps[:n + 1].cumsum()
 
+    def value(self, mask: int) -> float:
+        if not mask:
+            return 0.0
+        bits = _bits(mask, self.p)
+        cut = bits[self.tails] & ~bits[self.heads]
+        return float(self.wts[cut].sum() + self.m[bits].sum())
+
+    def table(self, cap: int) -> np.ndarray:
+        return _plus_modular(_kernels.cut_table(self.tails, self.heads, self.wts,
+                                                self.p), self.m)
+
+    def singles(self) -> np.ndarray:
+        return np.bincount(self.tails, self.wts, minlength=self.p) + self.m
+
     def _split(self, elems):
         """Local indices of the tails and heads (-1 outside elems)."""
-        local = np.full(self.p, -1, dtype=np.int64)
-        local[elems] = np.arange(len(elems))
+        local = _local_index(self.p, elems)
         return local[self.tails], local[self.heads]
 
     def restrict(self, elems) -> "CutChain":
-        """Arcs inside elems; arcs leaving elems become modular out-weight."""
         lt, lh = self._split(elems)
         inside = (lt >= 0) & (lh >= 0)
         leaving = (lt >= 0) & (lh < 0)
@@ -105,7 +150,6 @@ class CutChain:
         return CutChain(len(elems), lt[inside], lh[inside], self.wts[inside], m)
 
     def contract(self, elems) -> "CutChain":
-        """Arcs inside elems; arcs entering from the contracted set are subtracted."""
         lt, lh = self._split(elems)
         inside = (lt >= 0) & (lh >= 0)
         entering = (lt < 0) & (lh >= 0)
@@ -119,28 +163,7 @@ class CutChain:
 
 def cut_function(g: Digraph) -> SetFunction:
     """F(A) = total weight of arcs leaving A."""
-    tails, heads, wts = _arc_arrays(g)
-
-    def fn(mask: int) -> float:
-        if len(wts) == 0:
-            return 0.0
-        out = ((mask >> tails) & 1).astype(bool) & ~((mask >> heads) & 1).astype(bool)
-        return float(np.sum(wts[out]))
-
-    return SetFunction(g.p, fn, memoize=True,
-                       builder=lambda cap: _kernels.cut_table(tails, heads, wts, g.p),
-                       chainer=CutChain(g.p, tails, heads, wts, np.zeros(g.p)))
-
-
-def cut_lovasz(g: Digraph, w) -> float:
-    """Extension of the cut in O(arcs): sum of d(k, j) * (w_k - w_j)_+."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (g.p,):
-        raise ValueError(f"vector has shape {w.shape}, expected ({g.p},)")
-    tails, heads, wts = _arc_arrays(g)
-    if len(wts) == 0:
-        return 0.0
-    return float(np.sum(wts * np.maximum(w[tails] - w[heads], 0.0)))
+    return CutChain(g.p, *_arc_arrays(g), np.zeros(g.p)).function()
 
 
 def cut_minimize(g: Digraph, z) -> SfmResult:
@@ -193,28 +216,83 @@ class CoverSystem:
         object.__setattr__(self, "groups", tuple(clean))
 
 
+class CoverChain(ClosedStructure):
+    """Structure of F(A) = cover(A) + m(A): groups of members plus a modular vector.
+
+    Group g has the weight ``wts[g]`` and ``sizes[g] > 0`` members, listed
+    in ``members[starts[g]:starts[g] + sizes[g]]``.  A group joins a chain at the first
+    position of its members, so one minimum per group, one weighted count
+    of those positions and of m by position, and one cumulative sum give
+    every prefix value in O(members + p).  Restricting to elems keeps each
+    group's members inside elems and drops the groups left empty;
+    contracting by the complement of elems keeps only the groups that miss
+    the contracted set, since the weight of the others is already in F(A).
+    """
+
+    __slots__ = ("p", "members", "sizes", "wts", "m", "starts", "_masks")
+
+    def __init__(self, p: int, members, sizes, wts, m):
+        self.p, self.members, self.sizes, self.wts, self.m = p, members, sizes, wts, m
+        self.starts = np.cumsum(sizes) - sizes
+        self._masks = np.bitwise_or.reduceat(np.left_shift(1, members), self.starts)
+
+    @classmethod
+    def from_masks(cls, p: int, masks: np.ndarray, wts: np.ndarray) -> "CoverChain":
+        """The cover of the nonzero int64 group masks, with m = 0."""
+        bits = (masks[:, np.newaxis] >> np.arange(p)) & 1
+        members = np.nonzero(bits)[1]
+        return cls(p, members, np.count_nonzero(bits, axis=1), wts, np.zeros(p))
+
+    def __call__(self, order: np.ndarray) -> np.ndarray:
+        n = order.shape[0]
+        pos = _positions(self.p, order)
+        first = np.minimum.reduceat(pos[self.members], self.starts)
+        steps = np.bincount(pos, self.m, minlength=n + 2)
+        steps += np.bincount(first, self.wts, minlength=n + 2)
+        return steps[:n + 1].cumsum()
+
+    def value(self, mask: int) -> float:
+        if not mask:
+            return 0.0
+        meets = (self._masks & mask) != 0
+        return float(self.wts[meets].sum() + self.m[_bits(mask, self.p)].sum())
+
+    def table(self, cap: int) -> np.ndarray:
+        return _plus_modular(_kernels.cover_table(self._masks, self.wts, self.p),
+                             self.m)
+
+    def singles(self) -> np.ndarray:
+        return np.bincount(self.members, np.repeat(self.wts, self.sizes),
+                           minlength=self.p) + self.m
+
+    def _kept(self, elems, whole: bool) -> "CoverChain":
+        """The groups cut down to elems, in local indices; with ``whole``,
+        only the groups that lie inside elems."""
+        local = _local_index(self.p, elems)[self.members]
+        inside = local >= 0
+        if whole:
+            inside &= np.repeat(np.logical_and.reduceat(inside, self.starts),
+                                self.sizes)
+        sizes = np.add.reduceat(inside.astype(np.int64), self.starts)
+        nonempty = sizes > 0
+        return CoverChain(len(elems), local[inside], sizes[nonempty],
+                          self.wts[nonempty], self.m[elems])
+
+    def restrict(self, elems) -> "CoverChain":
+        return self._kept(elems, whole=False)
+
+    def contract(self, elems) -> "CoverChain":
+        return self._kept(elems, whole=True)
+
+    def add_modular(self, s: np.ndarray) -> "CoverChain":
+        return CoverChain(self.p, self.members, self.sizes, self.wts, self.m + s)
+
+
 def cover_function(c: CoverSystem) -> SetFunction:
+    """F(A) = total weight of the groups meeting A."""
     masks = np.array([g[0] for g in c.groups], dtype=np.int64)
     wts = np.array([g[1] for g in c.groups], dtype=np.float64)
-
-    def fn(mask: int) -> float:
-        if len(wts) == 0:
-            return 0.0
-        return float(np.sum(wts[(masks & mask) != 0]))
-
-    return SetFunction(c.p, fn, memoize=True,
-                       builder=lambda cap: _kernels.cover_table(masks, wts, c.p))
-
-
-def cover_lovasz(c: CoverSystem, w) -> float:
-    """Extension in O(groups): sum of weight * max of w over the group."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (c.p,):
-        raise ValueError(f"vector has shape {w.shape}, expected ({c.p},)")
-    total = 0.0
-    for mask, wt in c.groups:
-        total += wt * max(w[k] for k in elements_of(mask))
-    return float(total)
+    return CoverChain.from_masks(c.p, masks, wts).function()
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +563,5 @@ def random_submodular(seed: int, p: int, family: str = "cut") -> SetFunction:
         raise ValueError(f"unknown family {base!r}")
 
     if suffix == "modular":
-        from .transforms import add_modular  # transforms imports zoo for CutChain
         F = add_modular(F, _dyadic(rng, -_WEIGHT_GRID, _WEIGHT_GRID, size=p))
     return F

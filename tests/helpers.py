@@ -99,6 +99,18 @@ def lovasz_split_at_zero(F: SetFunction, w):
     return total
 
 
+def cut_lovasz_ref(g, w):
+    """Closed-form extension of a directed cut: sum of d(k, j) * (w_k - w_j)_+."""
+    return float(sum(wt * max(w[u] - w[v], 0.0) for u, v, wt in g.arcs))
+
+
+def cover_lovasz_ref(c, w):
+    """Closed-form extension of a weighted cover: sum of weight * max of w
+    over the group."""
+    return float(sum(wt * max(w[k] for k in elements_of(mask))
+                     for mask, wt in c.groups))
+
+
 def all_descending_orders(w):
     """Every permutation consistent with a descending sort of w."""
     w = np.asarray(w, dtype=float)
@@ -292,11 +304,12 @@ def dyadic_energy(rng, p, density=0.3):
 
 
 def dyadic_cover(rng, p):
-    """Cover with 2p groups of 2 to 5 members plus one small singleton group
-    per element."""
+    """Cover with 2p groups of 2 to 5 members (at most p) plus one small
+    singleton group per element."""
     groups = []
     for _ in range(2 * p):
-        members = rng.choice(p, size=int(rng.integers(2, 6)), replace=False)
+        size = min(int(rng.integers(2, 6)), p)
+        members = rng.choice(p, size=size, replace=False)
         groups.append((int(np.sum(1 << members.astype(np.int64))),
                        float(dyadic(rng, 2 ** -16, 1.0))))
     groups += [(1 << k, float(dyadic(rng, 2 ** -16, 2 ** -4))) for k in range(p)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import submodopt as so
 from submodopt import sfm, transforms
 from submodopt.core import SetFunction
-from submodopt.zoo import CutChain
+from submodopt.zoo import CoverChain, CutChain
 
 from helpers import dyadic, dyadic_digraph, dyadic_energy
 
@@ -158,7 +158,9 @@ def test_chains_follow_the_structure_of_their_inputs():
     # the random families chain exactly as the constructors they are built by
     for family in ("cut", "cut+modular"):
         assert isinstance(so.random_submodular(0, 6, family).chainer, CutChain)
-    for family in ("cover", "cover+modular", "logdet", "logdet+modular"):
+    for family in ("cover", "cover+modular"):
+        assert isinstance(so.random_submodular(0, 6, family).chainer, CoverChain)
+    for family in ("logdet", "logdet+modular"):
         assert so.random_submodular(0, 6, family).chainer is None
 
 
