@@ -8,9 +8,12 @@ scan over such tables, written once in numpy.
 The per-element kernels read the table through views: reshaped to
 ``(-1, 2, 2**k)``, axis 1 splits the masks without element k from those
 with it, so ``v[:, 0, :]`` and ``v[:, 1, :]`` pair each A with A + k
-without any index arrays.  Violation witnesses are always the
-lexicographically smallest ones.  The cut and cover table builders at the
-end are composed of the kernels above them.
+without any index arrays.  The second-order check forms each element's
+first differences once over such a view and compares them pairwise:
+p * 2**(p-1) subtractions and p * (p-1) * 2**(p-2) comparisons.
+Violation witnesses are always the lexicographically smallest ones.  The
+cut and cover table builders at the end are composed of the kernels above
+them.
 """
 
 from __future__ import annotations
@@ -51,26 +54,31 @@ def second_order_check(table, p, tol):
     """F(A + k) - F(A) >= F(A + j + k) - F(A + j) - tol for all A, j != k not in A.
 
     Returns ``(True, -1, -1, -1, 0.0, 0.0)`` or ``(False, A, j, k, lhs, rhs)``
-    for the smallest violating (A, j, k).  Each pair lo < hi is read through
-    one view and checked in both orientations, whose rounding differs.
+    for the smallest violating (A, j, k).  Both sides are first differences
+    of k, lhs = D_k[A] and rhs = D_k[A + j] with D_k[A] = F(A + k) - F(A),
+    so each D_k is formed once over the 2**(p-1) masks without k and every
+    j only compares its two halves: p * 2**(p-1) subtractions and
+    p * (p-1) * 2**(p-2) comparisons in all.  The orientations (j, k) and
+    (k, j) read different differences, whose rounding differs.
     """
     best = None
-    for hi in range(1, p):
-        for lo in range(hi):
-            v = table.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-            # F(A), F(A + lo), F(A + hi), F(A + lo + hi) for every A missing both
-            fa, flo = v[:, 0, :, 0, :], v[:, 0, :, 1, :]
-            fhi, fboth = v[:, 1, :, 0, :], v[:, 1, :, 1, :]
-            for j, k, fj, fk in ((lo, hi, flo, fhi), (hi, lo, fhi, flo)):
-                lhs = fk - fa
-                rhs = fboth - fj
-                bad = (lhs < rhs - tol).ravel()
-                i = int(np.argmax(bad))
-                if bad[i]:
-                    cand = (_insert_zero_bits(i, lo, hi), j, k,
-                            float(lhs.flat[i]), float(rhs.flat[i]))
-                    if best is None or cand[:3] < best[:3]:
-                        best = cand
+    for k in range(p):
+        v = table.reshape(-1, 2, 1 << k)
+        d = (v[:, 1, :] - v[:, 0, :]).ravel()  # D_k, indexed by A with bit k removed
+        e = d - tol
+        for j in range(p):
+            if j == k:
+                continue
+            jj = j if j < k else j - 1  # bit of j once bit k is removed
+            dv = d.reshape(-1, 2, 1 << jj)
+            lhs, rhs = dv[:, 0, :], dv[:, 1, :]
+            bad = (lhs < e.reshape(-1, 2, 1 << jj)[:, 1, :]).ravel()
+            i = int(np.argmax(bad))
+            if bad[i]:
+                cand = (_insert_zero_bits(i, min(j, k), max(j, k)), j, k,
+                        float(lhs.flat[i]), float(rhs.flat[i]))
+                if best is None or cand[:3] < best[:3]:
+                    best = cand
     if best is None:
         return True, -1, -1, -1, 0.0, 0.0
     return (False,) + best

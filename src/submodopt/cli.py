@@ -174,6 +174,11 @@ class PreconditionFailed(SubmodoptError):
 
 
 def cmd_check(F, args) -> dict:
+    # every cap before any work: p above the cap reports the table's cap,
+    # p up to it but 2p above it posimodularity's; then one table for all
+    core.check_cap(F.p, args.max_exhaustive)
+    core.check_cap(2 * F.p, args.max_exhaustive)
+    F = core.ExplicitFunction(core.to_explicit(F, cap=args.max_exhaustive))
     results = {}
     for name, checker in (("submodular", core.is_submodular),
                           ("monotone", core.is_monotone),

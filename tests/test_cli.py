@@ -172,14 +172,17 @@ def test_reports_deterministic(capsys):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-def test_verified_brute_minimize_tabulates_once(capsys, monkeypatch):
-    plain = run_json(capsys, "minimize", DATA / "random_cut6.json", "--algo", "brute")
+def count_builds(monkeypatch) -> list:
+    """Record the p of every outermost ``SetFunction.tabulate`` call.
+
+    Only outermost builds count: a transform's builder tabulates its input.
+    An explicit function's stored table is not a build.
+    """
     builds = []
     depth = [0]
     tabulate = core.SetFunction.tabulate
 
     def counted(F, cap=core.EXHAUSTIVE_CAP):
-        # only outermost builds count: a transform's builder tabulates its input
         if depth[0] == 0:
             builds.append(F.p)
         depth[0] += 1
@@ -189,11 +192,46 @@ def test_verified_brute_minimize_tabulates_once(capsys, monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(core.SetFunction, "tabulate", counted)
+    return builds
+
+
+def test_verified_brute_minimize_tabulates_once(capsys, monkeypatch):
+    plain = run_json(capsys, "minimize", DATA / "random_cut6.json", "--algo", "brute")
+    builds = count_builds(monkeypatch)
     verified = run_json(capsys, "minimize", DATA / "random_cut6.json",
                         "--algo", "brute", "--verify")
     assert builds == [6]
     plain.pop("timing"), verified.pop("timing")
     assert json.dumps(plain, sort_keys=True) == json.dumps(verified, sort_keys=True)
+
+
+def test_check_tabulates_once_and_caps_before_any_scan(capsys, monkeypatch,
+                                                       tmp_path):
+    builds = count_builds(monkeypatch)
+    for name, p in (("logdet3", 3), ("random_cut6", 6), ("flow_bottleneck", 2)):
+        spec = json.loads((DATA / f"{name}.json").read_text())
+        F = cli.build_function(spec)
+        expected = {}
+        for prop, checker in (("submodular", core.is_submodular),
+                              ("monotone", core.is_monotone),
+                              ("symmetric", core.is_symmetric),
+                              ("posimodular", core.is_posimodular)):
+            rep = checker(F)
+            expected[prop] = {"holds": rep.holds, "witness": rep.witness}
+        builds.clear()
+        doc = run_json(capsys, "check", DATA / f"{name}.json")
+        assert builds == [p]
+        assert json.dumps(doc["results"], sort_keys=True) == json.dumps(
+            expected, sort_keys=True)
+
+    # p = 11 is within the table cap but not within posimodularity's 2p
+    spec = tmp_path / "cover11.json"
+    spec.write_text(json.dumps({"kind": "cover", "p": 11, "groups": [
+        {"members": [k, (k + 1) % 11], "weight": 1.0} for k in range(11)]}))
+    builds.clear()
+    code, out, err = run(capsys, "check", spec)
+    assert code == 2 and out == "" and "2**22" in err
+    assert builds == []
 
 
 def test_explicit_round_trip(capsys, tmp_path):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from submodopt import _kernels as K
+from submodopt import zoo
 
 from helpers import (argmin_extremes_ref, closure_violation_ref,
-                     max_margin_ref, mobius_transform_ref, monotone_check_ref,
+                     dyadic_cover, max_margin_ref, mobius_transform_ref, monotone_check_ref,
                      pairwise_check_ref, second_order_check_ref,
                      subset_sums_ref, symmetric_check_ref, zeta_transform_ref)
 
@@ -152,3 +153,67 @@ def test_second_order_reads_both_orientations_of_a_pair():
         table = np.array(table)
         assert K.second_order_check(table, 2, 1e-9) == (False,) + witness
         assert second_order_check_ref(table, 2, 1e-9) == (False,) + witness
+
+
+@st.composite
+def planted(draw):
+    """(p, table, tol, expect) at p <= 9: a near-submodular table with one
+    planted second-order violation, and the prefix of the check's result
+    that the plant fixes (None when only the reference decides).
+
+    * ``quadratic``: g(|A|) with dyadic steps a - b*i, so every second
+      difference is exactly -b.  F(C) for C = A + j + k is raised by
+      b + tol + extra: with extra = 0 every inequality through C sits
+      exactly at rhs - tol and none may be flagged; with extra > 0 the
+      smallest witness is C less its two highest bits.
+    * ``cover``: a dyadic cover table raised at C the same way, so that
+      the drawn (A, j, k) sits at rhs - tol - extra.
+    * ``orientation``: elements other than lo < hi are null and the pair
+      reads [0, 1, 2**53, 2**53 + 2]; only (j, k) = (hi, lo) shows the
+      violation, through rounding.
+    At p = 1 there are no pairs and the check holds.
+    """
+    p = draw(st.integers(1, 9))
+    n = 1 << p
+    tol = draw(st.sampled_from([0.0, 2.0 ** -10, 0.25]))
+    kind = draw(st.sampled_from(["quadratic", "cover", "orientation"]))
+    pops = np.array([bin(m).count("1") for m in range(n)])
+    if p == 1:
+        return p, draw(st.integers(-8, 8)) / 4 * pops, tol, (True,)
+    j, k = draw(st.permutations(range(p)))[:2]
+    if kind == "orientation":
+        lo, hi = min(j, k), max(j, k)
+        pair = np.array([0.0, 1.0, 2.0 ** 53, 2.0 ** 53 + 2.0])
+        masks = np.arange(n)
+        table = pair[(masks >> lo & 1) | (masks >> hi & 1) << 1]
+        return p, table, tol, (False, 0, hi, lo, 1.0, 2.0)
+    rest = [e for e in range(p) if e not in (j, k)]
+    a = sum(1 << e for e in rest if draw(st.booleans()))
+    top = a | 1 << j | 1 << k
+    extra = draw(st.sampled_from([0.0, 0.25]))
+    if kind == "quadratic":
+        b = draw(st.integers(0, 4)) / 4
+        steps = draw(st.integers(0, 16)) / 4 - b * np.arange(p)
+        table = np.concatenate(([0.0], np.cumsum(steps)))[pops]
+        table[top] += b + tol + extra
+        if extra == 0.0:
+            return p, table, tol, (True,)
+        hi = top.bit_length() - 1
+        mid = (top ^ 1 << hi).bit_length() - 1
+        return p, table, tol, (False, top ^ 1 << hi ^ 1 << mid, mid, hi)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    table = zoo.cover_function(dyadic_cover(rng, p)).tabulate()
+    lhs = table[a | 1 << k] - table[a]
+    rhs = table[top] - table[a | 1 << j]
+    table[top] += lhs - rhs + tol + extra
+    return p, table, tol, None if extra == 0.0 else (False,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=planted())
+def test_second_order_witness_on_planted_violations(case):
+    p, table, tol, expect = case
+    got = K.second_order_check(table, p, tol)
+    assert bits(got) == bits(second_order_check_ref(table, p, tol))
+    if expect is not None:
+        assert got[:len(expect)] == expect

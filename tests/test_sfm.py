@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import submodopt as so
 from submodopt.errors import NumericalInconsistency
@@ -124,6 +126,36 @@ def test_minnorm_agrees_with_brute():
         assert F(res.maximal_minimizer) == pytest.approx(ref.min_value, abs=1e-6)
         assert res.gap <= 1e-6
         assert so.in_B(F, res.certificate, tol=1e-7)
+
+
+@st.composite
+def st_energies(draw):
+    """(g, z) at p <= 10: a digraph with weights in (0, 1] and unary terms
+    z in [-2, 2], all multiples of 2**-8, so every sum is exact."""
+    p = draw(st.integers(1, 10))
+    weights = st.integers(1, 256).map(lambda v: v / 256)
+    pairs = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1), weights)
+    arcs = [a for a in draw(st.lists(pairs, max_size=3 * p)) if a[0] != a[1]]
+    z = np.array(draw(st.lists(st.integers(-512, 512), min_size=p, max_size=p)))
+    return so.Digraph(p, arcs), z / 256
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st_energies())
+def test_minnorm_brute_and_max_flow_agree_on_energies(case):
+    # the s-t energy cut(A) - z(A), built as graph-cut callers build it: the
+    # cut of g plus terminals s and t, contracted by s and restricted to V
+    g, z = case
+    p = g.p
+    s, t = p, p + 1
+    arcs = list(g.arcs) + [(s, k, z[k]) if z[k] > 0 else (k, t, -z[k])
+                           for k in range(p) if z[k] != 0]
+    cut = so.cut_function(so.Digraph(p + 2, arcs))
+    F = so.restrict(so.contract(cut, 1 << s), (1 << p) - 1)
+    results = [so.minimize(F), so.minimize(F, backend="brute"),
+               so.cut_minimize(g, z)]
+    assert len({(r.min_value, r.minimal_minimizer, r.maximal_minimizer)
+                for r in results}) == 1, results
 
 
 def test_minimizer_lattice_conditions():
