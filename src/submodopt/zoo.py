@@ -19,6 +19,7 @@ tabulates and chains exactly as its constructor does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,6 +48,8 @@ class Digraph:
         validate_ground_size(self.p)
         clean = []
         for u, v, w in self.arcs:
+            if not math.isfinite(w):
+                raise ValueError(f"arc weight {w} on ({u}, {v}) is not finite")
             if w < 0.0:
                 raise ValueError(f"negative arc weight on ({u}, {v})")
             if not (0 <= u < self.p and 0 <= v < self.p):
@@ -176,6 +179,8 @@ def cut_minimize(g: Digraph, z) -> SfmResult:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (g.p,):
         raise ValueError(f"vector has shape {z.shape}, expected ({g.p},)")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite")
     src, snk = g.p, g.p + 1
     arcs = list(g.arcs)
     for k in range(g.p):
@@ -321,6 +326,8 @@ class FlowNetwork:
             raise ValueError("sources and sinks must be disjoint")
         validate_ground_size(len(self.sinks))
         for u, v, c in self.arcs:
+            if not math.isfinite(c):
+                raise ValueError(f"capacity {c} on arc ({u}, {v}) is not finite")
             if c < 0.0:
                 raise ValueError("capacities must be nonnegative")
             if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):

@@ -133,6 +133,18 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "cut", "p": 2, "arcs": [[0, 1, math.nan], [1, 0, 1.0]]},
+    {"kind": "flow", "n_nodes": 4, "sources": [0], "sinks": [2, 3],
+     "arcs": [[0, 1, 1.0], [1, 2, math.nan], [1, 3, 1.0]]},
+])
+def test_non_finite_weights_exit_1(capsys, tmp_path, spec):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(spec))  # json writes the bare token NaN
+    code, out, err = run(capsys, "minimize", path, "--algo", "brute")
+    assert code == 1 and out == "" and "not finite" in err
+
+
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 32.0 GiB"),
                                  RuntimeError("line one\nline two"),
                                  KeyError("k")])

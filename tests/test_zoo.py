@@ -80,6 +80,17 @@ def test_cut_minimize_matches_brute():
         assert res.minimal_minimizer == ref.minimal_minimizer
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        so.Digraph(2, [(0, 1, bad)])
+    with pytest.raises(ValueError, match="not finite"):
+        so.FlowNetwork(n_nodes=3, sources=(0,), sinks=(2,),
+                       arcs=[(0, 1, 1.0), (1, 2, bad)])
+    with pytest.raises(ValueError, match="finite"):
+        so.cut_minimize(sym_digraph(2, [(0, 1, 1.0)]), [1.0, bad])
+
+
 def test_cover_examples():
     c = so.CoverSystem(2, [(0b11, 1.0)])
     F = so.cover_function(c)
