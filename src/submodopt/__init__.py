@@ -37,7 +37,7 @@ from .sfm import (Corral, SfmResult, brute_minimize, certificate_gap,
                   min_norm_point, minimize, recover_level_values)
 from .transforms import (add, add_modular, contract, convolve_modular,
                          embed_mask, mobius, mobius_reconstruct, monotonize,
-                         partial_min, project_mask, restrict, scale)
+                         partial_min, restrict, scale)
 from .zoo import (CoverSystem, Digraph, FlowNetwork, concave_cardinality,
                   cover_function, cut_function, cut_minimize, flow_function,
                   graphic_matroid_rank, linear_matroid_rank, logdet_function,

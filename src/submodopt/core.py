@@ -57,6 +57,26 @@ def check_cap(p: int, cap: int = EXHAUSTIVE_CAP) -> None:
         raise CapExceeded(f"enumeration over 2**{p} subsets exceeds cap {cap}")
 
 
+def check_vector(x, p: int) -> np.ndarray:
+    """x as a float64 array, which must have shape (p,)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (p,):
+        raise ValueError(f"vector has shape {x.shape}, expected ({p},)")
+    return x
+
+
+def check_finite(values, what: str) -> np.ndarray:
+    """values as a float64 array, every entry of which must be finite.
+
+    NaN and infinities raise ValueError naming ``what``, so the CLI reports
+    them as input errors instead of computing with them.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
 def subset_of(indices: Iterable[int]) -> int:
     """Bitmask of the given element indices."""
     mask = 0
@@ -149,10 +169,6 @@ class SetFunction:
             v = float(self._fn(mask))
             memo[mask] = v
         return v
-
-    @property
-    def memoized(self) -> bool:
-        return self._memo is not None
 
     @property
     def structured(self) -> bool:
@@ -264,7 +280,7 @@ class ExplicitFunction(SetFunction):
     __slots__ = ("table",)
 
     def __init__(self, values):
-        table = np.ascontiguousarray(values, dtype=np.float64)
+        table = np.ascontiguousarray(check_finite(values, "table values"))
         n = table.shape[0]
         p = (n - 1).bit_length()
         if n != (1 << p) or n < 2:
@@ -319,7 +335,7 @@ def modular_function(s) -> SetFunction:
     A lazy oracle over byte tables (see :class:`ModularSums`) at every p;
     it tabulates and chains from s.
     """
-    s = np.asarray(s, dtype=np.float64)
+    s = check_finite(s, "modular vector")
     sums = ModularSums(s)
     return SetFunction(len(s), lambda m: sums[m],
                        builder=lambda cap: _kernels.subset_sums(s),

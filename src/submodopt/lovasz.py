@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .core import EXHAUSTIVE_CAP, SetFunction, to_explicit
+from .core import EXHAUSTIVE_CAP, SetFunction, check_vector, to_explicit
 
 
 def descending_order(w) -> np.ndarray:
@@ -30,16 +30,9 @@ def descending_order(w) -> np.ndarray:
     return np.argsort(-w, kind="stable")
 
 
-def _check_dim(F: SetFunction, w) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (F.p,):
-        raise ValueError(f"vector has shape {w.shape}, expected ({F.p},)")
-    return w
-
-
 def lovasz_extension(F: SetFunction, w) -> float:
     """Extension value f(w) via the sorted-prefix telescoping sum."""
-    w = _check_dim(F, w)
+    w = check_vector(w, F.p)
     order = descending_order(w)
     total = 0.0
     values = F.chain(order)
@@ -54,7 +47,7 @@ def greedy_base(F: SetFunction, w) -> np.ndarray:
     Assigns each element its marginal gain along the descending-w prefix
     chain; w may have negative entries.  Satisfies w^T s == f(w).
     """
-    w = _check_dim(F, w)
+    w = check_vector(w, F.p)
     order = descending_order(w)
     values = F.chain(order)
     s = np.empty(F.p, dtype=np.float64)
@@ -69,7 +62,7 @@ def truncated_greedy(F: SetFunction, w) -> np.ndarray:
     coordinates of w receive marginal gains; the rest are zero.  The value
     w^T s equals f(max(w, 0)).
     """
-    w = _check_dim(F, w)
+    w = check_vector(w, F.p)
     order = descending_order(w)
     order = order[w[order] > 0.0]
     values = F.chain(order)
@@ -85,7 +78,7 @@ def support_P(F: SetFunction, w) -> float:
     coordinate makes the value +inf, returned as ``math.inf`` rather than
     raised, since it is a legitimate answer.
     """
-    w = _check_dim(F, w)
+    w = check_vector(w, F.p)
     if np.any(w < 0.0):
         return math.inf
     return lovasz_extension(F, w)
@@ -97,7 +90,7 @@ def conjugate(F: SetFunction, s, cap: int = EXHAUSTIVE_CAP) -> tuple[float, int]
     Returns ``(value, argmax_mask)`` with the smallest bitmask among tied
     maximizers.  A nonpositive value means s lies in P(F).
     """
-    s = _check_dim(F, s)
+    s = check_vector(s, F.p)
     table = to_explicit(F, cap)
     sums = _kernels.subset_sums(s)
     value, arg = _kernels.max_margin(sums, table)

@@ -16,16 +16,9 @@ import numpy as np
 
 from . import _kernels
 from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_cap,
-                   elements_of, level_sets, to_explicit)
+                   check_vector, elements_of, level_sets, to_explicit)
 from .errors import NumericalInconsistency
 from .lovasz import conjugate
-
-
-def _vector(F: SetFunction, s) -> np.ndarray:
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (F.p,):
-        raise ValueError(f"vector has shape {s.shape}, expected ({F.p},)")
-    return s
 
 
 def in_P(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP) -> bool:
@@ -35,14 +28,14 @@ def in_P(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP)
 
 
 def in_B(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP) -> bool:
-    s = _vector(F, s)
+    s = check_vector(s, F.p)
     if abs(float(np.sum(s)) - F((1 << F.p) - 1)) > tol:
         return False
     return in_P(F, s, tol, cap)
 
 
 def in_P_plus(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP) -> bool:
-    s = _vector(F, s)
+    s = check_vector(s, F.p)
     if np.any(s < -tol):
         return False
     return in_P(F, s, tol, cap)
@@ -57,7 +50,7 @@ def tight_sets(F: SetFunction, s, tol: float = DEFAULT_TOL,
     a violation raises NumericalInconsistency (the tolerance straddles a
     constraint boundary).
     """
-    s = _vector(F, s)
+    s = check_vector(s, F.p)
     table = to_explicit(F, cap)
     sums = _kernels.subset_sums(s)
     flags = np.abs(sums - table) <= tol
@@ -111,8 +104,8 @@ def is_base_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     available separately as :func:`base_maximizer_exchange_check` for
     cross-checking.
     """
-    s = _vector(F, s)
-    w = _vector(F, w)
+    s = check_vector(s, F.p)
+    w = check_vector(w, F.p)
     # the upper level sets of w are the lower level sets of -w
     return not any(_prefix_gap(F, s, mask) > tol for _, mask in level_sets(-w))
 
@@ -120,7 +113,7 @@ def is_base_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
 def base_maximizer_exchange_check(F: SetFunction, s, w, tol: float = DEFAULT_TOL,
                                   cap: int = EXHAUSTIVE_CAP) -> bool:
     """Exchange form of the maximizer test: w_k <= w_q for all q in dep(s, k)."""
-    w = _vector(F, w)
+    w = check_vector(w, F.p)
     for k, q in exchangeable_pairs(F, s, tol, cap):
         if w[k] > w[q] + tol:
             return False
@@ -134,8 +127,8 @@ def is_P_plus_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     of positive-value blocks must be tight; a block where w is zero carries
     no condition.
     """
-    s = _vector(F, s)
-    w = _vector(F, w)
+    s = check_vector(s, F.p)
+    w = check_vector(w, F.p)
     for block, mask in level_sets(-w):
         if w[block[0]] < 0.0:
             if np.any(np.abs(s[block]) > tol):

@@ -12,6 +12,11 @@ psi_j, equivalently the concave separable maximization of
   largest value down, each found by a secant iteration that starts at the
   largest singleton root, a lower bound on the block value.
 
+Both recursive solvers work on reduced functions over a compact ground set
+and carry one int64 array ``idx`` beside each: ``idx[k]`` is the root
+coordinate of local element k.  They evaluate the root penalty and take
+its ``idx`` entries, so the penalty is never re-indexed itself.
+
 Threshold-set extraction, line search inside P(F), the P(F) and positive
 P(F) variants, and separable optimality checks round out the toolbox.
 Everything reduces to monotone scalar equations, solved by a safeguarded
@@ -26,8 +31,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels, transforms
-from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, elements_of,
-                   level_sets, subset_of, to_explicit)
+from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_finite,
+                   complement, elements_of, level_sets, subset_of, to_explicit)
 from .errors import (MonotonicityRequired, NoConvergence,
                      NumericalInconsistency, RecursionOverflow, Unbounded)
 from .lovasz import lovasz_extension
@@ -105,22 +110,18 @@ class SeparableConvex:
     every conjugate is finite on all of R; a grid check rejects obviously
     flat or saturating derivatives at construction.
 
-    All callables are vectorized over the p coordinates.
+    All callables are vectorized over the p coordinates.  A solver that
+    works on some of the coordinates evaluates all p and keeps its own.
     """
 
     def __init__(self, p: int,
                  deriv: Callable[[np.ndarray], np.ndarray],
                  inv_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                  value: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 conj_value: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 validate: bool = True):
+                 conj_value: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.p = int(p)
         self.deriv = deriv
         self.value = value
-        # the callables as given, and the root penalty and its coordinates,
-        # so that a subset lifts the root's callables once at any depth
-        self._given = (deriv, inv_deriv, value, conj_value)
-        self._root, self._idx = self, np.arange(self.p)
         self.inv_deriv = inv_deriv if inv_deriv is not None else self._invert
         if conj_value is not None:
             self.conj_value = conj_value
@@ -128,8 +129,7 @@ class SeparableConvex:
             self.conj_value = self._conj_from_value
         else:
             self.conj_value = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # conjugate derivative and inverse derivative coincide for smooth
     # strictly convex functions
@@ -178,56 +178,29 @@ class SeparableConvex:
         if np.any(np.abs(back - 0.7) > 1e-9 * (1.0 + np.abs(back))):
             raise ValueError("inverse derivative does not invert the derivative")
 
-    def subset(self, idx: Sequence[int]) -> "SeparableConvex":
-        """The penalty restricted to the given coordinates (new compact frame).
-
-        The subset evaluates the root penalty's callables at the composed
-        coordinates; an inverse or conjugate the root synthesized is
-        synthesized again over the subset's own coordinates.
-        """
-        root = self._root
-        idx = self._idx[np.asarray(idx, dtype=np.int64)]
-
-        def lift(fn):
-            if fn is None:
-                return None
-
-            def sub(x):
-                full = np.zeros(root.p)
-                full[idx] = np.asarray(x, dtype=np.float64)
-                return np.asarray(fn(full), dtype=np.float64)[idx]
-
-            return sub
-
-        part = SeparableConvex(len(idx), *map(lift, root._given), validate=False)
-        part._root, part._idx = root, idx
-        return part
-
 
 class Quadratic(SeparableConvex):
     """Weighted shifted quadratics psi_j(w) = a_j / 2 * (w - z_j)^2."""
 
     def __init__(self, a, z):
-        a = np.asarray(a, dtype=np.float64)
-        z = np.asarray(z, dtype=np.float64)
-        if a.shape != z.shape or a.ndim != 1:
-            raise ValueError("weights and centers must be 1-d of equal length")
-        if np.any(a <= 0.0):
-            raise ValueError("quadratic weights must be positive")
-        self.a = a
-        self.z = z
+        self.a = a = np.asarray(a, dtype=np.float64)
+        self.z = z = np.asarray(z, dtype=np.float64)
         super().__init__(
-            len(a),
+            a.size,
             deriv=lambda w: a * (np.asarray(w, dtype=np.float64) - z),
             inv_deriv=lambda y: z + np.asarray(y, dtype=np.float64) / a,
             value=lambda w: 0.5 * a * (np.asarray(w, dtype=np.float64) - z) ** 2,
             conj_value=lambda y: (lambda yy: yy * z + yy * yy / (2.0 * a))(
-                np.asarray(y, dtype=np.float64)),
-            validate=False)
+                np.asarray(y, dtype=np.float64)))
 
-    def subset(self, idx: Sequence[int]) -> "Quadratic":
-        idx = np.asarray(idx, dtype=np.int64)
-        return Quadratic(self.a[idx], self.z[idx])
+    def _validate(self) -> None:
+        """Shapes, finiteness and positive weights; the closed forms need no probe."""
+        if self.a.shape != self.z.shape or self.a.ndim != 1:
+            raise ValueError("weights and centers must be 1-d of equal length")
+        check_finite(self.a, "quadratic weights")
+        check_finite(self.z, "quadratic centers")
+        if np.any(self.a <= 0.0):
+            raise ValueError("quadratic weights must be positive")
 
 
 @dataclass(frozen=True)
@@ -274,19 +247,22 @@ def prox_threshold_sets(u, alpha: float, tau: float = 1e-9) -> tuple[int, int]:
     return minimal, maximal
 
 
-def _equalized_start(F: SetFunction, psi: SeparableConvex) -> np.ndarray:
+def _equalized_start(F: SetFunction, psi: SeparableConvex,
+                     idx: np.ndarray) -> np.ndarray:
     """The sum-constrained minimizer of the dual objective: t with t(V) = F(V).
 
     Minimizing sum_j psi*_j(-t_j) subject to the sum constraint equalizes
     the dual derivatives, i.e. t_j = -psi'_j(nu) for a common scalar nu
-    (for uniform quadratic weights this reduces to equal t_j - z_j).
+    (for uniform quadratic weights this reduces to equal t_j - z_j).  Local
+    element j of F is root coordinate idx[j] of psi.
     """
     fv = F((1 << F.p) - 1)
     if isinstance(psi, Quadratic):
-        nu = (float(np.sum(psi.a * psi.z)) - fv) / float(np.sum(psi.a))
-        return psi.a * psi.z - psi.a * nu
-    nu = solve_increasing(lambda m: float(np.sum(psi.deriv_at(m))), -fv)
-    return -psi.deriv_at(nu)
+        a, z = psi.a[idx], psi.z[idx]
+        nu = (float(np.sum(a * z)) - fv) / float(np.sum(a))
+        return a * z - a * nu
+    nu = solve_increasing(lambda m: float(np.sum(psi.deriv_at(m)[idx])), -fv)
+    return -psi.deriv_at(nu)[idx]
 
 
 def prox_decomposition(F: SetFunction, psi: SeparableConvex,
@@ -297,6 +273,8 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
     Equalize the derivatives subject to t(V) = F(V); if the largest
     minimizer of F - t is the whole ground set, t is optimal, otherwise
     solve the restriction and the contraction independently and concatenate.
+    Each reduced problem is a function on a compact ground set and the
+    root coordinates of its elements; psi is always the root penalty.
     A largest minimizer that is empty means min(F - t) = 0 with F(V) - t(V)
     above the SFM tolerance; t is accepted as optimal, being in B(F) up to
     rounding, when that gap is within 1e-9 * (1 + |F(V)|), and otherwise
@@ -309,10 +287,10 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
     if depth_limit is None:
         depth_limit = F.p + 1
 
-    def solve(Fc: SetFunction, pc: SeparableConvex, depth: int) -> np.ndarray:
+    def solve(Fc: SetFunction, idx: np.ndarray, depth: int) -> np.ndarray:
         if depth > depth_limit:
             raise RecursionOverflow(f"decomposition depth {depth} exceeds limit")
-        t = _equalized_start(Fc, pc)
+        t = _equalized_start(Fc, psi, idx)
         full = (1 << Fc.p) - 1
         shifted = transforms.add_modular(Fc, -t)
         res = minimize(shifted, backend=sfm_backend, eps=eps)
@@ -326,33 +304,31 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
                     f"largest minimizer of F - t is empty with t(V) = {tv!r} "
                     f"against F(V) = {fv!r}")
             return t
-        rest_f = transforms.restrict(Fc, a_mask)
-        cont_f = transforms.contract(Fc, a_mask)
+        inside = elements_of(a_mask)
+        outside = elements_of(complement(a_mask, Fc.p))
         s = np.empty(Fc.p)
-        s[list(rest_f.elements)] = solve(rest_f, pc.subset(rest_f.elements),
-                                         depth + 1)
-        s[list(cont_f.elements)] = solve(cont_f, pc.subset(cont_f.elements),
-                                         depth + 1)
+        s[inside] = solve(transforms.restrict(Fc, a_mask), idx[inside], depth + 1)
+        s[outside] = solve(transforms.contract(Fc, a_mask), idx[outside], depth + 1)
         return s
 
-    return solve(F, psi, 1)
+    return solve(F, np.arange(F.p), 1)
 
 
-def _largest_singleton_root(singles: np.ndarray,
-                            psi: SeparableConvex) -> tuple[float, int]:
-    """Largest alpha_k with F({k}) + psi'_k(alpha_k) = 0, and its k.
+def _largest_singleton_root(singles: np.ndarray, psi: SeparableConvex,
+                            idx: np.ndarray) -> tuple[float, int]:
+    """Largest alpha_k with F({k}) + psi'_{idx[k]}(alpha_k) = 0, and its k.
 
-    It is the root of the increasing alpha -> min_k psi'_k(alpha) + F({k}),
-    found by one scalar root search, and k attains that min there; a
-    quadratic inverts its derivative in closed form instead.
+    It is the root of the increasing alpha -> min_k psi'_{idx[k]}(alpha) +
+    F({k}), found by one scalar root search, and k attains that min there;
+    a quadratic inverts its derivative in closed form instead.
     """
     if isinstance(psi, Quadratic):
-        roots = psi.inv_deriv(-singles)
+        roots = psi.z[idx] - singles / psi.a[idx]
         k = int(np.argmax(roots))
         return float(roots[k]), k
     alpha = solve_increasing(
-        lambda x: float(np.min(psi.deriv_at(x) + singles)), 0.0)
-    return alpha, int(np.argmin(psi.deriv_at(alpha) + singles))
+        lambda x: float(np.min(psi.deriv_at(x)[idx] + singles)), 0.0)
+    return alpha, int(np.argmin(psi.deriv_at(alpha)[idx] + singles))
 
 
 def prox_homotopy(F: SetFunction, psi: SeparableConvex,
@@ -362,8 +338,10 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     For each remaining block, find the smallest alpha at which
     g(alpha) = min_A F(A) + psi'(alpha)(A) reaches zero (secant iteration on
     the current minimizer), fix u = alpha on the maximal tight set, and
-    recurse on the contraction by it.  The secant starts at the largest
-    singleton root, max_k alpha_k with F({k}) + psi'_k(alpha_k) = 0: at the
+    recurse on the contraction by it; local element k of the contraction
+    is root coordinate idx[k], and psi is always the root penalty.  The
+    secant starts at the largest singleton root, max_k alpha_k with
+    F({k}) + psi'_k(alpha_k) = 0: at the
     block value alpha*, F + psi'(alpha*) is nonnegative on every set,
     singletons included, so every alpha_k <= alpha*, and the singleton
     attaining the max is tight at the start.  When the top block is one
@@ -375,27 +353,27 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     if psi.p != F.p:
         raise ValueError("penalty dimension does not match the ground set")
     u = np.zeros(F.p)
-    frame = list(range(F.p))
-    cur_f, cur_psi = F, psi
+    idx = np.arange(F.p)
+    cur_f = F
 
     for _ in range(F.p):
         p = cur_f.p
         full = (1 << p) - 1
         singles = cur_f.singletons()
         tol = 1e-9 * (1.0 + float(np.max(np.abs(singles))))
-        alpha, k = _largest_singleton_root(singles, cur_psi)
+        alpha, k = _largest_singleton_root(singles, psi, idx)
         last_tight = 1 << k
 
         for _ in range(_ROOT_MAX_ITER):
-            shifted = transforms.add_modular(cur_f, cur_psi.deriv_at(alpha))
+            shifted = transforms.add_modular(cur_f, psi.deriv_at(alpha)[idx])
             res = minimize(shifted, backend=sfm_backend, eps=eps)
             if res.min_value >= -tol:
                 break
             a_mask = res.maximal_minimizer
-            idx = elements_of(a_mask)
+            tight = idx[elements_of(a_mask)]
             target = -cur_f(a_mask)
             alpha = solve_increasing(
-                lambda x: float(np.sum(cur_psi.deriv_at(x)[idx])), target,
+                lambda x: float(np.sum(psi.deriv_at(x)[tight])), target,
                 x0=alpha)
             last_tight = a_mask
         else:
@@ -406,16 +384,13 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
             raise NumericalInconsistency(
                 f"peel set value {shifted(peel):.3e} exceeds tolerance "
                 f"{10.0 * tol:.3e}")
-        for k in elements_of(peel):
-            u[frame[k]] = alpha
+        u[idx[elements_of(peel)]] = alpha
         if peel == full:
             return u
         # the peeled block is tight for the dual base, so the remaining
         # coordinates solve the problem contracted by it
-        rest = transforms.contract(cur_f, peel)
-        frame = [frame[e] for e in rest.elements]
-        cur_psi = cur_psi.subset(rest.elements)
-        cur_f = rest
+        cur_f = transforms.contract(cur_f, peel)
+        idx = idx[elements_of(complement(peel, p))]
     raise RecursionOverflow("homotopy peeled more than p blocks")
 
 

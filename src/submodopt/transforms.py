@@ -26,9 +26,11 @@ ground set.  So any stack of them over a cut or a cover evaluates and
 chains in one pass over the remaining arcs or group members, and
 tabulates at its own size even when the parent is above the cap.
 
-Restriction and contraction re-index their ground set compactly; the
-old-index list is recorded on the returned function (``elements``) so
-results can be routed back to the parent coordinates.
+Restriction, contraction and partial minimization return plain
+:class:`core.SetFunction` objects on a compact ground set: local element k
+is the k-th smallest element of the set kept, ``elements_of(A)[k]`` for a
+restriction to A, so a caller routes results back to the parent
+coordinates from the mask it passed.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ import numpy as np
 
 from . import _kernels
 from .core import (EXHAUSTIVE_CAP, ClosedStructure, ExplicitFunction,
-                   SetFunction, check_cap, ModularSums, complement, elements_of,
-                   modular_chain, to_explicit)
+                   SetFunction, check_cap, check_finite, check_vector,
+                   ModularSums, complement, elements_of, modular_chain,
+                   to_explicit)
 from .errors import NegativeScale
 
 
@@ -54,29 +57,6 @@ def embed_mask(mask: int, elements: Sequence[int]) -> int:
         mask >>= 1
         k += 1
     return out
-
-
-def project_mask(mask: int, elements: Sequence[int]) -> int:
-    """Map a parent bitmask to compact coordinates (elements outside are dropped)."""
-    out = 0
-    for k, e in enumerate(elements):
-        if mask & (1 << e):
-            out |= 1 << k
-    return out
-
-
-class ReindexedFunction(SetFunction):
-    """Set-function on a compact 0..m-1 ground set derived from a parent.
-
-    ``elements[k]`` is the parent coordinate of local element k.
-    """
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements, fn, memoize=True, builder=None, chainer=None):
-        self.elements = tuple(int(e) for e in elements)
-        super().__init__(len(self.elements), fn, memoize=memoize, builder=builder,
-                         chainer=chainer)
 
 
 def _axis_pairs(table: np.ndarray, k: int):
@@ -106,10 +86,6 @@ def _structure(F: SetFunction):
     return S if isinstance(S, ClosedStructure) else None
 
 
-def _reindexed(elems, S: ClosedStructure) -> ReindexedFunction:
-    return ReindexedFunction(elems, S.value, builder=S.table, chainer=S)
-
-
 def _gather_builder(F: SetFunction, elems: Sequence[int], A: int = 0,
                     base: float = 0.0):
     """Table builder of B -> F(A | B) - base on the compact ground set elems.
@@ -128,7 +104,7 @@ def _gather_builder(F: SetFunction, elems: Sequence[int], A: int = 0,
     return _if_structured(builder, F)
 
 
-def restrict(F: SetFunction, A: int) -> ReindexedFunction:
+def restrict(F: SetFunction, A: int) -> SetFunction:
     """Restriction of F to the subsets of A, re-indexed to 0..|A|-1."""
     if A == 0:
         raise ValueError("cannot restrict to the empty set")
@@ -137,12 +113,12 @@ def restrict(F: SetFunction, A: int) -> ReindexedFunction:
     elems = elements_of(A)
     S = _structure(F)
     if S is not None:
-        return _reindexed(elems, S.restrict(elems))
-    return ReindexedFunction(elems, lambda m: F(embed_mask(m, elems)),
-                             builder=_gather_builder(F, elems))
+        return S.restrict(elems).function()
+    return SetFunction(len(elems), lambda m: F(embed_mask(m, elems)), memoize=True,
+                       builder=_gather_builder(F, elems))
 
 
-def contract(F: SetFunction, A: int) -> ReindexedFunction:
+def contract(F: SetFunction, A: int) -> SetFunction:
     """Contraction by A: B -> F(A | B) - F(A) on the complement, re-indexed."""
     if not 0 <= A < (1 << F.p):
         raise ValueError(f"subset mask {A} out of range for p={F.p}")
@@ -152,13 +128,13 @@ def contract(F: SetFunction, A: int) -> ReindexedFunction:
     elems = elements_of(rest)
     S = _structure(F)
     if S is not None:
-        return _reindexed(elems, S.contract(elems))
+        return S.contract(elems).function()
     base = F(A)
-    return ReindexedFunction(elems, lambda m: F(A | embed_mask(m, elems)) - base,
-                             builder=_gather_builder(F, elems, A, base))
+    return SetFunction(len(elems), lambda m: F(A | embed_mask(m, elems)) - base,
+                       memoize=True, builder=_gather_builder(F, elems, A, base))
 
 
-def partial_min(G: SetFunction, W: int, cap: int = EXHAUSTIVE_CAP) -> ReindexedFunction:
+def partial_min(G: SetFunction, W: int, cap: int = EXHAUSTIVE_CAP) -> SetFunction:
     """Partial minimum over the W coordinates of a joint submodular G.
 
     F(A) = min over B subset of W of G(A | B), minus the same minimum at
@@ -187,7 +163,8 @@ def partial_min(G: SetFunction, W: int, cap: int = EXHAUSTIVE_CAP) -> ReindexedF
             table = np.minimum(*_axis_pairs(table, k)).reshape(-1)
         return table - offset
 
-    return ReindexedFunction(v_elems, fn, builder=_if_structured(builder, G))
+    return SetFunction(len(v_elems), fn, memoize=True,
+                       builder=_if_structured(builder, G))
 
 
 def convolve_modular(F: SetFunction, z, cap: int = EXHAUSTIVE_CAP) -> SetFunction:
@@ -197,9 +174,7 @@ def convolve_modular(F: SetFunction, z, cap: int = EXHAUSTIVE_CAP) -> SetFunctio
     pointwise.  Each query enumerates the 2**|A| submasks of A; the table
     takes one pass per element, H[A + k] = min(H[A + k], H[A] + z_k).
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (F.p,):
-        raise ValueError(f"vector has shape {z.shape}, expected ({F.p},)")
+    z = check_finite(check_vector(z, F.p), "modular vector")
     zsums = ModularSums(z)
 
     def fn(mask: int) -> float:
@@ -268,9 +243,7 @@ def add_modular(F: SetFunction, s) -> SetFunction:
     reads s(A) from byte tables (see :class:`core.ModularSums`), and chains,
     when F does, by adding the cumulative sum of s to the chain of F.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (F.p,):
-        raise ValueError(f"vector has shape {s.shape}, expected ({F.p},)")
+    s = check_finite(check_vector(s, F.p), "modular vector")
     S = _structure(F)
     if S is not None:
         return S.add_modular(s).function()

@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, _maxflow
-from .core import (ClosedStructure, SetFunction, elements_of, modular_chain,
-                   subset_of, validate_ground_size)
+from .core import (ClosedStructure, SetFunction, check_finite, check_vector,
+                   elements_of, modular_chain, subset_of, validate_ground_size)
 from .errors import NotConcave, NotPositiveDefinite, NotZeroAtZero
 from .sfm import SfmResult
 from .transforms import add_modular
@@ -176,11 +176,7 @@ def cut_minimize(g: Digraph, z) -> SfmResult:
     parts; min cuts of the augmented network correspond to minimizers, and
     the residual reachability sets give the lattice extremes.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (g.p,):
-        raise ValueError(f"vector has shape {z.shape}, expected ({g.p},)")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("z must be finite")
+    z = check_finite(check_vector(z, g.p), "z")
     src, snk = g.p, g.p + 1
     arcs = list(g.arcs)
     for k in range(g.p):
@@ -211,6 +207,7 @@ class CoverSystem:
 
     def __post_init__(self):
         validate_ground_size(self.p)
+        check_finite([wt for _, wt in self.groups], "cover weights")
         clean = []
         for mask, wt in self.groups:
             if wt < 0.0:
@@ -372,7 +369,7 @@ def _check_concave_table(g_table: np.ndarray) -> None:
 
 def concave_cardinality(g_table) -> SetFunction:
     """F(A) = g(|A|) for a concave profile g given at 0..p."""
-    g_table = np.asarray(g_table, dtype=np.float64)
+    g_table = check_finite(g_table, "profile values")
     _check_concave_table(g_table)
     p = len(g_table) - 1
 
@@ -408,7 +405,7 @@ def weighted_concave(s, kind: str, cap_value: Optional[float] = None) -> SetFunc
     Profiles: ``sqrt``, ``log1p``, or ``cap`` (min with a constant); all
     satisfy g(0) = 0.
     """
-    s = np.asarray(s, dtype=np.float64)
+    s = check_finite(s, "weights")
     if np.any(s < 0.0):
         raise ValueError("weights must be nonnegative")
     g = _profile(kind, cap_value)
@@ -430,7 +427,7 @@ def weighted_concave(s, kind: str, cap_value: Optional[float] = None) -> SetFunc
 
 def logdet_function(Q) -> SetFunction:
     """F(A) = log det of the principal submatrix of a positive definite Q."""
-    Q = np.asarray(Q, dtype=np.float64)
+    Q = check_finite(Q, "Q")
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be square")
     if np.max(np.abs(Q - Q.T)) > 1e-12:
@@ -496,7 +493,7 @@ def linear_matroid_rank(matrix, tol: Optional[float] = None) -> SetFunction:
     The threshold defaults to 1e-9 relative to the largest column norm; it
     is the sole source of rank ambiguity for nearly dependent columns.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = check_finite(matrix, "matrix")
     if matrix.ndim != 2:
         raise ValueError("matrix must be 2-d")
     p = matrix.shape[1]

@@ -145,6 +145,37 @@ def test_non_finite_weights_exit_1(capsys, tmp_path, spec):
     assert code == 1 and out == "" and "not finite" in err
 
 
+_EXPLICIT = {"kind": "explicit", "values": [0.0, 1.0, 1.0, 0.5]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "explicit", "values": [0.0, math.nan, 1.0, 0.5]},
+    {"kind": "explicit", "values": [0.0, 1.0, math.inf, 0.5]},
+    {"kind": "cover", "p": 2, "groups": [{"members": [0, 1], "weight": math.nan}]},
+    {"kind": "weighted_concave", "weights": [1.0, math.nan], "profile": "sqrt"},
+    {"kind": "card_concave", "g": [0.0, 1.0, -math.inf]},
+    {"kind": "logdet", "q": [[2.0, math.nan], [math.nan, 2.0]]},
+    {"kind": "linear_matroid", "matrix": [[1.0, math.inf], [0.0, 1.0]]},
+    {"kind": "transform", "op": "add_modular", "vector": [math.nan, 0.0],
+     "inner": _EXPLICIT},
+    {"kind": "transform", "op": "convolve_modular", "vector": [0.0, math.inf],
+     "inner": _EXPLICIT},
+])
+def test_non_finite_numbers_exit_1(capsys, tmp_path, spec):
+    # before, check reported NaN tables as submodular and exited 0
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(spec))
+    for argv in (("check",), ("minimize", "--algo", "brute")):
+        code, out, err = run(capsys, *argv[:1], path, *argv[1:])
+        assert code == 1 and out == "" and "must be finite" in err
+
+
+def test_non_finite_prox_weights_exit_1(capsys):
+    for flag in ("--weights=1,nan,1,1,1,1", "--centers=0,0,inf,0,0,0"):
+        code, out, err = run(capsys, "prox", DATA / "random_cut6.json", flag)
+        assert code == 1 and out == "" and "must be finite" in err
+
+
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 32.0 GiB"),
                                  RuntimeError("line one\nline two"),
                                  KeyError("k")])

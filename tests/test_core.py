@@ -24,6 +24,21 @@ def test_empty_set_must_be_zero():
     assert shifted(0b11) == 2.0
 
 
+def test_shared_vector_and_finiteness_checks():
+    v = so.core.check_vector([1, 2, 3], 3)
+    assert v.dtype == np.float64 and v.tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError, match=r"vector has shape \(2,\), expected \(3,\)"):
+        so.core.check_vector([1.0, 2.0], 3)
+    assert so.core.check_finite([[0.5, -2.0]], "x").shape == (1, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="values must be finite"):
+            so.core.check_finite([0.0, bad], "values")
+        with pytest.raises(ValueError, match="must be finite"):
+            so.explicit_function([0.0, bad, 1.0, 0.5])
+        with pytest.raises(ValueError, match="must be finite"):
+            so.modular_function([1.0, bad])
+
+
 def test_evaluate_examples():
     assert card(3)(0) == 0.0
     assert card(3)(0b101) == 2.0

@@ -1,10 +1,14 @@
 """Membership, tight-set structure, maximizer certificates, faces."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import submodopt as so
 from submodopt import polyhedra
 from submodopt.polyhedra import base_maximizer_exchange_check
+
+from helpers import dyadic, dyadic_cover, dyadic_digraph
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
 SYM_CUT2 = so.explicit_function([0.0, 1.0, 1.0, 0.0])
@@ -84,6 +88,27 @@ def test_base_maximizer_forms_agree():
             s = so.greedy_base(F, rng.standard_normal(5))
             assert (so.is_base_maximizer(F, s, w)
                     == base_maximizer_exchange_check(F, s, w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["cut", "cover"]))
+def test_base_maximizer_forms_agree_on_dyadic_bases(p, seed, kind):
+    # w on a coarse grid has ties, so some level sets hold several
+    # elements; midpoints of two greedy vertices are bases off the vertices
+    # with fewer tight sets; dyadic data keeps every sum exact
+    rng = np.random.default_rng(seed)
+    base = (so.cut_function(dyadic_digraph(rng, p)) if kind == "cut"
+            else so.cover_function(dyadic_cover(rng, p)))
+    F = so.add_modular(base, dyadic(rng, -1.0, 1.0, size=p))
+    w = rng.integers(-2, 3, size=p) / 4.0
+    vertex = so.greedy_base(F, rng.integers(-2, 3, size=p) / 4.0)
+    for s in (so.greedy_base(F, w), vertex,
+              (vertex + so.greedy_base(F, rng.standard_normal(p))) / 2.0):
+        assert so.in_B(F, s)
+        assert (so.is_base_maximizer(F, s, w)
+                == base_maximizer_exchange_check(F, s, w))
+    assert so.is_base_maximizer(F, so.greedy_base(F, w), w)
 
 
 def test_degenerate_constant_w_all_bases_maximize():

@@ -69,44 +69,21 @@ def test_separable_default_inversion():
     assert np.allclose(pen.conj_value(y), ref.conj_value(y), atol=1e-9)
 
 
-def _counting_cubic(a, z, b, **kw):
-    """Derivative-only cubic a(w-z) + b(w-z)^3 and a list of its deriv calls."""
-    calls = []
-
-    def deriv(w):
-        calls.append(len(w))
-        return a * (w - z) + b * (w - z) ** 3
-
-    return SeparableConvex(len(a), deriv=deriv, **kw), calls
-
-
-def test_subsets_lift_the_root_penalty_once():
-    rng = np.random.default_rng(20)
-    a = rng.uniform(0.5, 8.0, 20)
-    z = rng.uniform(-4.0, 4.0, 20)
-    b = rng.uniform(0.1, 2.0, 20)
-    y = rng.uniform(-5.0, 5.0, 20)
-    pen, calls = _counting_cubic(a, z, b)
-    outer = np.array([17, 3, 8, 12, 0, 5])
-    inner = np.array([4, 1, 2])
-    for sub, coords in ((pen.subset([3]), np.array([3])),
-                        (pen.subset(outer).subset(inner), outer[inner])):
-        alone, alone_calls = _counting_cubic(a[coords], z[coords], b[coords])
-        alone_calls.clear()
-        want = alone.inv_deriv(y[coords])
-        calls.clear()
-        got = sub.inv_deriv(y[coords])
-        # one root search per own coordinate, each evaluating the root once
-        assert 0 < len(calls) <= len(alone_calls)
-        assert got.tobytes() == want.tobytes()
-        assert got.tobytes() == pen.inv_deriv(y)[coords].tobytes()
-
-    # a conjugate synthesized from the value is synthesized again per subset
-    with_value, _ = _counting_cubic(
-        a, z, b, value=lambda w: a / 2 * (w - z) ** 2 + b / 4 * (w - z) ** 4)
-    nested = with_value.subset(outer).subset(inner)
-    assert nested.conj_value(y[outer[inner]]).tobytes() == \
-        with_value.conj_value(y)[outer[inner]].tobytes()
+def test_quadratic_validation():
+    with pytest.raises(ValueError, match="equal length"):
+        so.Quadratic([1.0, 2.0], [0.0])
+    with pytest.raises(ValueError, match="equal length"):
+        so.Quadratic([[1.0]], [[0.0]])
+    with pytest.raises(ValueError, match="positive"):
+        so.Quadratic([1.0, 0.0], [0.0, 0.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            so.Quadratic([1.0, bad], [0.0, 0.0])
+        with pytest.raises(ValueError, match="centers must be finite"):
+            so.Quadratic([1.0, 1.0], [bad, 0.0])
+    q = so.Quadratic([2.0, 0.5], [1.0, -1.0])
+    assert q.p == 2
+    assert q.inv_deriv(q.deriv(np.array([0.25, 3.0]))).tolist() == [0.25, 3.0]
 
 
 def test_prox_minnorm_examples():
@@ -459,7 +436,7 @@ def test_homotopy_start_is_the_largest_singleton_root(p, seed, family, kind):
     psi = (SeparableConvex(p, deriv=lambda w: a * (w - z) + c * (w - z) ** 3)
            if family == "cubic" else _exponential(a, z, c))
     singles = rng.uniform(-4.0, 4.0, size=p)
-    alpha, k = prox._largest_singleton_root(singles, psi)
+    alpha, k = prox._largest_singleton_root(singles, psi, np.arange(p))
     want = float(np.max(psi.inv_deriv(-singles)))
     assert abs(alpha - want) <= 1e-9 * (1.0 + abs(want))
     assert abs(psi.deriv_at(alpha)[k] + singles[k]) <= 1e-9 * (1.0 + abs(singles[k]))
@@ -468,7 +445,7 @@ def test_homotopy_start_is_the_largest_singleton_root(p, seed, family, kind):
     F = (so.cover_function(dyadic_cover(rng, p)) if kind == "cover"
          else dyadic_energy(rng, p))
     singles = np.array([F(1 << j) for j in range(p)])
-    alpha, _ = prox._largest_singleton_root(singles, psi)
+    alpha, _ = prox._largest_singleton_root(singles, psi, np.arange(p))
     assert alpha <= float(np.max(so.prox_homotopy(F, psi))) + 1e-9
 
 
@@ -490,7 +467,8 @@ def test_decomposition_rejects_an_empty_minimizer_far_from_the_base(monkeypatch)
     # t(V) short of F(V) by more than rounding: F - t is positive off the
     # empty set, whose acceptance would return a point outside B(F)
     s = np.array([0.5, -0.25, 1.0])
-    monkeypatch.setattr(prox, "_equalized_start", lambda Fc, pc: s[:Fc.p] - 1e-3)
+    monkeypatch.setattr(prox, "_equalized_start",
+                        lambda Fc, pc, idx: s[idx] - 1e-3)
     with pytest.raises(NumericalInconsistency, match="empty"):
         so.prox_decomposition(so.modular_function(s), quad(3), sfm_backend="brute")
 
@@ -537,3 +515,45 @@ def test_decomposition_and_homotopy_on_large_covers(p):
     assert np.max(np.abs(s - pr.s)) <= 1e-6
     assert np.max(np.abs(u - pr.u)) <= 1e-6
     assert len(np.unique(np.round(pr.u, 6))) > 5  # several blocks to peel
+
+
+def _assert_prox_optimal(F, table, u, s, tol=1e-6):
+    """s in B(F) and every upper level set of u tight for s: with s = -psi'(u),
+    this certifies that u minimizes f(w) + sum_j psi_j(w_j)."""
+    assert abs(float(np.sum(s)) - table[-1]) <= tol
+    assert np.max(batch_subset_sums([s])[0] - table) <= tol
+    for _, mask in so.core.level_sets(-u, 1e-7):
+        assert abs(float(np.sum(s[so.elements_of(mask)])) - table[mask]) <= tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["cut", "cover"]),
+       backend=st.sampled_from(["minnorm", "brute"]))
+def test_prox_routes_agree_on_shifted_cuts_and_covers(p, seed, kind, backend):
+    # coefficients differ per coordinate, so a reduced problem that reads
+    # the penalty at the wrong root coordinates changes the answer
+    rng = np.random.default_rng(seed)
+    base = (so.cut_function(dyadic_digraph(rng, p)) if kind == "cut"
+            else so.cover_function(dyadic_cover(rng, p)))
+    F = so.add_modular(base, dyadic(rng, -1.0, 1.0, size=p))
+    table = so.to_explicit(F)
+    a = dyadic(rng, 0.5, 4.0, size=p)
+    z = dyadic(rng, -2.0, 2.0, size=p)
+    b = dyadic(rng, 0.25, 1.0, size=p)
+
+    q = so.Quadratic(a, z)
+    pr = so.prox_minnorm(F, q, eps=1e-11)
+    s_dec = so.prox_decomposition(F, q, sfm_backend=backend)
+    u_hom = so.prox_homotopy(F, q, sfm_backend=backend)
+    for u, s in ((pr.u, pr.s), (z - s_dec / a, s_dec), (u_hom, a * (z - u_hom))):
+        assert np.max(np.abs(u - pr.u)) <= 1e-6
+        _assert_prox_optimal(F, table, u, s)
+
+    cubic = SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)
+    s_dec = so.prox_decomposition(F, cubic, sfm_backend=backend)
+    u_hom = so.prox_homotopy(F, cubic, sfm_backend=backend)
+    s_hom = -cubic.deriv(u_hom)
+    assert np.max(np.abs(s_dec - s_hom)) <= 1e-6
+    _assert_prox_optimal(F, table, u_hom, s_hom)
+    _assert_prox_optimal(F, table, cubic.inv_deriv(-s_dec), s_dec)

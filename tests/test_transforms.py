@@ -24,7 +24,7 @@ def test_restrict_examples():
     assert r.p == 1 and r(1) == 1.0
     path = path_cut(3)
     r2 = so.restrict(path, 0b101)
-    assert r2.elements == (0, 2)
+    assert r2.p == 2
     assert r2(0b01) == 1.0
     assert r2(0b11) == 2.0
     full = so.restrict(F_OR, 0b11)
@@ -33,11 +33,11 @@ def test_restrict_examples():
 
 def test_contract_examples():
     c = so.contract(F_OR, 0b01)
-    assert c.elements == (1,)
+    assert c.p == 1
     assert c(1) == 0.0
     t = so.modular_function([1.0, -2.0, 3.0])
     ct = so.contract(t, 0b010)
-    assert ct.elements == (0, 2)
+    assert ct.p == 2
     assert np.array_equal(so.to_explicit(ct), [0.0, 1.0, 3.0, 4.0])
     card = so.SetFunction(3, lambda m: float(int(m).bit_count()))
     cc = so.contract(card, 0b100)
@@ -48,7 +48,7 @@ def test_partial_min_examples():
     # path v0 - w - v1 with unit symmetric weights, minimized over w
     g = path_cut(3)
     F = so.partial_min(g, 0b010)
-    assert F.elements == (0, 2)
+    assert F.p == 2
     assert F(0b01) == 1.0
     assert F(0b10) == 1.0
     assert F(0b11) == 0.0
@@ -107,6 +107,17 @@ def test_arithmetic_examples():
     assert np.array_equal(so.to_explicit(shifted), [0.0, 0.0, 1.0, 0.0])
 
 
+def test_modular_vectors_have_length_p_and_finite_entries():
+    cover = so.cover_function(so.CoverSystem(2, [(0b11, 1.0)]))
+    for F in (F_OR, cover):
+        for transform in (so.add_modular, so.convolve_modular):
+            with pytest.raises(ValueError, match=r"expected \(2,\)"):
+                transform(F, [1.0, 2.0, 3.0])
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="must be finite"):
+                    transform(F, [0.5, bad])
+
+
 def test_mobius_examples():
     D = so.mobius(F_OR)
     assert np.array_equal(D, [0.0, 0.0, 0.0, 1.0])
@@ -159,12 +170,12 @@ def test_restriction_polyhedron_is_projection():
         assert so.in_P(FA, s_small)
         # lift with very negative padding: stays in P(F)
         lifted = np.full(6, -1e6)
-        lifted[list(FA.elements)] = s_small
+        lifted[so.elements_of(A)] = s_small
         assert so.in_P(F, lifted)
         # and projections of P(F) samples lie in P(F_A)
         s_big = so.greedy_base(F, rng.standard_normal(6)) - np.abs(
             rng.standard_normal(6)) * rng.integers(0, 2)
-        assert so.in_P(FA, s_big[list(FA.elements)])
+        assert so.in_P(FA, s_big[so.elements_of(A)])
 
 
 def test_contraction_extension_identity():
@@ -178,7 +189,7 @@ def test_contraction_extension_identity():
         w = rng.uniform(-3.0, 1.0, size=FA.p)
         w_full[:] = 0.0
         w_full[list(so.elements_of(A))] = 1.0
-        w_full[list(FA.elements)] = w
+        w_full[so.elements_of(so.complement(A, 6))] = w
         lhs = so.lovasz_extension(FA, w)
         rhs = so.lovasz_extension(F, w_full) - F(A)
         assert lhs == pytest.approx(rhs, abs=1e-9)
@@ -189,7 +200,7 @@ def test_partial_min_extension_identity_at_vertices():
     W = 0b000011
     F = so.partial_min(G, W)
     w_elems = so.elements_of(W)
-    v_elems = list(F.elements)
+    v_elems = so.elements_of(so.complement(W, 6))
     for m in range(1 << F.p):
         w = np.array([(m >> k) & 1 for k in range(F.p)], dtype=float)
         best = min(

@@ -91,6 +91,22 @@ def test_non_finite_weights_rejected(bad):
         so.cut_minimize(sym_digraph(2, [(0, 1, 1.0)]), [1.0, bad])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_rejected_by_every_constructor(bad):
+    # NaN slips through the sign checks (nan < 0 is False), so each
+    # constructor checks finiteness first
+    cases = [
+        lambda: so.CoverSystem(2, [(0b11, 1.0), (0b01, bad)]),
+        lambda: so.weighted_concave([1.0, bad], "sqrt"),
+        lambda: so.concave_cardinality([0.0, 1.0, bad]),
+        lambda: so.logdet_function([[2.0, bad], [bad, 2.0]]),
+        lambda: so.linear_matroid_rank([[1.0, 0.0], [bad, 1.0]]),
+    ]
+    for build in cases:
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+
+
 def test_cover_examples():
     c = so.CoverSystem(2, [(0b11, 1.0)])
     F = so.cover_function(c)
@@ -185,7 +201,8 @@ def test_flow_matches_partial_min_transform():
     H, local = _sink_side_in_cut(net)
     middle = so.subset_of(local[v] for v in local if v not in net.sinks)
     G = so.partial_min(H, middle)
-    order = [G.elements.index(local[t]) for t in net.sinks]
+    kept = so.elements_of(so.complement(middle, H.p))
+    order = [kept.index(local[t]) for t in net.sinks]
     for mask in range(1 << F.p):
         lifted = so.subset_of(order[k] for k in so.elements_of(mask))
         assert F(mask) == pytest.approx(G(lifted), abs=1e-12)
@@ -202,9 +219,9 @@ def test_flow_matches_monotonized_in_cut():
               if u != v and rng.random() < 0.4])
     F = so.flow_function(net)
     H, local = _sink_side_in_cut(net)
-    G = so.restrict(so.monotonize(H),
-                    so.subset_of(local[t] for t in net.sinks))
-    order = [G.elements.index(local[t]) for t in net.sinks]
+    sinks = so.subset_of(local[t] for t in net.sinks)
+    G = so.restrict(so.monotonize(H), sinks)
+    order = [so.elements_of(sinks).index(local[t]) for t in net.sinks]
     for mask in range(1 << F.p):
         lifted = so.subset_of(order[k] for k in so.elements_of(mask))
         assert F(mask) == pytest.approx(G(lifted), abs=1e-9)
