@@ -356,7 +356,11 @@ def main(argv=None) -> int:
     try:
         started = time.perf_counter()
         spec = _load_spec(args.spec)
-        results = args.fn(build_function(spec, args.seed), args)
+        try:
+            F = build_function(spec, args.seed)
+        except (KeyError, TypeError) as exc:  # a missing or mistyped nested field
+            raise SpecError(f"malformed spec: {type(exc).__name__}: {exc}")
+        results = args.fn(F, args)
         _report(args.command, spec, results, started)
     except SpecError as exc:
         return _fail(str(exc), 1)

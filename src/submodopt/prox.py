@@ -2,10 +2,14 @@
 
 Solves min_w f(w) + sum_j psi_j(w_j) for strictly convex differentiable
 psi_j, equivalently the concave separable maximization of
--sum_j psi*_j(-s_j) over the base polytope.  Three routes are provided:
+-sum_j psi*_j(-s_j) over the base polytope.  A penalty is its derivative
+(:class:`SeparableConvex`): the solvers read psi only through psi' and its
+inverse.  :class:`Quadratic` adds closed forms for the inverse, the value
+and the conjugate value.  Three routes are provided:
 
 * ``prox_minnorm``: for quadratics the dual is a diagonal-metric projection
-  onto the base polytope, solved by the minimum-norm-point method;
+  onto the base polytope, solved by the minimum-norm-point method; it
+  reports the primal-dual gap;
 * ``prox_decomposition``: splits the ground set by one submodular
   minimization per level and recurses on restriction/contraction;
 * ``prox_homotopy``: peels the coordinate blocks of the solution from the
@@ -26,7 +30,7 @@ bisection/secant iteration (bracket growth factor 2, 200-iteration cap).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_finite,
 from .errors import (MonotonicityRequired, NoConvergence,
                      NumericalInconsistency, RecursionOverflow, Unbounded)
 from .lovasz import lovasz_extension
-from .polyhedra import exchangeable_pairs
+from .polyhedra import base_maximizer_exchange_check
 from .sfm import min_norm_point, minimize
 
 _ROOT_REL_TOL = 1e-12
@@ -101,48 +105,32 @@ def solve_increasing(fn: Callable[[float], float], target: float,
 
 
 class SeparableConvex:
-    """Coordinatewise strictly convex differentiable penalty.
+    """Coordinatewise strictly convex differentiable penalty, given by psi'.
 
-    Described by its derivative map; the inverse derivative (which is also
-    the derivative of the Fenchel conjugate) defaults to scalar root
-    finding, and the conjugate value is synthesized from ``value`` when not
-    given.  Derivatives must be strictly increasing with full range, so
-    every conjugate is finite on all of R; a grid check rejects obviously
-    flat or saturating derivatives at construction.
-
-    All callables are vectorized over the p coordinates.  A solver that
-    works on some of the coordinates evaluates all p and keeps its own.
+    ``deriv`` is the derivative map, vectorized over the p coordinates; a
+    solver that works on some of the coordinates evaluates all p and keeps
+    its own.  Every solver and optimality condition reads the penalty
+    through psi' and its inverse (psi*)' = (psi')^{-1}, which
+    :meth:`inv_deriv` computes by scalar root searches.  Derivatives must
+    be strictly increasing with full range, so every conjugate is finite on
+    all of R; a grid check rejects obviously flat or saturating derivatives
+    at construction.  A round-trip probe at 0.7 also rejects a ``deriv``
+    that mixes coordinates, such as w + 0.1 * sum(w): ``inv_deriv`` reads
+    each coordinate with the others at zero, so it misses 0.7 there.
     """
 
-    def __init__(self, p: int,
-                 deriv: Callable[[np.ndarray], np.ndarray],
-                 inv_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 value: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 conj_value: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+    def __init__(self, p: int, deriv: Callable[[np.ndarray], np.ndarray]):
         self.p = int(p)
         self.deriv = deriv
-        self.value = value
-        self.inv_deriv = inv_deriv if inv_deriv is not None else self._invert
-        if conj_value is not None:
-            self.conj_value = conj_value
-        elif value is not None:
-            self.conj_value = self._conj_from_value
-        else:
-            self.conj_value = None
         self._validate()
-
-    # conjugate derivative and inverse derivative coincide for smooth
-    # strictly convex functions
-    @property
-    def conj_deriv(self):
-        return self.inv_deriv
 
     def deriv_at(self, alpha: float) -> np.ndarray:
         """Vector of per-coordinate derivatives at the common point alpha."""
         return np.asarray(self.deriv(np.full(self.p, float(alpha))),
                           dtype=np.float64)
 
-    def _invert(self, y) -> np.ndarray:
+    def inv_deriv(self, y) -> np.ndarray:
+        """The x with psi'_j(x_j) = y_j for every j: one root search per coordinate."""
         y = np.asarray(y, dtype=np.float64)
         out = np.empty(self.p)
         for j in range(self.p):
@@ -152,11 +140,6 @@ class SeparableConvex:
                 return float(self.deriv(w)[j])
             out[j] = solve_increasing(fj, float(y[j]))
         return out
-
-    def _conj_from_value(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=np.float64)
-        x = self.inv_deriv(y)
-        return y * x - np.asarray(self.value(x), dtype=np.float64)
 
     def _validate(self) -> None:
         grid = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
@@ -180,18 +163,29 @@ class SeparableConvex:
 
 
 class Quadratic(SeparableConvex):
-    """Weighted shifted quadratics psi_j(w) = a_j / 2 * (w - z_j)^2."""
+    """Weighted shifted quadratics psi_j(w) = a_j / 2 * (w - z_j)^2.
+
+    The inverse derivative, the value and the conjugate value have closed
+    forms; ``prox_minnorm`` reports its primal-dual gap from the last two.
+    """
 
     def __init__(self, a, z):
         self.a = a = np.asarray(a, dtype=np.float64)
         self.z = z = np.asarray(z, dtype=np.float64)
-        super().__init__(
-            a.size,
-            deriv=lambda w: a * (np.asarray(w, dtype=np.float64) - z),
-            inv_deriv=lambda y: z + np.asarray(y, dtype=np.float64) / a,
-            value=lambda w: 0.5 * a * (np.asarray(w, dtype=np.float64) - z) ** 2,
-            conj_value=lambda y: (lambda yy: yy * z + yy * yy / (2.0 * a))(
-                np.asarray(y, dtype=np.float64)))
+        super().__init__(a.size,
+                         deriv=lambda w: a * (np.asarray(w, dtype=np.float64) - z))
+
+    def inv_deriv(self, y) -> np.ndarray:
+        return self.z + np.asarray(y, dtype=np.float64) / self.a
+
+    def value(self, w) -> np.ndarray:
+        """psi_j(w_j) for every j."""
+        return 0.5 * self.a * (np.asarray(w, dtype=np.float64) - self.z) ** 2
+
+    def conj_value(self, y) -> np.ndarray:
+        """psi*_j(y_j) = y_j z_j + y_j^2 / (2 a_j) for every j."""
+        y = np.asarray(y, dtype=np.float64)
+        return y * self.z + y * y / (2.0 * self.a)
 
     def _validate(self) -> None:
         """Shapes, finiteness and positive weights; the closed forms need no probe."""
@@ -482,19 +476,12 @@ def prox_over_P_plus(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
     return w, s
 
 
-DerivativeSpec = Union[SeparableConvex, Callable, Sequence[Callable]]
+DerivativeSpec = Union[SeparableConvex, Callable]
 
 
 def _derivative_values(g: DerivativeSpec, s: np.ndarray) -> np.ndarray:
-    if isinstance(g, SeparableConvex):
-        w = np.asarray(g.deriv(s), dtype=np.float64)
-    elif callable(g):
-        w = np.asarray(g(s), dtype=np.float64)
-    else:
-        if len(g) != s.shape[0]:
-            raise ValueError(f"{len(g)} derivatives for a vector of length "
-                             f"{s.shape[0]}")
-        w = np.array([float(gj(sj)) for gj, sj in zip(g, s)])
+    deriv = g.deriv if isinstance(g, SeparableConvex) else g
+    w = np.asarray(deriv(s), dtype=np.float64)
     if w.shape != s.shape:
         raise ValueError(f"derivative values have shape {w.shape}, "
                          f"expected {s.shape}")
@@ -503,25 +490,21 @@ def _derivative_values(g: DerivativeSpec, s: np.ndarray) -> np.ndarray:
 
 def check_separable_optimality(F: SetFunction, s, g: DerivativeSpec,
                                tol: float = 1e-8,
-                               tight_tol: float = 1e-8,
                                cap: int = EXHAUSTIVE_CAP) -> bool:
     """Whether a base s minimizes sum_j g_j(s_j) over the base polytope.
 
-    Primary form: g'_k(s_k) >= g'_q(s_q) for every exchangeable pair (k, q).
-    The equivalent level-set form (every lower level set of g'(s) tight) is
-    computed as well; disagreement raises NumericalInconsistency.
+    Primary form: g'_k(s_k) >= g'_q(s_q) for every exchangeable pair (k, q),
+    the exchange check of :func:`polyhedra.base_maximizer_exchange_check`
+    with weights -g'(s).  The equivalent level-set form (every lower level
+    set of g'(s) tight) is computed as well; disagreement raises
+    NumericalInconsistency.  ``tol`` bounds both the tight sets and the
+    derivative comparisons.
 
-    ``g`` may be a SeparableConvex, a vectorized derivative callable, or a
-    list of scalar derivative callables.
+    ``g`` is a SeparableConvex or a vectorized derivative callable.
     """
     s = np.asarray(s, dtype=np.float64)
     w = _derivative_values(g, s)
-
-    ok_pairs = True
-    for k, q in exchangeable_pairs(F, s, tight_tol, cap):
-        if w[k] < w[q] - tol:
-            ok_pairs = False
-            break
+    ok_pairs = base_maximizer_exchange_check(F, s, -w, tol, cap)
 
     # level-set form: cluster the derivative values, check prefixes tight
     ok_levels = True
@@ -531,7 +514,7 @@ def check_separable_optimality(F: SetFunction, s, g: DerivativeSpec,
             break
         for j in block.tolist():
             acc += s[j]
-        if abs(acc - F(mask)) > max(tol, tight_tol):
+        if abs(acc - F(mask)) > tol:
             ok_levels = False
             break
 

@@ -31,16 +31,13 @@ class Corral:
 
     ``bases`` rows are vertices of the base polytope produced by the greedy
     oracle; ``coeffs`` are their convex weights (nonnegative, summing to one
-    within 1e-12); the current iterate is coeffs @ bases.  ``gram`` is the
-    metric Gram matrix of the centered bases, ((bases - c) * d) @ (bases - c).T
-    for weights d and center c.  ``gap`` is the linearization gap at the
-    iterate, and ``major_cycles`` counts the vertices added to the corral
-    after the starting one.
+    within 1e-12); the current iterate is coeffs @ bases.  ``gap`` is the
+    linearization gap at the iterate, and ``major_cycles`` counts the
+    vertices added to the corral after the starting one.
     """
 
     bases: np.ndarray
     coeffs: np.ndarray
-    gram: np.ndarray
     gap: float
     converged: bool
     major_cycles: int
@@ -162,9 +159,7 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
                 break
         x = coeffs @ bases
 
-    centered = bases - c
-    gram = (centered * d) @ centered.T
-    corral = Corral(bases=bases, coeffs=coeffs, gram=gram, gap=gap,
+    corral = Corral(bases=bases, coeffs=coeffs, gap=gap,
                     converged=converged, major_cycles=majors)
     if not converged:
         raise NoConvergence(

@@ -12,9 +12,10 @@ any other function keeps the per-mask loop, which never evaluates its
 inputs beyond the masks it needs.
 
 Chains (:meth:`SetFunction.chain`) follow the same rule with one
-difference.  ``add``, ``scale`` and ``add_modular`` chain by arithmetic on
-the chains of their inputs whenever every input chains from its structure;
-any other restriction or contraction chains by one oracle call per prefix.
+difference.  ``add`` and ``scale`` chain by arithmetic on the chains of
+their inputs whenever every input chains from its structure, and so does
+``add_modular``, which is ``add`` of a modular function; any other
+restriction or contraction chains by one oracle call per prefix.
 
 Cuts and covers, each plus a modular term, are closed under ``restrict``,
 ``contract`` and ``add_modular`` (:class:`core.ClosedStructure`, with
@@ -42,7 +43,7 @@ import numpy as np
 from . import _kernels
 from .core import (EXHAUSTIVE_CAP, ClosedStructure, ExplicitFunction,
                    SetFunction, check_cap, check_finite, check_vector,
-                   ModularSums, complement, elements_of, modular_chain,
+                   ModularSums, complement, elements_of, modular_function,
                    to_explicit)
 from .errors import NegativeScale
 
@@ -240,18 +241,14 @@ def add_modular(F: SetFunction, s) -> SetFunction:
 
     A cut or a cover adds s to the modular vector of its structure, and the
     result is built from that structure without wrapping F.  Any other F
-    reads s(A) from byte tables (see :class:`core.ModularSums`), and chains,
-    when F does, by adding the cumulative sum of s to the chain of F.
+    is ``add(F, modular_function(s))``: it tabulates and chains from s
+    whenever F does.
     """
     s = check_finite(check_vector(s, F.p), "modular vector")
     S = _structure(F)
     if S is not None:
         return S.add_modular(s).function()
-    sums = ModularSums(s)
-    builder = _if_structured(lambda cap: F.tabulate(cap) + _kernels.subset_sums(s), F)
-    chainer = _if_chained(lambda order: F.chainer(order) + modular_chain(s, order), F)
-    return SetFunction(F.p, lambda m: F(m) + sums[m], memoize=True, builder=builder,
-                       chainer=chainer)
+    return add(F, modular_function(s))
 
 
 def mobius(F: SetFunction, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from submodopt import cli, core
+from submodopt import cli, core, transforms
 from submodopt.cli import main
 
 from helpers import address_space_limit
@@ -174,6 +174,78 @@ def test_non_finite_prox_weights_exit_1(capsys):
     for flag in ("--weights=1,nan,1,1,1,1", "--centers=0,0,inf,0,0,0"):
         code, out, err = run(capsys, "prox", DATA / "random_cut6.json", flag)
         assert code == 1 and out == "" and "must be finite" in err
+
+
+_COVER = {"kind": "cover", "p": 3, "groups": [
+    {"members": [0, 1], "weight": 1.0}, {"members": [1, 2], "weight": 0.5},
+    {"members": [2], "weight": 0.25}]}
+_CUT = {"kind": "cut", "p": 3, "arcs": [[0, 1, 1.0], [1, 2, 0.5], [2, 0, 0.75]]}
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "cover", "p": 2, "groups": [{"weight": 1.0}]},
+    {"kind": "cover", "p": 2, "groups": [{"members": [0]}]},
+    {"kind": "cover", "p": 2, "groups": [[[0], 1.0]]},
+    {"kind": "cut", "p": 2, "arcs": 5},
+    {"kind": "cut", "p": 2, "arcs": [[0, 1, "x"]]},
+    {"kind": "cut", "p": None, "arcs": []},
+    {"kind": "cover", "p": [3], "groups": []},
+    {"kind": "cover", "p": 2, "groups": [{"members": 1, "weight": 1.0}]},
+    {"kind": "cover", "p": 2, "groups": [{"members": [0], "weight": None}]},
+    {"kind": "transform", "op": "scale", "factor": 2.0, "inner": "kind"},
+    {"kind": "transform", "op": "sum", "inners": 3},
+    {"kind": "transform", "op": "restrict", "subset": 1, "inner": _EXPLICIT},
+    {"kind": "flow", "n_nodes": 3, "sources": 0, "sinks": [2],
+     "arcs": [[0, 1, 1.0], [1, 2, 1.0]]},
+])
+def test_malformed_spec_fields_exit_1(capsys, tmp_path, spec):
+    # a KeyError or TypeError while building from the spec is an input error
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "minimize", path, "--algo", "brute")
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed spec") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("op, fields, build", [
+    ("sum", {"inners": [_COVER, _CUT]},
+     lambda: transforms.add(cli.build_function(_COVER), cli.build_function(_CUT))),
+    ("restrict", {"inner": _CUT, "subset": [0, 2]},
+     lambda: transforms.restrict(cli.build_function(_CUT), 0b101)),
+    ("contract", {"inner": _COVER, "subset": [1]},
+     lambda: transforms.contract(cli.build_function(_COVER), 0b010)),
+    ("partial_min", {"inner": _CUT, "w_set": [2]},
+     lambda: transforms.partial_min(cli.build_function(_CUT), 0b100)),
+    ("monotonize", {"inner": _CUT},
+     lambda: transforms.monotonize(cli.build_function(_CUT))),
+    ("scale", {"inner": {"kind": "transform", "op": "sum",
+                         "inners": [_COVER, _CUT]}, "factor": 1.5},
+     lambda: transforms.scale(transforms.add(cli.build_function(_COVER),
+                                             cli.build_function(_CUT)), 1.5)),
+])
+def test_transform_specs_match_the_api(capsys, tmp_path, op, fields, build):
+    path = tmp_path / f"{op}.json"
+    path.write_text(json.dumps({"kind": "transform", "op": op, **fields}))
+    doc = run_json(capsys, "explicit", path)
+    assert doc["results"]["spec"]["values"] == core.to_explicit(build()).tolist()
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    ({"kind": "cut", "p": 2}, (), "missing required field 'arcs'"),
+    ({"kind": "transform", "op": "restrict", "subset": [3], "inner": _EXPLICIT},
+     (), "element 3 out of range"),
+    ({"kind": "zigzag"}, (), "unknown spec kind"),
+    ({"kind": "transform", "op": "twist", "inner": _EXPLICIT}, (),
+     "unknown transform op"),
+    ({"kind": "transform", "op": "sum", "inners": []}, (), "at least one"),
+    ([0.0, 1.0], (), "must be a JSON object"),
+    (_EXPLICIT, ("--w", "1,x"), "comma-separated list of numbers"),
+])
+def test_spec_errors_exit_1(capsys, tmp_path, doc, argv, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval" if argv else "explicit", path, *argv)
+    assert code == 1 and out == "" and message in err
 
 
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 32.0 GiB"),

@@ -36,21 +36,22 @@ def test_corral_invariants_across_instances():
         assert np.all(corral.coeffs >= 0.0)
         assert abs(float(np.sum(corral.coeffs)) - 1.0) <= 1e-12
         assert np.allclose(corral.coeffs @ corral.bases, x, atol=1e-12)
-        assert corral.gram.shape == (len(corral.coeffs), len(corral.coeffs))
         for base in corral.bases:
             assert so.in_B(F, base, tol=1e-9)
 
 
-def test_corral_gram_is_the_metric_gram_of_the_centered_bases():
+def test_corral_point_is_the_metric_projection():
+    # x minimizes sum d (s - c)^2 over B(F) iff no base s has
+    # <d (x - c), s - x> < 0; the greedy base for -d (x - c) minimizes it
     rng = np.random.default_rng(5)
     for seed in range(5):
         F = so.random_submodular(seed, 7, "cover+modular")
         d = rng.uniform(0.5, 4.0, 7)
         c = rng.uniform(-1.0, 1.0, 7)
-        _, corral = so.min_norm_point(F, weights=d, center=c)
-        centered = corral.bases - c
-        assert np.allclose(corral.gram, (centered * d) @ centered.T,
-                           rtol=0.0, atol=1e-12)
+        x, corral = so.min_norm_point(F, weights=d, center=c, eps=1e-12)
+        g = d * (x - c)
+        assert float(g @ (so.greedy_base(F, -g) - x)) >= -1e-9
+        assert np.allclose(corral.coeffs @ corral.bases, x, atol=1e-12)
 
 
 def test_min_norm_point_makes_one_greedy_call_per_iterate(monkeypatch):
