@@ -37,6 +37,8 @@ def _need(obj: dict, key: str):
 def _mask_from_indices(indices, p: int) -> int:
     mask = 0
     for k in indices:
+        if int(k) != k:
+            raise SpecError(f"element {k!r} is not an integer")
         k = int(k)
         if not 0 <= k < p:
             raise SpecError(f"element {k} out of range for p={p}")
@@ -358,7 +360,8 @@ def main(argv=None) -> int:
         spec = _load_spec(args.spec)
         try:
             F = build_function(spec, args.seed)
-        except (KeyError, TypeError) as exc:  # a missing or mistyped nested field
+        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+            # a missing, mistyped or unrepresentable nested field
             raise SpecError(f"malformed spec: {type(exc).__name__}: {exc}")
         results = args.fn(F, args)
         _report(args.command, spec, results, started)

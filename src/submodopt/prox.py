@@ -241,16 +241,16 @@ def prox_threshold_sets(u, alpha: float, tau: float = 1e-9) -> tuple[int, int]:
     return minimal, maximal
 
 
-def _equalized_start(F: SetFunction, psi: SeparableConvex,
+def _equalized_start(fv: float, psi: SeparableConvex,
                      idx: np.ndarray) -> np.ndarray:
-    """The sum-constrained minimizer of the dual objective: t with t(V) = F(V).
+    """The sum-constrained minimizer of the dual objective: t with t(V) = fv.
 
     Minimizing sum_j psi*_j(-t_j) subject to the sum constraint equalizes
     the dual derivatives, i.e. t_j = -psi'_j(nu) for a common scalar nu
     (for uniform quadratic weights this reduces to equal t_j - z_j).  Local
-    element j of F is root coordinate idx[j] of psi.
+    element j of the reduced function, whose F(V) is fv, is root
+    coordinate idx[j] of psi.
     """
-    fv = F((1 << F.p) - 1)
     if isinstance(psi, Quadratic):
         a, z = psi.a[idx], psi.z[idx]
         nu = (float(np.sum(a * z)) - fv) / float(np.sum(a))
@@ -272,7 +272,9 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
     A largest minimizer that is empty means min(F - t) = 0 with F(V) - t(V)
     above the SFM tolerance; t is accepted as optimal, being in B(F) up to
     rounding, when that gap is within 1e-9 * (1 + |F(V)|), and otherwise
-    the root search went wrong and NumericalInconsistency is raised.
+    the root search went wrong and NumericalInconsistency is raised.  A
+    one-element function runs no SFM: its B(F) is the single point F(V),
+    so a one-element leaf returns t after the same check.
     Each level removes at least one element, so recursion deeper than p
     levels is an internal bug, reported as RecursionOverflow.
     """
@@ -284,19 +286,22 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
     def solve(Fc: SetFunction, idx: np.ndarray, depth: int) -> np.ndarray:
         if depth > depth_limit:
             raise RecursionOverflow(f"decomposition depth {depth} exceeds limit")
-        t = _equalized_start(Fc, psi, idx)
         full = (1 << Fc.p) - 1
-        shifted = transforms.add_modular(Fc, -t)
-        res = minimize(shifted, backend=sfm_backend, eps=eps)
-        a_mask = res.maximal_minimizer
+        fv = Fc(full)
+        t = _equalized_start(fv, psi, idx)
+        if Fc.p == 1:  # B(F) is the single point F(V): t needs no SFM
+            a_mask = 0
+        else:
+            a_mask = minimize(transforms.add_modular(Fc, -t),
+                              backend=sfm_backend, eps=eps).maximal_minimizer
         if a_mask == full:
             return t
         if a_mask == 0:
-            tv, fv = float(np.sum(t)), Fc(full)
+            tv = float(np.sum(t))
             if abs(tv - fv) > 1e-9 * (1.0 + abs(fv)):
                 raise NumericalInconsistency(
-                    f"largest minimizer of F - t is empty with t(V) = {tv!r} "
-                    f"against F(V) = {fv!r}")
+                    f"t(V) = {tv!r} differs from F(V) = {fv!r} while the "
+                    f"largest minimizer of F - t is empty")
             return t
         inside = elements_of(a_mask)
         outside = elements_of(complement(a_mask, Fc.p))
@@ -339,7 +344,8 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     block value alpha*, F + psi'(alpha*) is nonnegative on every set,
     singletons included, so every alpha_k <= alpha*, and the singleton
     attaining the max is tight at the start.  When the top block is one
-    element, the first SFM confirms it.  The secant loop stops on a
+    element, the first SFM confirms it; when one element remains, its block
+    value is its singleton root and no SFM runs.  The secant loop stops on a
     minimization of F + psi'(alpha) at the final alpha; its maximal
     minimizer, united with the last tight set, is the peeled block, so no
     SFM is repeated for the peel.
@@ -356,6 +362,14 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
         singles = cur_f.singletons()
         tol = 1e-9 * (1.0 + float(np.max(np.abs(singles))))
         alpha, k = _largest_singleton_root(singles, psi, idx)
+        if p == 1:  # the last block is one element, valued at its root
+            value = singles[0] + float(psi.deriv_at(alpha)[idx[0]])
+            if not abs(value) <= 10.0 * tol:  # NaN fails too
+                raise NumericalInconsistency(
+                    f"peel set value {value:.3e} exceeds tolerance "
+                    f"{10.0 * tol:.3e}")
+            u[idx[0]] = alpha
+            return u
         last_tight = 1 << k
 
         for _ in range(_ROOT_MAX_ITER):

@@ -10,6 +10,7 @@ provides the exact reference for small ground sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,24 +63,27 @@ class SfmResult:
 def _affine_minimizer(gram: np.ndarray) -> np.ndarray:
     """Coefficients of the norm minimizer over the affine hull of the corral.
 
-    Solves gram @ y = 1 by Cholesky (with escalating diagonal jitter if the
-    factorization degenerates) and normalizes to sum one.
+    Solves (gram + jitter * I) y = 1 with one LAPACK call and normalizes y
+    to sum one.  An exactly singular system (LinAlgError) or a zero or
+    non-finite sum(y) escalates the diagonal jitter a hundredfold, up to
+    six times, before a least-squares solve takes over.
     """
     m = gram.shape[0]
     ones = np.ones(m)
-    jitter = _JITTER * max(1.0, float(np.max(np.diag(gram))))
+    eye = np.eye(m)
+    jitter = _JITTER * max(1.0, float(gram.diagonal().max()))
     for _ in range(6):
         try:
-            chol = np.linalg.cholesky(gram + jitter * np.eye(m))
-            y = np.linalg.solve(chol.T, np.linalg.solve(chol, ones))
-            total = float(np.sum(y))
-            if total != 0.0 and np.isfinite(total):
-                return y / total
+            y = np.linalg.solve(gram + jitter * eye, ones)
         except np.linalg.LinAlgError:
             pass
+        else:
+            total = float(y.sum())
+            if total != 0.0 and math.isfinite(total):
+                return y / total
         jitter *= 100.0
-    y, *_ = np.linalg.lstsq(gram + jitter * np.eye(m), ones, rcond=None)
-    return y / float(np.sum(y))
+    y, *_ = np.linalg.lstsq(gram + jitter * eye, ones, rcond=None)
+    return y / float(y.sum())
 
 
 def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
@@ -139,21 +143,21 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
         while True:
             centered = bases - c
             y = _affine_minimizer((centered * d) @ centered.T)
-            if np.all(y >= _DROP_COEFF):
+            if y.min() >= _DROP_COEFF:
                 coeffs = y
                 break
             shrink = coeffs - y
             move = shrink > _DROP_COEFF
-            theta = float(np.min(coeffs[move] / shrink[move]))
+            theta = float((coeffs[move] / shrink[move]).min())
             theta = min(max(theta, 0.0), 1.0)
             coeffs = (1.0 - theta) * coeffs + theta * y
             keep = coeffs > _DROP_COEFF
-            if np.all(keep):
+            if keep.all():
                 # numerical stall: keep the smallest coefficient anyway
                 keep[int(np.argmin(coeffs))] = False
             bases = bases[keep]
             coeffs = coeffs[keep]
-            coeffs = coeffs / float(np.sum(coeffs))
+            coeffs = coeffs / float(coeffs.sum())
             if bases.shape[0] == 1:
                 coeffs = np.array([1.0])
                 break

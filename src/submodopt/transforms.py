@@ -227,7 +227,7 @@ def add(F: SetFunction, G: SetFunction) -> SetFunction:
 
 
 def scale(F: SetFunction, lam: float) -> SetFunction:
-    lam = float(lam)
+    lam = float(check_finite(lam, "scale factor"))
     if lam < 0.0:
         raise NegativeScale(f"scale factor must be nonnegative, got {lam}")
     builder = _if_structured(lambda cap: lam * F.tabulate(cap), F)

@@ -160,6 +160,8 @@ _EXPLICIT = {"kind": "explicit", "values": [0.0, 1.0, 1.0, 0.5]}
      "inner": _EXPLICIT},
     {"kind": "transform", "op": "convolve_modular", "vector": [0.0, math.inf],
      "inner": _EXPLICIT},
+    {"kind": "transform", "op": "scale", "factor": 1e400, "inner": _EXPLICIT},
+    {"kind": "transform", "op": "scale", "factor": math.nan, "inner": _EXPLICIT},
 ])
 def test_non_finite_numbers_exit_1(capsys, tmp_path, spec):
     # before, check reported NaN tables as submodular and exited 0
@@ -197,9 +199,12 @@ _CUT = {"kind": "cut", "p": 3, "arcs": [[0, 1, 1.0], [1, 2, 0.5], [2, 0, 0.75]]}
     {"kind": "transform", "op": "restrict", "subset": 1, "inner": _EXPLICIT},
     {"kind": "flow", "n_nodes": 3, "sources": 0, "sinks": [2],
      "arcs": [[0, 1, 1.0], [1, 2, 1.0]]},
+    {"kind": "random", "p": 3, "family": 5},
+    {"kind": "cut", "p": 1e400, "arcs": []},
 ])
 def test_malformed_spec_fields_exit_1(capsys, tmp_path, spec):
-    # a KeyError or TypeError while building from the spec is an input error
+    # an AttributeError, KeyError, OverflowError or TypeError while building
+    # from the spec is an input error
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(spec))
     code, out, err = run(capsys, "minimize", path, "--algo", "brute")
@@ -240,6 +245,8 @@ def test_transform_specs_match_the_api(capsys, tmp_path, op, fields, build):
     ({"kind": "transform", "op": "sum", "inners": []}, (), "at least one"),
     ([0.0, 1.0], (), "must be a JSON object"),
     (_EXPLICIT, ("--w", "1,x"), "comma-separated list of numbers"),
+    ({"kind": "cover", "p": 2, "groups": [{"members": [0.5], "weight": 1.0}]},
+     (), "element 0.5 is not an integer"),
 ])
 def test_spec_errors_exit_1(capsys, tmp_path, doc, argv, message):
     path = tmp_path / "spec.json"

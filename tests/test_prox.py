@@ -403,14 +403,17 @@ def test_homotopy_never_minimizes_the_same_shifted_function_twice(kind, monkeypa
                 SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)):
         shifts.clear()
         u = so.prox_homotopy(F, psi)
-        assert len(shifts) > len(np.unique(u))  # some peel took a secant step
-        for (f0, s0), (f1, s1) in zip(shifts, shifts[1:]):
+        pairs = list(zip(shifts, shifts[1:]))
+        # two shifts of one G in a row: some peel took a secant step
+        assert any(f0 is f1 for (f0, _), (f1, _) in pairs)
+        for (f0, s0), (f1, s1) in pairs:
             assert not (f0 is f1 and s0 == s1)
 
 
 def test_homotopy_confirms_each_modular_peel_with_its_first_sfm(monkeypatch):
     # every block of a modular function's solution is one element, whose
-    # singleton root is the block value, so no peel takes a secant step
+    # singleton root is the block value, so no peel takes a secant step,
+    # and the last peel, on one element, needs no SFM at all
     rng = np.random.default_rng(11)
     p = 10
     t = dyadic(rng, -2.0, 2.0, size=p)
@@ -430,7 +433,7 @@ def test_homotopy_confirms_each_modular_peel_with_its_first_sfm(monkeypatch):
         calls.clear()
         u = so.prox_homotopy(so.modular_function(t), psi)
         assert len(np.unique(u)) == p
-        assert len(calls) == p
+        assert len(calls) == p - 1
         assert np.max(np.abs(psi.deriv(u) + t)) <= 1e-9
 
 
@@ -483,9 +486,76 @@ def test_decomposition_rejects_an_empty_minimizer_far_from_the_base(monkeypatch)
     # empty set, whose acceptance would return a point outside B(F)
     s = np.array([0.5, -0.25, 1.0])
     monkeypatch.setattr(prox, "_equalized_start",
-                        lambda Fc, pc, idx: s[idx] - 1e-3)
+                        lambda fv, pc, idx: s[idx] - 1e-3)
     with pytest.raises(NumericalInconsistency, match="empty"):
         so.prox_decomposition(so.modular_function(s), quad(3), sfm_backend="brute")
+
+
+def _quadratic_and_cubic(a, z, b):
+    return (so.Quadratic(a, z),
+            SeparableConvex(a.size, deriv=lambda w: a * (w - z) + b * (w - z) ** 3))
+
+
+def test_decomposition_leaves_of_one_element_run_no_sfm(monkeypatch):
+    # B(F) of a one-element function is the point F(V), which the equalized
+    # start already is
+    rng = np.random.default_rng(17)
+    p = 9
+    m = dyadic(rng, -2.0, 2.0, size=p)
+    a = dyadic(rng, 0.5, 2.0, size=p)
+    z = dyadic(rng, -1.0, 1.0, size=p)
+    b = dyadic(rng, 0.25, 1.0, size=p)
+    sfm_sizes, starts = [], []
+    minimize, start = prox.minimize, prox._equalized_start
+
+    def counting_minimize(G, **kwargs):
+        sfm_sizes.append(G.p)
+        return minimize(G, **kwargs)
+
+    def recording_start(fv, psi, idx):
+        t = start(fv, psi, idx)
+        starts.append((idx.copy(), t.copy()))
+        return t
+
+    monkeypatch.setattr(prox, "minimize", counting_minimize)
+    monkeypatch.setattr(prox, "_equalized_start", recording_start)
+    F1 = so.modular_function(m[:1])
+    for psi in _quadratic_and_cubic(a[:1], z[:1], b[:1]):
+        sfm_sizes.clear()
+        s = so.prox_decomposition(F1, psi)
+        assert sfm_sizes == []
+        assert s.tobytes() == start(F1(1), psi, np.arange(1)).tobytes()
+    for psi in _quadratic_and_cubic(a, z, b):
+        sfm_sizes.clear()
+        starts.clear()
+        s = so.prox_decomposition(so.modular_function(m), psi)
+        assert sfm_sizes and 1 not in sfm_sizes
+        leaves = [(idx, t) for idx, t in starts if idx.size == 1]
+        assert sorted(int(idx[0]) for idx, _ in leaves) == list(range(p))
+        for idx, t in leaves:
+            assert s[idx].tobytes() == t.tobytes()
+        assert np.max(np.abs(s - m)) <= 1e-9
+
+
+def test_decomposition_leaf_keeps_the_base_check(monkeypatch):
+    # a one-element leaf whose t(V) misses F(V) is a failed root search
+    monkeypatch.setattr(prox, "_equalized_start",
+                        lambda fv, pc, idx: np.array([fv - 1e-3]))
+    with pytest.raises(NumericalInconsistency, match="differs from F"):
+        so.prox_decomposition(so.modular_function([0.5]), quad(1))
+
+
+def test_homotopy_last_element_keeps_the_peel_check(monkeypatch):
+    # the closed-form last peel still checks F(V) + psi'(alpha) = 0
+    root = prox._largest_singleton_root
+
+    def off_at_the_last_element(singles, psi, idx):
+        alpha, k = root(singles, psi, idx)
+        return (alpha + 1e-3, k) if singles.size == 1 else (alpha, k)
+
+    monkeypatch.setattr(prox, "_largest_singleton_root", off_at_the_last_element)
+    with pytest.raises(NumericalInconsistency, match="peel set value"):
+        so.prox_homotopy(so.modular_function([0.5, -1.0]), quad(2))
 
 
 def test_decomposition_above_the_cap_allocates_no_dense_table():

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import submodopt as so
+from submodopt import sfm
 from submodopt.errors import NumericalInconsistency
 
-from helpers import brute_min
+from helpers import brute_min, dyadic_digraph
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
 SYM_CUT2 = so.explicit_function([0.0, 1.0, 1.0, 0.0])
@@ -55,7 +56,6 @@ def test_corral_point_is_the_metric_projection():
 
 
 def test_min_norm_point_makes_one_greedy_call_per_iterate(monkeypatch):
-    from submodopt import sfm
     from submodopt.errors import NoConvergence
 
     calls = []
@@ -199,14 +199,76 @@ def test_no_convergence_carries_partial_result():
 
 
 def test_norm_increase_raises_package_error(monkeypatch):
-    from submodopt import sfm
-
     # B(F) is the segment from (2, 1) to (0, 3); weighting the second vertex
     # too heavily moves the iterate away from the origin
     F = so.explicit_function([0.0, 2.0, 3.0, 3.0])
     monkeypatch.setattr(sfm, "_affine_minimizer", lambda gram: np.array([0.1, 0.9]))
     with pytest.raises(NumericalInconsistency, match="norm increased.*5.0"):
         so.min_norm_point(F)
+
+
+def _affine_minimizer_by_cholesky(gram):
+    """Reference: the Cholesky factor of gram + jitter * I and two solves."""
+    m = gram.shape[0]
+    jitter = 1e-12 * max(1.0, float(np.max(np.diag(gram))))
+    chol = np.linalg.cholesky(gram + jitter * np.eye(m))
+    y = np.linalg.solve(chol.T, np.linalg.solve(chol, np.ones(m)))
+    return y / np.sum(y)
+
+
+@pytest.mark.parametrize("m", [12, 30])
+def test_affine_minimizer_matches_the_cholesky_solve(m):
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        vertices = rng.standard_normal((m, m + 5))
+        gram = vertices @ vertices.T
+        y = sfm._affine_minimizer(gram)
+        ref = _affine_minimizer_by_cholesky(gram)
+        assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_affine_minimizer_on_singular_grams():
+    # two equal rows: the corral holds one vertex twice
+    rng = np.random.default_rng(3)
+    vertices = rng.standard_normal((5, 7))
+    vertices[3] = vertices[1]
+    y = sfm._affine_minimizer(vertices @ vertices.T)
+    assert np.all(np.isfinite(y)) and abs(float(np.sum(y)) - 1.0) <= 1e-12
+    # gram + jitter * I exactly singular: the solve raises and the jitter grows
+    y = sfm._affine_minimizer(np.diag([-1e-12, 1.0]))
+    assert np.all(np.isfinite(y)) and abs(float(np.sum(y)) - 1.0) <= 1e-12
+
+
+def test_min_norm_point_on_a_cut_with_parallel_copies(monkeypatch):
+    # a symmetric cut with two parallel copies of one element: 0 lies in
+    # B(F), so the final corral's affine hull passes through the origin and
+    # its Gram matrix is singular
+    original = sfm._affine_minimizer
+    ranks = []
+
+    def recording(gram):
+        ranks.append(gram.shape[0] - np.linalg.matrix_rank(gram))
+        return original(gram)
+
+    monkeypatch.setattr(sfm, "_affine_minimizer", recording)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        p = 8
+        g = dyadic_digraph(rng, p - 1, density=0.4)
+        arcs = [*g.arcs, *((v, u, w) for u, v, w in g.arcs)]
+        arcs += [(p - 1 if u == 0 else u, p - 1 if v == 0 else v, w)
+                 for u, v, w in arcs if 0 in (u, v)]
+        F = so.cut_function(so.Digraph(p, arcs))
+        ranks.clear()
+        x, corral = so.min_norm_point(F)
+        assert corral.converged and max(ranks) > 0
+        assert np.max(np.abs(x)) <= 1e-9
+        assert np.all(corral.coeffs >= 0.0)
+        assert abs(float(np.sum(corral.coeffs)) - 1.0) <= 1e-12
+        res = so.minimize(F)
+        vmin, amin, omin, _ = brute_min(F)
+        assert (res.min_value, res.minimal_minimizer,
+                res.maximal_minimizer) == (vmin, amin, omin)
 
 
 def test_min_norm_argument_validation():
