@@ -20,8 +20,8 @@ that read F once per level set of a vector (block-value recovery, the
 level-set optimality and maximizer checks) walk those sets through
 :func:`level_sets`.
 
-Cuts and covers, each plus a modular term, chain by a
-:class:`ClosedStructure`: it also evaluates, tabulates and lists the
+Cuts and covers, each plus a modular term, and modular functions chain
+by a :class:`ClosedStructure`: it also evaluates, tabulates and lists the
 singleton values of its function, and it is closed under restriction,
 contraction and modular shifts, so ``transforms`` rebuilds the oracle, the
 table and the chain of such a transform from the reduced structure.
@@ -75,6 +75,19 @@ def check_finite(values, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} must be finite")
     return values
+
+
+def check_tolerance(tol) -> float:
+    """tol as a float, which must be finite and nonnegative.
+
+    A NaN tolerance would make every comparison against it false, so a
+    property check would pass everything; a negative one would report
+    equal sides as a violation.
+    """
+    tol = float(tol)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
 
 
 def subset_of(indices: Iterable[int]) -> int:
@@ -235,7 +248,8 @@ class ClosedStructure:
     """Chainer of a family closed under restrict, contract and add_modular.
 
     A cut or a cover plus a modular vector ``m`` stays one under these
-    transforms (``zoo.CutChain``, ``zoo.CoverChain``).  A subclass has the
+    transforms (``zoo.CutChain``, ``zoo.CoverChain``), and so does a
+    modular function (:class:`ModularChain`).  A subclass has the
     ground size ``p`` and provides:
 
     - ``__call__(order)``, the chain;
@@ -329,17 +343,54 @@ def modular_chain(s: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
+class ModularChain(ClosedStructure):
+    """Structure of the modular function A -> m(A).
+
+    The chain is one cumulative sum, the oracle reads :class:`ModularSums`
+    and the table is the subset sums of m.  Restricting or contracting to
+    elems keeps m[elems], and a modular shift by s gives m + s.
+    """
+
+    __slots__ = ("p", "m", "_sums")
+
+    def __init__(self, m: np.ndarray):
+        self.p, self.m = m.shape[0], m
+        self._sums = ModularSums(m)
+
+    def __call__(self, order: np.ndarray) -> np.ndarray:
+        return modular_chain(self.m, order)
+
+    def value(self, mask: int) -> float:
+        return self._sums[mask]
+
+    def table(self, cap: int) -> np.ndarray:
+        return _kernels.subset_sums(self.m)
+
+    def singles(self) -> np.ndarray:
+        return self.m.copy()
+
+    def restrict(self, elems) -> "ModularChain":
+        return ModularChain(self.m[elems])
+
+    def contract(self, elems) -> "ModularChain":
+        return ModularChain(self.m[elems])
+
+    def add_modular(self, s: np.ndarray) -> "ModularChain":
+        return ModularChain(self.m + s)
+
+    def function(self) -> SetFunction:
+        """The function of this structure, unmemoized: a lookup costs p/8 reads."""
+        return SetFunction(self.p, self.value, builder=self.table, chainer=self)
+
+
 def modular_function(s) -> SetFunction:
     """Modular function A -> sum of s[k] over k in A.
 
     A lazy oracle over byte tables (see :class:`ModularSums`) at every p;
-    it tabulates and chains from s.
+    it tabulates, chains and lists its singletons from s, and it is a
+    closed structure (:class:`ModularChain`).
     """
-    s = check_finite(s, "modular vector")
-    sums = ModularSums(s)
-    return SetFunction(len(s), lambda m: sums[m],
-                       builder=lambda cap: _kernels.subset_sums(s),
-                       chainer=lambda order: modular_chain(s, order))
+    return ModularChain(check_finite(s, "modular vector")).function()
 
 
 def shift_to_zero(p: int, fn: Callable[[int], float], memoize: bool = False) -> SetFunction:
@@ -375,6 +426,7 @@ class PropertyReport:
 def is_submodular(F: SetFunction, tol: float = DEFAULT_TOL,
                   cap: int = EXHAUSTIVE_CAP) -> PropertyReport:
     """Check all second-order differences F(A+k)-F(A) >= F(A+j+k)-F(A+j)."""
+    tol = check_tolerance(tol)
     table = to_explicit(F, cap)
     ok, m, j, k, lhs, rhs = _kernels.second_order_check(table, F.p, tol)
     if ok:
@@ -386,6 +438,7 @@ def is_submodular(F: SetFunction, tol: float = DEFAULT_TOL,
 def is_monotone(F: SetFunction, tol: float = DEFAULT_TOL,
                 cap: int = EXHAUSTIVE_CAP) -> PropertyReport:
     """Check F(A+k) >= F(A) for every one-element addition."""
+    tol = check_tolerance(tol)
     table = to_explicit(F, cap)
     ok, m, k, lhs, rhs = _kernels.monotone_check(table, F.p, tol)
     if ok:
@@ -397,6 +450,7 @@ def is_monotone(F: SetFunction, tol: float = DEFAULT_TOL,
 def is_symmetric(F: SetFunction, tol: float = DEFAULT_TOL,
                  cap: int = EXHAUSTIVE_CAP) -> PropertyReport:
     """Check F(A) == F(V - A) for every subset."""
+    tol = check_tolerance(tol)
     table = to_explicit(F, cap)
     ok, m, lhs, rhs = _kernels.symmetric_check(table, F.p, tol)
     if ok:
@@ -411,6 +465,7 @@ def is_posimodular(F: SetFunction, tol: float = DEFAULT_TOL,
     The scan covers 4**p = 2**(2p) pairs, so the cap applies to 2p: at the
     default cap, p above 10 raises CapExceeded before any table is built.
     """
+    tol = check_tolerance(tol)
     check_cap(2 * F.p, cap)
     table = to_explicit(F, cap)
     ok, a, b, lhs, rhs = _kernels.pairwise_check(table, F.p, tol, True)

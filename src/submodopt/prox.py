@@ -16,6 +16,12 @@ and the conjugate value.  Three routes are provided:
   largest value down, each found by a secant iteration that starts at the
   largest singleton root, a lower bound on the block value.
 
+All three routes run their min-norm solves from the same start, the
+greedy vertex of the singleton roots (see :func:`sfm.min_norm_point`): for
+``prox_minnorm`` it follows the descending roots z_k - F({k}) / a_k, the
+values the homotopy starts each peel from, and for the SFMs inside the
+decomposition and the homotopy it takes the smallest singletons first.
+
 Both recursive solvers work on reduced functions over a compact ground set
 and carry one int64 array ``idx`` beside each: ``idx[k]`` is the root
 coordinate of local element k.  They evaluate the root penalty and take
@@ -36,7 +42,8 @@ import numpy as np
 
 from . import _kernels, transforms
 from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_finite,
-                   complement, elements_of, level_sets, subset_of, to_explicit)
+                   check_tolerance, complement, elements_of, level_sets,
+                   subset_of, to_explicit)
 from .errors import (MonotonicityRequired, NoConvergence,
                      NumericalInconsistency, RecursionOverflow, Unbounded)
 from .lovasz import lovasz_extension
@@ -410,7 +417,9 @@ def line_search_P(F: SetFunction, s0, t, tol: float = DEFAULT_TOL,
     piecewise-affine g(lambda) = min_A F(A) - s0(A) - lambda t(A) down to
     its zero by secant steps on the current minimizer.  Directions without
     a strictly positive coordinate never leave the polyhedron: Unbounded.
+    A NaN, infinite or negative tol raises ValueError.
     """
+    tol = check_tolerance(tol)
     s0 = np.asarray(s0, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if s0.shape != (F.p,) or t.shape != (F.p,):

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import (EXHAUSTIVE_CAP, SetFunction, level_sets, subset_of,
-                   to_explicit)
+from .core import (EXHAUSTIVE_CAP, SetFunction, check_finite, check_vector,
+                   level_sets, subset_of, to_explicit)
 from .errors import NoConvergence, NumericalInconsistency
 from .lovasz import greedy_base
 
@@ -95,24 +95,33 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
     origin is the default call.  Terminates when the linearization gap
     <x - c, x>_d - min_s <x - c, s>_d drops below eps * (1 + |x|_d^2).
 
+    The first vertex is ``greedy_base(F, d * (c - F.singletons()))``.  For
+    the quadratic prox (d = 1/a, c = a * z) its order is the descending
+    order of the singleton roots z_k - F({k}) / a_k; for minimization
+    (d = 1, c = 0) the elements with the smallest F({k}) come first, and
+    when every singleton ties the order is the identity.  Closed structures
+    list their singletons without oracle calls; any other F pays p of them.
+
     Returns the optimal point and the final corral.  Raises NoConvergence
     (with the best iterate attached) after ``max_major`` cycles, default
     100 * p, and NumericalInconsistency if the norm grows across a major
-    cycle.
+    cycle.  Non-finite or misshapen weights or center, nonpositive
+    weights, and an eps that is not a finite positive number raise
+    ValueError.
     """
     p = F.p
-    d = np.ones(p) if weights is None else np.asarray(weights, dtype=np.float64)
-    c = np.zeros(p) if center is None else np.asarray(center, dtype=np.float64)
-    if d.shape != (p,) or np.any(d <= 0.0):
-        raise ValueError("metric weights must be positive and of length p")
-    if c.shape != (p,):
-        raise ValueError(f"center has shape {c.shape}, expected ({p},)")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    d = (np.ones(p) if weights is None
+         else check_finite(check_vector(weights, p), "metric weights"))
+    c = (np.zeros(p) if center is None
+         else check_finite(check_vector(center, p), "center"))
+    if np.any(d <= 0.0):
+        raise ValueError("metric weights must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if max_major is None:
         max_major = 100 * p
 
-    s0 = greedy_base(F, d * c)
+    s0 = greedy_base(F, d * (c - F.singletons()))
     bases = s0[np.newaxis, :].copy()
     coeffs = np.array([1.0])
     x = s0
@@ -233,7 +242,7 @@ def minimize(F: SetFunction, backend: str = "minnorm", eps: float = 1e-9,
 
 def certificate_gap(F: SetFunction, A: int, s) -> float:
     """F(A) minus the negative part of s; zero iff both are optimal."""
-    s = np.asarray(s, dtype=np.float64)
+    s = check_vector(s, F.p)
     return float(F(A) - np.sum(np.minimum(s, 0.0)))
 
 

@@ -17,11 +17,12 @@ their inputs whenever every input chains from its structure, and so does
 ``add_modular``, which is ``add`` of a modular function; any other
 restriction or contraction chains by one oracle call per prefix.
 
-Cuts and covers, each plus a modular term, are closed under ``restrict``,
-``contract`` and ``add_modular`` (:class:`core.ClosedStructure`, with
-``zoo.CutChain`` and ``zoo.CoverChain``).  On such an input these three
-transforms build the reduced structure once and take the oracle, the
-table, the singleton values and the chain of their result from it alone:
+Cuts and covers, each plus a modular term, and modular functions are
+closed under ``restrict``, ``contract`` and ``add_modular``
+(:class:`core.ClosedStructure`, with ``zoo.CutChain``, ``zoo.CoverChain``
+and ``core.ModularChain``).  On such an input these three transforms build
+the reduced structure once and take the oracle, the table, the singleton
+values and the chain of their result from it alone:
 no call into the parent, no memo per layer, and no table over the parent's
 ground set.  So any stack of them over a cut or a cover evaluates and
 chains in one pass over the remaining arcs or group members, and
@@ -239,10 +240,10 @@ def scale(F: SetFunction, lam: float) -> SetFunction:
 def add_modular(F: SetFunction, s) -> SetFunction:
     """F + s.
 
-    A cut or a cover adds s to the modular vector of its structure, and the
-    result is built from that structure without wrapping F.  Any other F
-    is ``add(F, modular_function(s))``: it tabulates and chains from s
-    whenever F does.
+    A cut, a cover or a modular function adds s to the modular vector of
+    its structure, and the result is built from that structure without
+    wrapping F.  Any other F is ``add(F, modular_function(s))``: it
+    tabulates and chains from s whenever F does.
     """
     s = check_finite(check_vector(s, F.p), "modular vector")
     S = _structure(F)
@@ -262,9 +263,8 @@ def mobius(F: SetFunction, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
     defined for any F.
     """
     table = to_explicit(F, cap)
-    n = table.shape[0]
-    full = n - 1
-    h = table[full] - table[full ^ np.arange(n, dtype=np.int64)]
+    # V - A is the bitwise complement full ^ A = full - A: the reversed table
+    h = table[-1] - table[::-1]
     return _kernels.mobius_transform(h)
 
 
@@ -272,8 +272,6 @@ def mobius_reconstruct(D) -> ExplicitFunction:
     """Rebuild the set-function from group weights (inverse of :func:`mobius`)."""
     D = np.ascontiguousarray(D, dtype=np.float64)
     z = _kernels.zeta_transform(D)
-    n = z.shape[0]
-    full = n - 1
-    table = z[full] - z[full ^ np.arange(n, dtype=np.int64)]
+    table = z[-1] - z[::-1]
     table[0] = 0.0
     return ExplicitFunction(table)

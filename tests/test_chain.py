@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import submodopt as so
 from submodopt import sfm, transforms
-from submodopt.core import SetFunction
+from submodopt.core import ModularChain, SetFunction
 from submodopt.zoo import CoverChain, CutChain
 
 from helpers import dyadic, dyadic_digraph, dyadic_energy
@@ -144,17 +144,19 @@ def test_chains_follow_the_structure_of_their_inputs():
     concave = so.concave_cardinality([0.0, 3.0, 5.0, 6.0, 6.5, 6.75, 7.0])
     oracle = SetFunction(6, cut, memoize=True)
     assert so.restrict(so.contract(so.add_modular(cut, np.ones(6)), 1), 6).chainer
-    # restrictions and contractions chain structurally only over cuts
+    # restrictions and contractions chain structurally only over closed
+    # structures: cuts, covers and modular functions
     assert so.restrict(concave, 7).chainer is None
     assert so.contract(concave, 1).chainer is None
     assert so.add(cut, oracle).chainer is None
     assert so.add_modular(oracle, np.ones(6)).chainer is None
-    # a modular function chains at every p, above the cap too
+    # a modular function is a closed structure at every p, above the cap too
     for p in (6, 40):
         modular = so.modular_function(np.ones(p))
-        assert modular.chainer is not None
-        assert so.add_modular(modular, np.ones(p)).chainer is not None
-        assert so.restrict(modular, 7).chainer is None
+        assert isinstance(modular.chainer, ModularChain)
+        assert isinstance(so.add_modular(modular, np.ones(p)).chainer, ModularChain)
+        assert isinstance(so.restrict(modular, 7).chainer, ModularChain)
+        assert isinstance(so.contract(modular, 1).chainer, ModularChain)
     # the random families chain exactly as the constructors they are built by
     for family in ("cut", "cut+modular"):
         assert isinstance(so.random_submodular(0, 6, family).chainer, CutChain)

@@ -178,6 +178,27 @@ def test_non_finite_prox_weights_exit_1(capsys):
         assert code == 1 and out == "" and "must be finite" in err
 
 
+def test_bad_tolerances_exit_1(capsys, tmp_path):
+    # before, --tol nan passed every property check and skipped the --verify
+    # precondition, --tol -1 reported equal sides as a violation, --tol inf
+    # let the line search stop outside P(F), and --eps nan stalled the
+    # solver with exit 2
+    path = tmp_path / "or_and.json"
+    path.write_text(json.dumps({"kind": "explicit", "values": [0, 0, 0, 1]}))
+    for tol in ("nan", "-1", "inf"):
+        for argv in (("check", path),
+                     ("minimize", path, "--algo", "brute", "--verify"),
+                     ("linesearch", DATA / "f_or.json", "--direction=1,2")):
+            code, out, err = run(capsys, *argv, f"--tol={tol}")
+            assert code == 1 and out == "" and err.count("\n") == 1
+            assert err.startswith("error: tolerance must be finite and nonnegative")
+    for eps in ("nan", "0", "-1", "inf"):
+        code, out, err = run(capsys, "minimize", DATA / "random_cut6.json",
+                             f"--eps={eps}")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: eps must be finite and positive")
+
+
 _COVER = {"kind": "cover", "p": 3, "groups": [
     {"members": [0, 1], "weight": 1.0}, {"members": [1, 2], "weight": 0.5},
     {"members": [2], "weight": 0.25}]}

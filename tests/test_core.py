@@ -89,6 +89,19 @@ def test_monotone_symmetric_posimodular_examples():
     assert rep.witness["A"] == 0 and rep.witness["k"] == 0
 
 
+def test_property_checks_need_a_finite_nonnegative_tolerance():
+    and2 = so.explicit_function([0.0, 0.0, 0.0, 1.0])
+    assert so.core.check_tolerance(0) == 0.0
+    assert so.core.check_tolerance(np.float32(0.5)) == 0.5
+    for check in (so.is_submodular, so.is_monotone, so.is_symmetric,
+                  so.is_posimodular):
+        assert check(and2, tol=0.0).holds == (check in (so.is_monotone,
+                                                        so.is_posimodular))
+        for bad in (np.nan, np.inf, -1.0, -1e-300):
+            with pytest.raises(ValueError, match="tolerance must be finite"):
+                check(and2, tol=bad)
+
+
 def test_to_explicit_examples():
     assert np.array_equal(so.to_explicit(F_OR), [0.0, 1.0, 1.0, 1.0])
     assert np.array_equal(so.to_explicit(SYM_CUT2), [0.0, 1.0, 1.0, 0.0])

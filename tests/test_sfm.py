@@ -9,7 +9,7 @@ import submodopt as so
 from submodopt import sfm
 from submodopt.errors import NumericalInconsistency
 
-from helpers import brute_min, dyadic_digraph
+from helpers import brute_min, dyadic_digraph, dyadic_energy
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
 SYM_CUT2 = so.explicit_function([0.0, 1.0, 1.0, 0.0])
@@ -66,10 +66,16 @@ def test_min_norm_point_makes_one_greedy_call_per_iterate(monkeypatch):
     # the starting vertex of a modular function is optimal: no vertex is added
     _, corral = so.min_norm_point(so.modular_function([0.4, -1.3, 2.2]))
     assert (len(calls), corral.major_cycles) == (2, 0)
-    # one call for the start, one per added vertex, one to confirm the last
+    # one call for the start, one per added vertex, one to confirm the last;
+    # a start that follows the singletons can be optimal already
     for seed in range(5):
         calls.clear()
         _, corral = so.min_norm_point(so.random_submodular(seed, 8, "logdet+modular"))
+        assert len(calls) == corral.major_cycles + 2
+    # s-t energies at p = 10 need cycles from any start
+    for seed in range(5):
+        calls.clear()
+        _, corral = so.min_norm_point(dyadic_energy(np.random.default_rng(seed), 10))
         assert corral.major_cycles > 0
         assert len(calls) == corral.major_cycles + 2
     calls.clear()
@@ -77,6 +83,29 @@ def test_min_norm_point_makes_one_greedy_call_per_iterate(monkeypatch):
         so.min_norm_point(so.random_submodular(0, 8, "logdet+modular"),
                           max_major=1, eps=1e-14)
     assert (len(calls), info.value.result[1].major_cycles) == (3, 1)
+
+
+def test_min_norm_point_starts_at_the_singleton_root_vertex(monkeypatch):
+    weights = []
+    greedy = sfm.greedy_base
+    monkeypatch.setattr(sfm, "greedy_base",
+                        lambda F, w: weights.append(np.array(w)) or greedy(F, w))
+    rng = np.random.default_rng(7)
+    cases = [(so.random_submodular(1, 7, "cover+modular"), None, None),
+             (so.random_submodular(2, 7, "logdet+modular"), None, None),
+             (dyadic_energy(rng, 9), rng.uniform(0.5, 4.0, 9),
+              rng.uniform(-1.0, 1.0, 9))]
+    for F, d, c in cases:
+        weights.clear()
+        so.min_norm_point(F, weights=d, center=c)
+        d = np.ones(F.p) if d is None else d
+        c = np.zeros(F.p) if c is None else c
+        assert weights[0].tobytes() == (d * (c - F.singletons())).tobytes()
+    # when every singleton ties, the start is the identity order's vertex
+    weights.clear()
+    so.min_norm_point(SYM_CUT2)
+    assert np.all(weights[0] == -1.0)
+    assert np.array_equal(greedy(SYM_CUT2, weights[0]), greedy(SYM_CUT2, [0.0, 0.0]))
 
 
 def test_min_norm_with_metric_and_center():
@@ -278,12 +307,23 @@ def test_min_norm_argument_validation():
         so.min_norm_point(F_OR, center=[0.0])
     with pytest.raises(ValueError):
         so.min_norm_point(F_OR, eps=0.0)
+    for eps in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            so.min_norm_point(F_OR, eps=eps)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="metric weights must be finite"):
+            so.min_norm_point(F_OR, weights=[1.0, bad])
+        with pytest.raises(ValueError, match="center must be finite"):
+            so.min_norm_point(F_OR, center=[bad, 0.0])
 
 
 def test_certificate_gap_examples():
     assert so.certificate_gap(F_OR, 0, [0.5, 0.5]) == 0.0
     assert so.certificate_gap(F_OR, 0b01, [0.5, 0.5]) == 1.0
     assert so.certificate_gap(SYM_CUT2, 0b11, [0.0, 0.0]) == 0.0
+    for s in ([0.5], [0.5, 0.5, 0.0]):
+        with pytest.raises(ValueError, match="expected \\(2,\\)"):
+            so.certificate_gap(F_OR, 0, s)
 
 
 def test_duality_bound():

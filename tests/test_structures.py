@@ -1,6 +1,7 @@
-"""Closed cut and cover structures: stacks of restrict, contract and
-add_modular over a cut or a cover must evaluate, tabulate, chain and list
-their singletons exactly as the same stack gathered through its parents."""
+"""Closed cut, cover and modular structures: stacks of restrict, contract
+and add_modular over a cut, a cover or a modular function must evaluate,
+tabulate, chain and list their singletons exactly as the same stack
+gathered through its parents."""
 
 import numpy as np
 import pytest
@@ -75,12 +76,16 @@ def check_against_reference(F, ref, data):
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data(), p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
-       depth=st.integers(0, 4), family=st.sampled_from(["cut", "cover"]))
+       depth=st.integers(0, 4),
+       family=st.sampled_from(["cut", "cover", "modular"]))
 def test_structured_stacks_match_the_parent_gather(data, p, seed, depth, family):
     rng = np.random.default_rng(seed)
     if family == "cut":
         g = dyadic_digraph(rng, p, density=0.4)
         F, ref = so.cut_function(g), cut_oracle(g)
+    elif family == "modular":
+        m = dyadic(rng, -1.0, 1.0, size=p)
+        F, ref = so.modular_function(m), (lambda mask: modular_sum(m, mask))
     else:
         c = dyadic_cover(rng, p)
         F, ref = so.cover_function(c), cover_oracle(c)
@@ -97,6 +102,36 @@ def test_random_family_stacks_match_the_parent_gather(data, p, seed, depth, fami
     plain = so.SetFunction(p, F)  # a memo-free oracle of the same values
     F, ref = drawn_stack(F, plain, data, np.random.default_rng(seed), depth)
     check_against_reference(F, ref, data)
+
+
+def test_modular_stacks_make_no_oracle_calls(monkeypatch):
+    rng = np.random.default_rng(18)
+    m = dyadic(rng, -1.0, 1.0, size=12)
+    F = so.modular_function(m)
+    stack = [F]
+    for _ in range(3):
+        G = stack[-1]
+        G = transforms.add_modular(G, dyadic(rng, -1.0, 1.0, size=G.p))
+        G = transforms.contract(G, 0b101)
+        stack.append(transforms.restrict(G, (1 << G.p) - 1 - 0b10))
+    calls = [0]
+    original = so.SetFunction.__call__
+
+    def counting(self, mask):
+        calls[0] += 1
+        return original(self, mask)
+
+    monkeypatch.setattr(so.SetFunction, "__call__", counting)
+    for G in stack:
+        assert isinstance(G.chainer, so.core.ModularChain) and G._memo is None
+        table = G.tabulate()
+        # on dyadic data the singletons are the table's and the chain is the
+        # running sum of them; the hypothesis test above checks the values
+        order = rng.permutation(G.p)
+        assert_bitwise_equal(G.singletons(), table[1 << np.arange(G.p)])
+        assert_bitwise_equal(G.chain(order),
+                             np.concatenate(([0.0], np.cumsum(table[1 << order]))))
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
