@@ -19,11 +19,8 @@ from .core import (EXHAUSTIVE_CAP, ExplicitFunction, PropertyReport,
                    SetFunction, complement, elements_of, explicit_function,
                    is_monotone, is_posimodular, is_submodular, is_symmetric,
                    modular_function, shift_to_zero, subset_of, to_explicit)
-from .errors import (CapExceeded, EmptySetNotZero, MonotonicityRequired,
-                     NegativeScale, NoConvergence, NotConcave,
-                     NotPositiveDefinite, NotZeroAtZero,
-                     NumericalInconsistency, RecursionOverflow, SubmodoptError,
-                     Unbounded)
+from .errors import (CapExceeded, NoConvergence, NumericalInconsistency,
+                     RecursionOverflow, SubmodoptError, Unbounded)
 from .lovasz import (conjugate, greedy_base, lovasz_extension, support_P,
                      truncated_greedy)
 from .polyhedra import (dep, exchangeable_pairs, face_check, in_B, in_P,

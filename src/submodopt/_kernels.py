@@ -116,23 +116,14 @@ def symmetric_check(table, p, tol):
     return True, -1, 0.0, 0.0
 
 
-def pairwise_check(table, p, tol, posi):
-    """Inequalities over all pairs (A, B), witness the smallest (A, B).
-
-    ``posi=False``: F(A) + F(B) >= F(A | B) + F(A & B) - tol (submodularity);
-    ``posi=True``: F(A) + F(B) >= F(A - B) + F(B - A) - tol (posimodularity).
-    """
+def pairwise_check(table, p, tol):
+    """F(A) + F(B) >= F(A - B) + F(B - A) - tol (posimodularity) over all
+    pairs (A, B); witness the smallest (A, B)."""
     n = 1 << p
     bs = np.arange(n, dtype=np.int64)
     for a in range(n):
-        if posi:
-            x = a & ~bs
-            y = bs & ~a
-        else:
-            x = a | bs
-            y = a & bs
         lhs = table[a] + table
-        rhs = table[x] + table[y]
+        rhs = table[a & ~bs] + table[bs & ~a]
         bad = lhs < rhs - tol
         if bad.any():
             b = int(np.argmax(bad))

@@ -5,8 +5,9 @@ single-line JSON objects on stdout with sorted keys, so identical
 invocations produce byte-identical output apart from the timing field.
 Log and error text goes to stderr.
 
-Exit codes: 0 ok, 1 input or parse error, 2 numerical or cap error, out of
-memory or any other failure, 3 precondition violation detected by --verify.
+Exit codes: 0 ok, 1 input or parse error (a ``ValueError``), 2 numerical or
+cap error (a ``SubmodoptError``), out of memory or any other failure, 3
+precondition violation detected by --verify.
 Every failure is one ``error:`` line on stderr, never a traceback.
 """
 
@@ -24,44 +25,38 @@ from . import __version__, core, lovasz, prox, sfm, transforms, zoo
 from .errors import SubmodoptError
 
 
-class SpecError(ValueError):
-    """A function-spec document failed to parse or validate."""
-
-
 def _need(obj: dict, key: str):
     if key not in obj:
-        raise SpecError(f"spec is missing required field {key!r}")
+        raise ValueError(f"spec is missing required field {key!r}")
     return obj[key]
 
 
+def _masks_from_indices(lists, p: int) -> list[int]:
+    """The bitmask of each list of element indices, all checked in one call."""
+    lists = [list(indices) for indices in lists]
+    flat = iter(core.check_indices([k for ks in lists for k in ks], p,
+                                   "element").tolist())
+    return [core.subset_of(next(flat) for _ in ks) for ks in lists]
+
+
 def _mask_from_indices(indices, p: int) -> int:
-    mask = 0
-    for k in indices:
-        if int(k) != k:
-            raise SpecError(f"element {k!r} is not an integer")
-        k = int(k)
-        if not 0 <= k < p:
-            raise SpecError(f"element {k} out of range for p={p}")
-        mask |= 1 << k
-    return mask
+    return _masks_from_indices([indices], p)[0]
 
 
 def build_function(spec: dict, seed: int = 0) -> core.SetFunction:
     """Instantiate a SetFunction from a parsed spec document."""
     kind = _need(spec, "kind")
     if kind == "explicit":
-        try:
-            return core.explicit_function(_need(spec, "values"))
-        except ValueError as exc:
-            raise SpecError(str(exc))
+        return core.explicit_function(_need(spec, "values"))
     if kind == "cut":
         g = zoo.Digraph(p=int(_need(spec, "p")),
                         arcs=[tuple(a) for a in _need(spec, "arcs")])
         return zoo.cut_function(g)
     if kind == "cover":
         p = int(_need(spec, "p"))
-        groups = [(_mask_from_indices(g["members"], p), float(g["weight"]))
-                  for g in _need(spec, "groups")]
+        groups = _need(spec, "groups")
+        masks = _masks_from_indices([g["members"] for g in groups], p)
+        groups = [(m, float(g["weight"])) for m, g in zip(masks, groups)]
         return zoo.cover_function(zoo.CoverSystem(p=p, groups=groups))
     if kind == "card_concave":
         return zoo.concave_cardinality(_need(spec, "g"))
@@ -89,7 +84,7 @@ def build_function(spec: dict, seed: int = 0) -> core.SetFunction:
                                      spec.get("family", "cut"))
     if kind == "transform":
         return _build_transform(spec, seed)
-    raise SpecError(f"unknown spec kind {kind!r}")
+    raise ValueError(f"unknown spec kind {kind!r}")
 
 
 def _build_transform(spec: dict, seed: int) -> core.SetFunction:
@@ -97,7 +92,7 @@ def _build_transform(spec: dict, seed: int) -> core.SetFunction:
     if op == "sum":
         inners = [build_function(s, seed) for s in _need(spec, "inners")]
         if len(inners) < 1:
-            raise SpecError("sum needs at least one inner spec")
+            raise ValueError("sum needs at least one inner spec")
         out = inners[0]
         for g in inners[1:]:
             out = transforms.add(out, g)
@@ -120,7 +115,7 @@ def _build_transform(spec: dict, seed: int) -> core.SetFunction:
         return transforms.add_modular(inner, _need(spec, "vector"))
     if op == "scale":
         return transforms.scale(inner, float(_need(spec, "factor")))
-    raise SpecError(f"unknown transform op {op!r}")
+    raise ValueError(f"unknown transform op {op!r}")
 
 
 def _load_spec(path: str) -> dict:
@@ -129,11 +124,11 @@ def _load_spec(path: str) -> dict:
             text = fh.read()
         spec = json.loads(text)
     except OSError as exc:
-        raise SpecError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise SpecError(f"cannot parse {path}: {exc}")
+        raise ValueError(f"cannot parse {path}: {exc}")
     if not isinstance(spec, dict):
-        raise SpecError("spec document must be a JSON object")
+        raise ValueError("spec document must be a JSON object")
     return spec
 
 
@@ -146,9 +141,9 @@ def _parse_vector(text: str, p: int, flag: str) -> np.ndarray:
     try:
         vec = np.array([float(x) for x in text.split(",")], dtype=np.float64)
     except ValueError:
-        raise SpecError(f"{flag} must be a comma-separated list of numbers")
+        raise ValueError(f"{flag} must be a comma-separated list of numbers")
     if vec.shape != (p,):
-        raise SpecError(f"{flag} has {vec.shape[0]} entries, expected {p}")
+        raise ValueError(f"{flag} has {vec.shape[0]} entries, expected {p}")
     return vec
 
 
@@ -252,7 +247,7 @@ def cmd_prox(F, args) -> dict:
         s = a * (z - u)
         extra = {}
     else:
-        raise SpecError(f"unknown prox algorithm {args.algo!r}")
+        raise ValueError(f"unknown prox algorithm {args.algo!r}")
     results = {"u": list(u), "s": list(s), **extra}
     if args.alpha:
         thresholds = []
@@ -362,11 +357,9 @@ def main(argv=None) -> int:
             F = build_function(spec, args.seed)
         except (AttributeError, KeyError, OverflowError, TypeError) as exc:
             # a missing, mistyped or unrepresentable nested field
-            raise SpecError(f"malformed spec: {type(exc).__name__}: {exc}")
+            raise ValueError(f"malformed spec: {type(exc).__name__}: {exc}")
         results = args.fn(F, args)
         _report(args.command, spec, results, started)
-    except SpecError as exc:
-        return _fail(str(exc), 1)
     except PreconditionFailed as exc:
         return _fail(str(exc), 3)
     except SubmodoptError as exc:  # cap, convergence and other numerical errors

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import _kernels
-from .errors import CapExceeded, EmptySetNotZero
+from .errors import CapExceeded
 
 MAX_GROUND_SIZE = 63
 EXHAUSTIVE_CAP = 20
@@ -88,6 +88,23 @@ def check_tolerance(tol) -> float:
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
     return tol
+
+
+def check_indices(values, n: int, what: str) -> np.ndarray:
+    """values as an int64 array of the same shape, every entry in 0..n-1.
+
+    int() would truncate 0.5 to 0, so the first entry that is not a whole
+    number (NaN and infinities too) raises ValueError "<what> <v> is not an
+    integer", and the first outside 0..n-1 "<what> <v> out of range".
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bad = (values != np.floor(values)) | (values < 0) | (values >= n)
+    if bad.any():
+        v = float(values[bad][0])
+        if not v.is_integer():
+            raise ValueError(f"{what} {v} is not an integer")
+        raise ValueError(f"{what} {int(v)} out of range")
+    return values.astype(np.int64)
 
 
 def subset_of(indices: Iterable[int]) -> int:
@@ -165,7 +182,7 @@ class SetFunction:
         self._fn = fn
         v0 = float(fn(0))
         if v0 != 0.0:
-            raise EmptySetNotZero(
+            raise ValueError(
                 f"F(empty) = {v0!r}; must be exactly 0 (see shift_to_zero)")
         self._memo: Optional[dict] = {0: 0.0} if memoize else None
         self._builder = builder
@@ -468,7 +485,7 @@ def is_posimodular(F: SetFunction, tol: float = DEFAULT_TOL,
     tol = check_tolerance(tol)
     check_cap(2 * F.p, cap)
     table = to_explicit(F, cap)
-    ok, a, b, lhs, rhs = _kernels.pairwise_check(table, F.p, tol, True)
+    ok, a, b, lhs, rhs = _kernels.pairwise_check(table, F.p, tol)
     if ok:
         return PropertyReport(True)
     return PropertyReport(False, {"A": int(a), "B": int(b),

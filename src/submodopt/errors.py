@@ -1,8 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A bad input raises a plain ``ValueError`` (CLI exit code 1); a
+``SubmodoptError`` means a computation on valid inputs failed (exit code 2).
+"""
 
 
 class SubmodoptError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class of the errors of a failed computation (CLI exit code 2)."""
 
 
 class CapExceeded(SubmodoptError):
@@ -36,26 +40,3 @@ class Unbounded(SubmodoptError):
 class RecursionOverflow(SubmodoptError):
     """Internal bug guard: the decomposition recursed deeper than p levels."""
 
-
-class EmptySetNotZero(SubmodoptError, ValueError):
-    """A set-function oracle returned a nonzero value on the empty set."""
-
-
-class NegativeScale(SubmodoptError, ValueError):
-    """Scaling a submodular function by a negative factor is not closed."""
-
-
-class NotConcave(SubmodoptError, ValueError):
-    """A cardinality-based profile has increasing increments."""
-
-
-class NotZeroAtZero(SubmodoptError, ValueError):
-    """A concave profile does not satisfy g(0) = 0."""
-
-
-class NotPositiveDefinite(SubmodoptError, ValueError):
-    """A matrix expected to be positive definite failed factorization."""
-
-
-class MonotonicityRequired(SubmodoptError, ValueError):
-    """An operation restricted to non-decreasing functions got evidence of decrease."""

@@ -5,7 +5,8 @@ Membership and tight-set tests are exhaustive over the 2**p constraints
 s(A) <= F(A), so they live under the same cap as the other
 enumeration-based operations.  The maximizer certificates read F once per
 level set of the weight vector (:func:`core.level_sets`) and need no cap.
-Tolerances are additive and shared through the ``tol`` argument.
+Tolerances are additive and shared through the ``tol`` argument; a NaN,
+infinite or negative one raises ValueError (:func:`core.check_tolerance`).
 """
 
 from __future__ import annotations
@@ -16,18 +17,21 @@ import numpy as np
 
 from . import _kernels
 from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_cap,
-                   check_vector, elements_of, level_sets, to_explicit)
+                   check_indices, check_tolerance, check_vector, elements_of,
+                   level_sets, to_explicit)
 from .errors import NumericalInconsistency
 from .lovasz import conjugate
 
 
 def in_P(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP) -> bool:
     """Whether s(A) <= F(A) + tol for every A: the conjugate at s is at most tol."""
+    tol = check_tolerance(tol)
     margin, _ = conjugate(F, s, cap)
     return margin <= tol
 
 
 def in_B(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP) -> bool:
+    tol = check_tolerance(tol)
     s = check_vector(s, F.p)
     if abs(float(np.sum(s)) - F((1 << F.p) - 1)) > tol:
         return False
@@ -35,6 +39,7 @@ def in_B(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP)
 
 
 def in_P_plus(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP) -> bool:
+    tol = check_tolerance(tol)
     s = check_vector(s, F.p)
     if np.any(s < -tol):
         return False
@@ -50,6 +55,7 @@ def tight_sets(F: SetFunction, s, tol: float = DEFAULT_TOL,
     a violation raises NumericalInconsistency (the tolerance straddles a
     constraint boundary).
     """
+    tol = check_tolerance(tol)
     s = check_vector(s, F.p)
     table = to_explicit(F, cap)
     sums = _kernels.subset_sums(s)
@@ -77,8 +83,7 @@ def dep(F: SetFunction, s, k: int, tol: float = DEFAULT_TOL,
     is tight for any base; computed as the intersection of all tight sets
     containing k.
     """
-    if not 0 <= k < F.p:
-        raise ValueError(f"element {k} out of range for p={F.p}")
+    k = int(check_indices(k, F.p, "element"))
     tight = np.array(tight_sets(F, s, tol, cap), dtype=np.int64)
     return _smallest_containing(tight, k, F.p)
 
@@ -104,6 +109,7 @@ def is_base_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     available separately as :func:`base_maximizer_exchange_check` for
     cross-checking.
     """
+    tol = check_tolerance(tol)
     s = check_vector(s, F.p)
     w = check_vector(w, F.p)
     # the upper level sets of w are the lower level sets of -w
@@ -127,6 +133,7 @@ def is_P_plus_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     of positive-value blocks must be tight; a block where w is zero carries
     no condition.
     """
+    tol = check_tolerance(tol)
     s = check_vector(s, F.p)
     w = check_vector(w, F.p)
     for block, mask in level_sets(-w):
@@ -154,6 +161,7 @@ def separable_witness(F: SetFunction, A: int, tol: float = DEFAULT_TOL,
 
     Returns the smallest such bitmask, or None when A is inseparable.
     """
+    tol = check_tolerance(tol)
     if A == 0:
         raise ValueError("separability is defined for nonempty sets")
     check_cap(int(A).bit_count(), cap)

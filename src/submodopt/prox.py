@@ -44,8 +44,8 @@ from . import _kernels, transforms
 from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_finite,
                    check_tolerance, complement, elements_of, level_sets,
                    subset_of, to_explicit)
-from .errors import (MonotonicityRequired, NoConvergence,
-                     NumericalInconsistency, RecursionOverflow, Unbounded)
+from .errors import (NoConvergence, NumericalInconsistency, RecursionOverflow,
+                     Unbounded)
 from .lovasz import lovasz_extension
 from .polyhedra import base_maximizer_exchange_check
 from .sfm import min_norm_point, minimize
@@ -240,9 +240,11 @@ def prox_threshold_sets(u, alpha: float, tau: float = 1e-9) -> tuple[int, int]:
     """Minimal and maximal minimizers of F + psi'(alpha) from the prox solution.
 
     The exact sets are {u > alpha} and {u >= alpha}; ``tau`` guards against
-    solver noise in u.
+    solver noise in u.  A NaN or infinite alpha raises ValueError.
     """
     u = np.asarray(u, dtype=np.float64)
+    alpha = float(check_finite(alpha, "alpha"))
+    tau = check_tolerance(tau)
     minimal = subset_of(np.nonzero(u > alpha + tau)[0])
     maximal = subset_of(np.nonzero(u >= alpha - tau)[0])
     return minimal, maximal
@@ -482,7 +484,7 @@ def prox_over_P_plus(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
 
     Dual coordinates clip the unconstrained maximizer into [0, t_k]; the
     primal solves s_k + psi'_k(w_k) = 0.  A sampled monotonicity spot-check
-    guards the precondition (not exhaustive).
+    guards the precondition (not exhaustive) and raises ValueError.
     """
     rng = np.random.default_rng(0)
     full = (1 << F.p) - 1
@@ -490,7 +492,7 @@ def prox_over_P_plus(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
         m = int(rng.integers(0, full + 1))
         k = int(rng.integers(0, F.p))
         if F(int(m | (1 << k))) < F(m) - 1e-9:
-            raise MonotonicityRequired(
+            raise ValueError(
                 f"F decreases when adding {k} to mask {m}")
     v, t = _base_pair(F, psi, eps, sfm_backend)
     unconstrained = -psi.deriv_at(0.0)

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import (EXHAUSTIVE_CAP, SetFunction, check_finite, check_vector,
-                   level_sets, subset_of, to_explicit)
+from .core import (EXHAUSTIVE_CAP, SetFunction, check_finite, check_tolerance,
+                   check_vector, level_sets, subset_of, to_explicit)
 from .errors import NoConvergence, NumericalInconsistency
 from .lovasz import greedy_base
 
@@ -255,6 +255,7 @@ def recover_level_values(F: SetFunction, x, group_tol: float = 1e-6) -> list[tup
     NumericalInconsistency (the grouping tolerance was misjudged).
     """
     x = np.asarray(x, dtype=np.float64)
+    group_tol = check_tolerance(group_tol)
     out = []
     seen = 0
     prev = 0.0

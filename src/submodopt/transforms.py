@@ -46,7 +46,6 @@ from .core import (EXHAUSTIVE_CAP, ClosedStructure, ExplicitFunction,
                    SetFunction, check_cap, check_finite, check_vector,
                    ModularSums, complement, elements_of, modular_function,
                    to_explicit)
-from .errors import NegativeScale
 
 
 def embed_mask(mask: int, elements: Sequence[int]) -> int:
@@ -230,7 +229,7 @@ def add(F: SetFunction, G: SetFunction) -> SetFunction:
 def scale(F: SetFunction, lam: float) -> SetFunction:
     lam = float(check_finite(lam, "scale factor"))
     if lam < 0.0:
-        raise NegativeScale(f"scale factor must be nonnegative, got {lam}")
+        raise ValueError(f"scale factor must be nonnegative, got {lam}")
     builder = _if_structured(lambda cap: lam * F.tabulate(cap), F)
     chainer = _if_chained(lambda order: lam * F.chainer(order), F)
     return SetFunction(F.p, lambda m: lam * F(m), memoize=True, builder=builder,

@@ -26,9 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels, _maxflow
-from .core import (ClosedStructure, SetFunction, check_finite, check_vector,
-                   elements_of, modular_chain, subset_of, validate_ground_size)
-from .errors import NotConcave, NotPositiveDefinite, NotZeroAtZero
+from .core import (ClosedStructure, SetFunction, check_finite, check_indices,
+                   check_tolerance, check_vector, elements_of, modular_chain,
+                   subset_of, validate_ground_size)
 from .sfm import SfmResult
 from .transforms import add_modular
 
@@ -46,17 +46,25 @@ class Digraph:
 
     def __post_init__(self):
         validate_ground_size(self.p)
-        clean = []
-        for u, v, w in self.arcs:
-            if not math.isfinite(w):
-                raise ValueError(f"arc weight {w} on ({u}, {v}) is not finite")
-            if w < 0.0:
-                raise ValueError(f"negative arc weight on ({u}, {v})")
-            if not (0 <= u < self.p and 0 <= v < self.p):
-                raise ValueError(f"arc ({u}, {v}) out of range")
-            if u != v:
-                clean.append((int(u), int(v), float(w)))
-        object.__setattr__(self, "arcs", tuple(clean))
+        object.__setattr__(self, "arcs",
+                           _checked_arcs(self.arcs, self.p, "arc weight"))
+
+
+def _checked_arcs(arcs, n: int, what: str) -> tuple:
+    """The arcs (u, v, w) as (int, int, float) tuples, self-loops dropped.
+
+    w, named ``what``, must be finite and nonnegative, u and v nodes 0..n-1.
+    """
+    ends = []
+    for u, v, w in arcs:
+        if not math.isfinite(w):
+            raise ValueError(f"{what} {w} on ({u}, {v}) is not finite")
+        if w < 0.0:
+            raise ValueError(f"negative {what} on ({u}, {v})")
+        ends += (u, v)
+    ends = check_indices(ends, n, "arc end").tolist()
+    return tuple((u, v, float(a[2]))
+                 for u, v, a in zip(ends[::2], ends[1::2], arcs) if u != v)
 
 
 def _arc_arrays(g: Digraph):
@@ -315,20 +323,14 @@ class FlowNetwork:
     arcs: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "sources", tuple(int(s) for s in self.sources))
-        object.__setattr__(self, "sinks", tuple(int(t) for t in self.sinks))
-        object.__setattr__(self, "arcs",
-                           tuple((int(u), int(v), float(c)) for u, v, c in self.arcs))
+        for name, what in (("sources", "source"), ("sinks", "sink")):
+            nodes = check_indices(tuple(getattr(self, name)), self.n_nodes, what)
+            object.__setattr__(self, name, tuple(nodes.tolist()))
         if set(self.sources) & set(self.sinks):
             raise ValueError("sources and sinks must be disjoint")
         validate_ground_size(len(self.sinks))
-        for u, v, c in self.arcs:
-            if not math.isfinite(c):
-                raise ValueError(f"capacity {c} on arc ({u}, {v}) is not finite")
-            if c < 0.0:
-                raise ValueError("capacities must be nonnegative")
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-                raise ValueError(f"arc ({u}, {v}) out of range")
+        object.__setattr__(self, "arcs",
+                           _checked_arcs(self.arcs, self.n_nodes, "capacity"))
 
 
 def flow_function(net: FlowNetwork) -> SetFunction:
@@ -361,10 +363,10 @@ def flow_function(net: FlowNetwork) -> SetFunction:
 
 def _check_concave_table(g_table: np.ndarray) -> None:
     if g_table[0] != 0.0:
-        raise NotZeroAtZero(f"g(0) = {g_table[0]}, must be 0")
+        raise ValueError(f"g(0) = {g_table[0]}, must be 0")
     inc = np.diff(g_table)
     if np.any(np.diff(inc) > 1e-12):
-        raise NotConcave("increments of g must be non-increasing")
+        raise ValueError("increments of g must be non-increasing")
 
 
 def concave_cardinality(g_table) -> SetFunction:
@@ -390,7 +392,7 @@ _ANALYTIC = {
 
 def _profile(kind: str, cap_value: Optional[float]):
     if kind == "cap":
-        if cap_value is None or cap_value < 0.0:
+        if cap_value is None or check_finite(cap_value, "cap value") < 0.0:
             raise ValueError("the 'cap' profile needs a nonnegative cap value")
         return lambda x: np.minimum(x, cap_value)
     try:
@@ -431,11 +433,11 @@ def logdet_function(Q) -> SetFunction:
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError("Q must be square")
     if np.max(np.abs(Q - Q.T)) > 1e-12:
-        raise NotPositiveDefinite("Q must be symmetric (within 1e-12)")
+        raise ValueError("Q must be symmetric (within 1e-12)")
     try:
         np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
-        raise NotPositiveDefinite("Q is not positive definite")
+        raise ValueError("Q is not positive definite")
     p = Q.shape[0]
 
     def fn(mask: int) -> float:
@@ -458,10 +460,8 @@ def graphic_matroid_rank(n_vertices: int, edges: Sequence[tuple]) -> SetFunction
     Union-find over the selected edges; equals the size of a spanning
     forest of the selected subgraph.
     """
-    edges = [(int(u), int(v)) for u, v in edges]
-    for u, v in edges:
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise ValueError(f"edge ({u}, {v}) out of range")
+    edges = check_indices([(u, v) for u, v in edges], n_vertices,
+                          "edge end").reshape(-1, 2).tolist()
 
     def fn(mask: int) -> float:
         parent: dict[int, int] = {}
@@ -498,7 +498,8 @@ def linear_matroid_rank(matrix, tol: Optional[float] = None) -> SetFunction:
         raise ValueError("matrix must be 2-d")
     p = matrix.shape[1]
     norms = np.linalg.norm(matrix, axis=0)
-    pivot_tol = (1e-9 if tol is None else tol) * max(1.0, float(np.max(norms, initial=0.0)))
+    tol = 1e-9 if tol is None else check_tolerance(tol)
+    pivot_tol = tol * max(1.0, float(np.max(norms, initial=0.0)))
 
     def fn(mask: int) -> float:
         idx = elements_of(mask)

@@ -1,13 +1,18 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import submodopt
 from submodopt import cli, core, transforms
 from submodopt.cli import main
+from submodopt.errors import SubmodoptError
 
 from helpers import address_space_limit
 
@@ -274,6 +279,49 @@ def test_spec_errors_exit_1(capsys, tmp_path, doc, argv, message):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "eval" if argv else "explicit", path, *argv)
     assert code == 1 and out == "" and message in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "card_concave", "g": [0, 1, 3]},
+     "increments of g must be non-increasing"),
+    ({"kind": "card_concave", "g": [1, 1, 1]}, "g(0) = 1.0, must be 0"),
+    ({"kind": "logdet", "q": [[1.0, 2.0], [2.0, 1.0]]}, "Q is not positive definite"),
+    ({"kind": "transform", "op": "scale", "factor": -1, "inner": _EXPLICIT},
+     "scale factor must be nonnegative, got -1.0"),
+    ({"kind": "weighted_concave", "weights": [1, 2], "profile": "cap",
+      "cap": math.nan}, "cap value must be finite"),
+    ({"kind": "cut", "p": 2, "arcs": [[0.5, 1, 1.0]]},
+     "arc end 0.5 is not an integer"),
+    ({"kind": "graphic_matroid", "n_vertices": 3, "edges": [[0, 1.5]]},
+     "edge end 1.5 is not an integer"),
+    ({"kind": "flow", "n_nodes": 3, "sources": [0], "sinks": [1.5],
+      "arcs": [[0, 1, 1.0]]}, "sink 1.5 is not an integer"),
+])
+def test_invalid_inputs_exit_1(capsys, tmp_path, spec, message):
+    # before, the first five exited 2, since their errors were package errors
+    # too, and the last three exited 0 for another function: int() truncated
+    # the node index
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "minimize", path, "--algo", "brute")
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+def test_no_error_class_is_both_an_input_and_a_computation_error():
+    # main catches SubmodoptError (exit 2) before ValueError (exit 1), so a
+    # class that were both would report a bad input as a failed computation
+    for info in pkgutil.iter_modules(submodopt.__path__):
+        module = importlib.import_module(f"submodopt.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            assert not (issubclass(cls, SubmodoptError)
+                        and issubclass(cls, ValueError)), cls
+
+
+def test_non_finite_alpha_exits_1(capsys):
+    # before, --alpha nan exited 0 and wrote a bare NaN into the report
+    for alpha in ("nan", "inf", "0,-inf"):
+        code, out, err = run(capsys, "prox", DATA / "f_or.json", f"--alpha={alpha}")
+        assert code == 1 and out == "" and err == "error: alpha must be finite\n"
 
 
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 32.0 GiB"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import submodopt as so
-from submodopt.errors import CapExceeded, EmptySetNotZero
+from submodopt.errors import CapExceeded
 
 from helpers import brute_in_P, brute_min, is_submodular_pairwise
 
@@ -17,7 +17,7 @@ def card(p):
 
 
 def test_empty_set_must_be_zero():
-    with pytest.raises(EmptySetNotZero):
+    with pytest.raises(ValueError, match=r"F\(empty\) = 1\.0; must be exactly 0"):
         so.SetFunction(2, lambda m: 1.0)
     shifted = so.shift_to_zero(2, lambda m: 1.0 + int(m).bit_count())
     assert shifted(0) == 0.0
@@ -100,6 +100,55 @@ def test_property_checks_need_a_finite_nonnegative_tolerance():
         for bad in (np.nan, np.inf, -1.0, -1e-300):
             with pytest.raises(ValueError, match="tolerance must be finite"):
                 check(and2, tol=bad)
+
+
+_MODULAR12 = so.modular_function([1.0, 2.0])
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda tol: so.in_P(F_OR, [0.2, 0.2], tol), True),
+    (lambda tol: so.in_B(F_OR, [0.5, 0.5], tol), True),
+    (lambda tol: so.in_P_plus(F_OR, [0.2, 0.2], tol), True),
+    (lambda tol: so.tight_sets(F_OR, [0.5, 0.5], tol), [0b00, 0b11]),
+    (lambda tol: so.dep(F_OR, [0.5, 0.5], 0, tol), 0b11),
+    (lambda tol: so.exchangeable_pairs(F_OR, [0.5, 0.5], tol), [(0, 1), (1, 0)]),
+    (lambda tol: so.is_base_maximizer(F_OR, [1.0, 0.0], [1.0, 0.0], tol), True),
+    (lambda tol: so.polyhedra.base_maximizer_exchange_check(
+        F_OR, [1.0, 0.0], [1.0, 0.0], tol), True),
+    (lambda tol: so.is_P_plus_maximizer(F_OR, [1.0, 0.0], [1.0, 0.0], tol), True),
+    (lambda tol: so.separable_witness(_MODULAR12, 0b11, tol), 0b01),
+    (lambda tol: so.face_check(F_OR, [0b01, 0b10], tol), True),
+    (lambda tol: so.check_separable_optimality(
+        F_OR, [1.0, 0.0], so.Quadratic([1.0, 1.0], [0.0, 0.0]), tol=tol), False),
+    (lambda tol: so.prox_threshold_sets([0.5, -0.5], 0.0, tol), (0b01, 0b01)),
+    (lambda tol: so.recover_level_values(F_OR, [0.5, 0.5], tol), [(0b11, 0.5)]),
+    (lambda tol: so.linear_matroid_rank(np.eye(3), tol)(0b111), 3.0),
+], ids=["in_P", "in_B", "in_P_plus", "tight_sets", "dep", "exchangeable_pairs",
+        "is_base_maximizer", "base_maximizer_exchange_check",
+        "is_P_plus_maximizer", "separable_witness", "face_check",
+        "check_separable_optimality", "prox_threshold_sets",
+        "recover_level_values", "linear_matroid_rank"])
+def test_every_tolerance_is_checked(call, expected):
+    # before, tol=nan made in_P(F_OR, [0.2, 0.2]) False, accepted [1, 0] as
+    # the separable optimum of F_OR and gave the identity matrix rank 0
+    assert call(1e-9) == expected
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="tolerance must be finite and nonnegative"):
+            call(bad)
+
+
+def test_check_indices():
+    got = so.core.check_indices([0, 2.0, np.int64(1)], 3, "element")
+    assert got.dtype == np.int64 and got.tolist() == [0, 2, 1]
+    assert so.core.check_indices([[1, 0]], 2, "arc end").tolist() == [[1, 0]]
+    assert so.core.check_indices([], 2, "element").shape == (0,)
+    for bad, message in ((0.5, "element 0.5 is not an integer"),
+                         (np.nan, "element nan is not an integer"),
+                         (3, "element 3 out of range"),
+                         (-1.0, "element -1 out of range"),
+                         (np.inf, "element inf is not an integer")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            so.core.check_indices([1, bad], 3, "element")
 
 
 def test_to_explicit_examples():

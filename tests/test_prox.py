@@ -103,6 +103,9 @@ def test_prox_threshold_examples():
     assert so.prox_threshold_sets(u, -0.6) == (0b11, 0b11)
     assert so.prox_threshold_sets(u, 0.0) == (0, 0)
     assert so.prox_threshold_sets(u, -0.5) == (0, 0b11)
+    for alpha in (np.nan, np.inf, -np.inf):  # NaN used to give empty sets
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            so.prox_threshold_sets(u, alpha)
 
 
 def test_prox_decomposition_examples():
@@ -281,9 +284,8 @@ def test_prox_over_P_plus_objective_on_grid():
 
 
 def test_prox_over_P_plus_requires_monotone():
-    from submodopt.errors import MonotonicityRequired
     dec = so.explicit_function([0.0, 1.0, -1.0, 0.5])
-    with pytest.raises(MonotonicityRequired):
+    with pytest.raises(ValueError, match="F decreases when adding"):
         so.prox_over_P_plus(dec, quad(2))
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import submodopt as so
-from submodopt.errors import NegativeScale
 
 from helpers import batch_subset_sums
 
@@ -101,7 +100,7 @@ def test_arithmetic_examples():
     assert np.array_equal(so.to_explicit(double), [0.0, 2.0, 2.0, 2.0])
     zero = so.scale(F_OR, 0.0)
     assert np.array_equal(so.to_explicit(zero), [0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(NegativeScale):
+    with pytest.raises(ValueError, match="scale factor must be nonnegative, got -1.0"):
         so.scale(F_OR, -1.0)
     shifted = so.add_modular(F_OR, [-1.0, 0.0])
     assert np.array_equal(so.to_explicit(shifted), [0.0, 0.0, 1.0, 0.0])

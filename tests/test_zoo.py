@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import submodopt as so
-from submodopt.errors import NotConcave, NotPositiveDefinite, NotZeroAtZero
 
 from helpers import cover_lovasz_ref, cut_lovasz_ref
 
@@ -240,9 +239,9 @@ def test_concave_cardinality_examples():
 
 
 def test_concave_validation():
-    with pytest.raises(NotZeroAtZero):
+    with pytest.raises(ValueError, match=r"g\(0\) = 1\.0, must be 0"):
         so.concave_cardinality([1.0, 2.0])
-    with pytest.raises(NotConcave):
+    with pytest.raises(ValueError, match="increments of g must be non-increasing"):
         so.concave_cardinality([0.0, 1.0, 3.0])
 
 
@@ -273,10 +272,31 @@ def test_logdet_examples():
     r = rng.standard_normal((6, 6))
     Q = r @ r.T + np.eye(6)
     assert so.is_submodular(so.logdet_function(Q), tol=1e-9).holds
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(ValueError, match="Q is not positive definite"):
         so.logdet_function(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(ValueError, match="Q must be symmetric"):
         so.logdet_function(np.array([[1.0, 0.5], [0.4, 1.0]]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: so.Digraph(2, [(0.5, 1, 1.0)]), "arc end 0.5 is not an integer"),
+    (lambda: so.Digraph(2, [(0, 2, 1.0)]), "arc end 2 out of range"),
+    (lambda: so.FlowNetwork(3, sources=(0,), sinks=(1.5,)),
+     "sink 1.5 is not an integer"),
+    (lambda: so.FlowNetwork(3, sources=(3,), sinks=(1,)), "source 3 out of range"),
+    (lambda: so.FlowNetwork(3, sources=(0,), sinks=(2,), arcs=[(0, 1.25, 1.0)]),
+     "arc end 1.25 is not an integer"),
+    (lambda: so.graphic_matroid_rank(3, [(0, 1.5)]), "edge end 1.5 is not an integer"),
+    (lambda: so.graphic_matroid_rank(3, [(0, -1)]), "edge end -1 out of range"),
+    (lambda: so.dep(so.modular_function([1.0, 2.0]), [1.0, 2.0], 0.5),
+     "element 0.5 is not an integer"),
+])
+def test_node_indices_must_be_integral_and_in_range(build, message):
+    # before, int() truncated each of the non-integral ones to a node, so the
+    # function answered for another graph, and out-of-range sources and sinks
+    # were taken as they came
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_graphic_matroid_examples():
