@@ -31,6 +31,10 @@ def _need(obj: dict, key: str):
     return obj[key]
 
 
+def _need_int(obj: dict, key: str) -> int:
+    return core.check_integer(_need(obj, key), key)
+
+
 def _masks_from_indices(lists, p: int) -> list[int]:
     """The bitmask of each list of element indices, all checked in one call."""
     lists = [list(indices) for indices in lists]
@@ -49,11 +53,11 @@ def build_function(spec: dict, seed: int = 0) -> core.SetFunction:
     if kind == "explicit":
         return core.explicit_function(_need(spec, "values"))
     if kind == "cut":
-        g = zoo.Digraph(p=int(_need(spec, "p")),
+        g = zoo.Digraph(p=_need_int(spec, "p"),
                         arcs=[tuple(a) for a in _need(spec, "arcs")])
         return zoo.cut_function(g)
     if kind == "cover":
-        p = int(_need(spec, "p"))
+        p = _need_int(spec, "p")
         groups = _need(spec, "groups")
         masks = _masks_from_indices([g["members"] for g in groups], p)
         groups = [(m, float(g["weight"])) for m, g in zip(masks, groups)]
@@ -66,22 +70,21 @@ def build_function(spec: dict, seed: int = 0) -> core.SetFunction:
     if kind == "logdet":
         return zoo.logdet_function(np.asarray(_need(spec, "q"), dtype=np.float64))
     if kind == "flow":
-        net = zoo.FlowNetwork(n_nodes=int(_need(spec, "n_nodes")),
+        net = zoo.FlowNetwork(n_nodes=_need_int(spec, "n_nodes"),
                               sources=_need(spec, "sources"),
                               sinks=_need(spec, "sinks"),
                               arcs=[tuple(a) for a in _need(spec, "arcs")])
         return zoo.flow_function(net)
     if kind == "graphic_matroid":
-        return zoo.graphic_matroid_rank(int(_need(spec, "n_vertices")),
+        return zoo.graphic_matroid_rank(_need_int(spec, "n_vertices"),
                                         [tuple(e) for e in _need(spec, "edges")])
     if kind == "linear_matroid":
         return zoo.linear_matroid_rank(np.asarray(_need(spec, "matrix"),
                                                   dtype=np.float64),
                                        spec.get("tol"))
     if kind == "random":
-        return zoo.random_submodular(int(spec.get("seed", seed)),
-                                     int(_need(spec, "p")),
-                                     spec.get("family", "cut"))
+        return zoo.random_submodular(core.check_integer(spec.get("seed", seed), "seed"),
+                                     _need_int(spec, "p"), spec.get("family", "cut"))
     if kind == "transform":
         return _build_transform(spec, seed)
     raise ValueError(f"unknown spec kind {kind!r}")

@@ -44,8 +44,20 @@ EXHAUSTIVE_CAP = 20
 DEFAULT_TOL = 1e-9
 
 
+def check_integer(value, what: str) -> int:
+    """value as an int, which must be a whole number.
+
+    int() alone would truncate 2.5 to 2; here that raises ValueError
+    "<what> 2.5 is not an integer".  What int() rejects raises as it does.
+    """
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{what} {value} is not an integer")
+    return n
+
+
 def validate_ground_size(p: int) -> int:
-    p = int(p)
+    p = check_integer(p, "ground set size")
     if not 1 <= p <= MAX_GROUND_SIZE:
         raise ValueError(f"ground set size must be in [1, {MAX_GROUND_SIZE}], got {p}")
     return p

@@ -50,10 +50,14 @@ def tight_sets(F: SetFunction, s, tol: float = DEFAULT_TOL,
                cap: int = EXHAUSTIVE_CAP) -> list[int]:
     """All A with |s(A) - F(A)| <= tol, for s in P(F).
 
-    The family of tight sets of a point of P(F) is closed under union and
+    The family T of tight sets of a point of P(F) is closed under union and
     intersection; the computed family is verified against that closure and
     a violation raises NumericalInconsistency (the tolerance straddles a
-    constraint boundary).
+    constraint boundary).  The check is linear, O(p * |T|)
+    (:func:`_kernels.is_lattice`): with D_k the intersection of the tight
+    sets that contain k, T is a lattice iff the empty set is tight and so
+    is A | D_k for every tight A and every k in some tight set.  Only when
+    that fails does the quadratic pair search name the two sets.
     """
     tol = check_tolerance(tol)
     s = check_vector(s, F.p)
@@ -61,11 +65,12 @@ def tight_sets(F: SetFunction, s, tol: float = DEFAULT_TOL,
     sums = _kernels.subset_sums(s)
     flags = np.abs(sums - table) <= tol
     masks = np.nonzero(flags)[0].astype(np.int64)
-    i, l = _kernels.closure_violation(masks, flags)
-    if i >= 0:
-        raise NumericalInconsistency(
-            f"tight family not a lattice at tol={tol}: "
-            f"sets {int(masks[i])} and {int(masks[l])}")
+    if not _kernels.is_lattice(masks, flags):
+        i, l = _kernels.closure_violation(masks, flags)
+        if i >= 0:
+            raise NumericalInconsistency(
+                f"tight family not a lattice at tol={tol}: "
+                f"sets {int(masks[i])} and {int(masks[l])}")
     return [int(m) for m in masks]
 
 

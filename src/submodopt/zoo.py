@@ -395,10 +395,11 @@ def _profile(kind: str, cap_value: Optional[float]):
         if cap_value is None or check_finite(cap_value, "cap value") < 0.0:
             raise ValueError("the 'cap' profile needs a nonnegative cap value")
         return lambda x: np.minimum(x, cap_value)
-    try:
-        return _ANALYTIC[kind]
-    except KeyError:
+    if kind not in _ANALYTIC:
         raise ValueError(f"unknown profile {kind!r}; pick sqrt, log1p, or cap")
+    if cap_value is not None:
+        raise ValueError(f"the {kind!r} profile takes no cap value, got {cap_value}")
+    return _ANALYTIC[kind]
 
 
 def weighted_concave(s, kind: str, cap_value: Optional[float] = None) -> SetFunction:

@@ -243,6 +243,18 @@ def closure_violation_ref(masks, flags):
     return -1, -1
 
 
+def close_lattice(flags):
+    """Flag, in place, the closure of the flagged masks under union and
+    intersection."""
+    while True:
+        m = np.nonzero(flags)[0]
+        closed = np.concatenate([np.bitwise_or.outer(m, m).ravel(),
+                                 np.bitwise_and.outer(m, m).ravel()])
+        if flags[closed].all():
+            return flags
+        flags[closed] = True
+
+
 def mobius_transform_ref(h):
     d = np.array(h, dtype=float)
     n = len(d)

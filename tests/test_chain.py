@@ -112,7 +112,8 @@ def test_concave_families_chain_like_the_loop(data, p, seed, kind):
         F = so.concave_cardinality(np.concatenate([[0.0], np.cumsum(inc)]))
     else:
         # sqrt is correctly rounded, so dyadic sums give identical values
-        F = so.weighted_concave(dyadic(rng, 0.0, 1.0, size=p), kind, 1.5)
+        F = so.weighted_concave(dyadic(rng, 0.0, 1.0, size=p), kind,
+                                1.5 if kind == "cap" else None)
     check_chain(F, data)
 
 

@@ -307,6 +307,36 @@ def test_invalid_inputs_exit_1(capsys, tmp_path, spec, message):
     assert code == 1 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "cut", "p": 2.5, "arcs": [[0, 1, 1.0]]}, "p 2.5 is not an integer"),
+    ({"kind": "cover", "p": 2.5, "groups": [{"members": [0], "weight": 1.0}]},
+     "p 2.5 is not an integer"),
+    ({"kind": "flow", "n_nodes": 3.5, "sources": [0], "sinks": [1],
+      "arcs": [[0, 1, 1.0]]}, "n_nodes 3.5 is not an integer"),
+    ({"kind": "graphic_matroid", "n_vertices": 2.5, "edges": [[0, 1]]},
+     "n_vertices 2.5 is not an integer"),
+    ({"kind": "random", "p": 4.5}, "p 4.5 is not an integer"),
+    ({"kind": "random", "p": 4, "seed": 1.5}, "seed 1.5 is not an integer"),
+    ({"kind": "weighted_concave", "weights": [1, 2], "profile": "sqrt", "cap": -5},
+     "the 'sqrt' profile takes no cap value, got -5"),
+])
+def test_non_integral_sizes_and_unused_caps_exit_1(capsys, tmp_path, spec, message):
+    # before, each exited 0: int() truncated the size or seed, and a cap
+    # given to another profile than cap went unread
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "explicit", path)
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+def test_whole_number_sizes_are_accepted(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "random", "p": 4.0, "seed": 3.0}))
+    doc = run_json(capsys, "explicit", path)
+    path.write_text(json.dumps({"kind": "random", "p": 4, "seed": 3}))
+    assert run_json(capsys, "explicit", path)["results"] == doc["results"]
+
+
 def test_no_error_class_is_both_an_input_and_a_computation_error():
     # main catches SubmodoptError (exit 2) before ValueError (exit 1), so a
     # class that were both would report a bad input as a failed computation

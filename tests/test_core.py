@@ -151,6 +151,24 @@ def test_check_indices():
             so.core.check_indices([1, bad], 3, "element")
 
 
+def test_check_integer_and_ground_size():
+    assert so.core.check_integer(3.0, "p") == 3
+    assert so.core.check_integer(np.int64(2 ** 62 + 1), "seed") == 2 ** 62 + 1
+    for bad in (2.5, np.float64(-0.5), "3"):
+        with pytest.raises(ValueError, match=f"^p {bad} is not an integer$"):
+            so.core.check_integer(bad, "p")
+    with pytest.raises(ValueError, match="NaN"):
+        so.core.check_integer(np.nan, "p")
+    with pytest.raises(OverflowError):
+        so.core.check_integer(-np.inf, "p")
+    # int() truncated a size of 2.5 to 2
+    assert so.core.validate_ground_size(4.0) == 4
+    with pytest.raises(ValueError, match="^ground set size 2.5 is not an integer$"):
+        so.core.validate_ground_size(2.5)
+    with pytest.raises(ValueError, match="^ground set size 2.5 is not an integer$"):
+        so.random_submodular(0, 2.5)
+
+
 def test_to_explicit_examples():
     assert np.array_equal(so.to_explicit(F_OR), [0.0, 1.0, 1.0, 1.0])
     assert np.array_equal(so.to_explicit(SYM_CUT2), [0.0, 1.0, 1.0, 0.0])

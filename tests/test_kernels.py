@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from submodopt import _kernels as K
 from submodopt import zoo
 
-from helpers import (argmin_extremes_ref, closure_violation_ref,
+from helpers import (argmin_extremes_ref, close_lattice, closure_violation_ref,
                      dyadic_cover, max_margin_ref, mobius_transform_ref, monotone_check_ref,
                      pairwise_check_ref, second_order_check_ref,
                      subset_sums_ref, symmetric_check_ref, zeta_transform_ref)
@@ -33,11 +33,15 @@ def _random_table(rng, p):
     return t
 
 
-def _check_tables(table, p, tol):
+def _check_differences(table, p, tol):
     assert (bits(K.second_order_check(table, p, tol))
             == bits(second_order_check_ref(table, p, tol)))
     assert (bits(K.monotone_check(table, p, tol))
             == bits(monotone_check_ref(table, p, tol)))
+
+
+def _check_tables(table, p, tol):
+    _check_differences(table, p, tol)
     assert (bits(K.symmetric_check(table, p, tol))
             == bits(symmetric_check_ref(table, p, tol)))
     assert (bits(K.pairwise_check(table, p, tol))
@@ -46,7 +50,7 @@ def _check_tables(table, p, tol):
 
 def test_subset_sums_match_reference():
     rng = np.random.default_rng(0)
-    for p in (1, 3, 6, 10):
+    for p in (0, 1, 3, 6, 10, 13):
         s = rng.standard_normal(p)
         assert bits(K.subset_sums(s)) == bits(subset_sums_ref(s))
 
@@ -71,8 +75,9 @@ def test_property_checks_match_reference_with_witnesses():
 
 
 def test_transforms_match_reference():
+    # from p = 2 on the low half of the passes runs on a rotated copy
     rng = np.random.default_rng(3)
-    for p in (1, 4, 8):
+    for p in (0, 1, 2, 4, 8, 11, 12):
         h = rng.standard_normal(1 << p)
         assert bits(K.mobius_transform(h)) == bits(mobius_transform_ref(h))
         assert bits(K.zeta_transform(h)) == bits(zeta_transform_ref(h))
@@ -88,6 +93,31 @@ def test_closure_matches_reference():
             masks = np.nonzero(flags)[0].astype(np.int64)
             assert (bits(K.closure_violation(masks, flags))
                     == bits(closure_violation_ref(masks, flags)))
+
+
+def test_linear_lattice_test_matches_pair_search():
+    # lattices and random families (rarely lattices), drawn over V or
+    # inside a random U, so that V is often not a member; the empty set
+    # always is
+    rng = np.random.default_rng(5)
+    seen = set()
+    for p in (1, 2, 4, 6):
+        n = 1 << p
+        for trial in range(40):
+            u = n - 1 if trial % 4 < 2 else int(rng.integers(n))
+            flags = np.zeros(n, dtype=bool)
+            flags[rng.integers(n, size=int(rng.integers(1, 5))) & u] = True
+            flags[0] = True
+            if trial % 2:
+                close_lattice(flags)
+            masks = np.nonzero(flags)[0].astype(np.int64)
+            lattice = closure_violation_ref(masks, flags) == (-1, -1)
+            assert K.is_lattice(masks, flags) == lattice
+            seen.add((lattice, bool(flags[-1])))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # without the empty set the test declines: {V} is a lattice all the same
+    flags = np.array([False, False, False, True])
+    assert not K.is_lattice(np.array([3]), flags)
 
 
 @st.composite
@@ -216,3 +246,68 @@ def test_second_order_witness_on_planted_violations(case):
     assert bits(got) == bits(second_order_check_ref(table, p, tol))
     if expect is not None:
         assert got[:len(expect)] == expect
+
+
+def _concave_table(p):
+    """g(|A|) with steps 8 - i/2: every second difference is exactly -1/2."""
+    steps = 8.0 - np.arange(p) / 2
+    g = np.concatenate(([0.0], np.cumsum(steps)))
+    return g[[bin(m).count("1") for m in range(1 << p)]]
+
+
+def test_rotated_and_in_place_passes_at_p_11():
+    # at p = 11 the second-order check rotates the low 5 bits of each D_k
+    # and the monotone check the low 5 elements; both also compare in place
+    p = 11
+    rng = np.random.default_rng(6)
+    table = _concave_table(p)
+    assert K.second_order_check(table, p, 0.0)[0]
+    _check_differences(table, p, 0.0)
+    for _ in range(4):
+        dented = table.copy()
+        dented[rng.integers(1, 1 << p, size=int(rng.integers(1, 6)))] -= 0.75
+        for tol in (0.0, 0.5):
+            _check_differences(dented, p, tol)
+    for h in (rng.standard_normal(1 << p), table):
+        assert bits(K.mobius_transform(h)) == bits(mobius_transform_ref(h))
+        assert bits(K.zeta_transform(h)) == bits(zeta_transform_ref(h))
+
+
+def test_second_order_witness_after_rotation_is_the_smallest_A():
+    # lowering F(C) makes (C - k, j, k) a violation for k in C and j not in
+    # C.  With C1 = {3, 9, 10} and C2 = {8, 9, 10} the pair (j, k) = (0, 10)
+    # is violated at A1 = {3, 9} = 520 and A2 = {8, 9} = 768; bit 0 of D_10
+    # is compared on the rotated copy, where A2 comes first
+    p = 11
+    table = _concave_table(p)
+    for c in (0b11000001000, 0b11100000000):
+        table[c] -= 2.0
+    got = K.second_order_check(table, p, 1e-9)
+    assert got[:4] == (False, 520, 0, 10)
+    assert bits(got) == bits(second_order_check_ref(table, p, 1e-9))
+
+
+def test_monotone_witness_after_rotation_is_the_smallest_A():
+    # raising F(A) makes (A, k) a violation for every k outside A.  Element
+    # 0 is compared on the rotated copy, where A2 = {10} = 1024 comes
+    # before A1 = {3, 9} = 520
+    p = 11
+    table = 4.0 * np.array([bin(m).count("1") for m in range(1 << p)])
+    for a in (520, 1024):
+        table[a] += 8.0
+    got = K.monotone_check(table, p, 1e-9)
+    assert got == (False, 520, 0, 12.0, 16.0)
+    assert bits(got) == bits(monotone_check_ref(table, p, 1e-9))
+
+
+def test_both_orientations_at_low_and_high_bits():
+    # the 2**53 rounding case of the test above, with the pair of elements
+    # at low (rotated) and high (in place) bits of p = 11
+    p = 11
+    pair = np.array([0.0, 1.0, 2.0 ** 53, 2.0 ** 53 + 2.0])
+    masks = np.arange(1 << p)
+    for lo, hi in ((0, 1), (0, 10), (3, 7), (4, 5), (6, 10), (9, 10)):
+        table = pair[(masks >> lo & 1) | (masks >> hi & 1) << 1]
+        assert K.second_order_check(table, p, 1e-9) == (False, 0, hi, lo, 1.0, 2.0)
+        assert (bits(K.second_order_check(table, p, 1e-9))
+                == bits(second_order_check_ref(table, p, 1e-9)))

@@ -1,14 +1,17 @@
 """Membership, tight-set structure, maximizer certificates, faces."""
 
+import time
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import submodopt as so
-from submodopt import polyhedra
+from submodopt import _kernels, polyhedra
 from submodopt.polyhedra import base_maximizer_exchange_check
 
-from helpers import dyadic, dyadic_cover, dyadic_digraph
+from helpers import (close_lattice, closure_violation_ref, dyadic, dyadic_cover,
+                     dyadic_digraph, subset_sums_ref)
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
 SYM_CUT2 = so.explicit_function([0.0, 1.0, 1.0, 0.0])
@@ -42,8 +45,62 @@ def test_tight_family_closure_violation_detected():
     # both singletons are tight within tol but their union is not: the
     # family fails the lattice check, so the tolerance straddles a boundary
     zero = so.modular_function([0.0, 0.0])
-    with pytest.raises(NumericalInconsistency):
+    message = "tight family not a lattice at tol=1e-09: sets 1 and 2"
+    with pytest.raises(NumericalInconsistency, match=f"^{message}$"):
         so.tight_sets(zero, [0.9e-9, 0.9e-9], tol=1e-9)
+
+
+def _family_function(rng, flags):
+    """(F, s) whose tight sets at tol 1e-9 are the masks that flags marks:
+    F = s(A) on them and s(A) + 1 elsewhere, with dyadic s."""
+    p = flags.shape[0].bit_length() - 1
+    s = dyadic(rng, -1.0, 1.0, size=p)
+    table = subset_sums_ref(s) + np.where(flags, 0.0, 1.0)
+    return so.explicit_function(table), s
+
+
+def test_tight_sets_agree_with_the_pair_search():
+    # the linear lattice test decides; a failure is named by the pair search
+    from submodopt.errors import NumericalInconsistency
+    import pytest
+
+    rng = np.random.default_rng(7)
+    outcomes = set()
+    for p in (2, 3, 5, 7):
+        for trial in range(30):
+            u = (1 << p) - 1 if trial % 3 else int(rng.integers(1 << p))
+            flags = np.zeros(1 << p, dtype=bool)
+            flags[rng.integers(1 << p, size=int(rng.integers(1, 6))) & u] = True
+            flags[0] = True
+            if trial % 2:
+                close_lattice(flags)
+            masks = np.nonzero(flags)[0]
+            F, s = _family_function(rng, flags)
+            i, l = closure_violation_ref(masks, flags)
+            outcomes.add((i < 0, bool(flags[-1])))
+            if i < 0:
+                assert so.tight_sets(F, s) == masks.tolist()
+                continue
+            message = (f"tight family not a lattice at tol=1e-09: "
+                       f"sets {masks[i]} and {masks[l]}")
+            with pytest.raises(NumericalInconsistency, match=f"^{message}$"):
+                so.tight_sets(F, s)
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_tight_sets_of_a_modular_function_at_p_16(monkeypatch):
+    # every one of the 65 536 sets is tight; the pair search alone would
+    # make 2**32 checks (seconds at p = 13 already), the lattice test 16
+    # passes over the family
+    def pair_search(*args):
+        raise AssertionError("a lattice needs no pair search")
+
+    monkeypatch.setattr(_kernels, "closure_violation", pair_search)
+    s = dyadic(np.random.default_rng(8), -1.0, 1.0, size=16)
+    started = time.perf_counter()
+    tight = so.tight_sets(so.modular_function(s), s)
+    assert time.perf_counter() - started < 5.0
+    assert tight == list(range(1 << 16))
 
 
 def test_dep_examples():

@@ -299,6 +299,18 @@ def test_node_indices_must_be_integral_and_in_range(build, message):
         build()
 
 
+def test_weighted_concave_profile_takes_only_its_own_cap():
+    # a cap given to the sqrt or log1p profile used to be ignored unchecked
+    for kind in ("sqrt", "log1p"):
+        with pytest.raises(ValueError,
+                           match=f"^the '{kind}' profile takes no cap value, got -5$"):
+            so.weighted_concave([1.0, 2.0], kind, -5)
+    with pytest.raises(ValueError, match="^the 'cap' profile needs a nonnegative cap value$"):
+        so.weighted_concave([1.0, 2.0], "cap", -5)
+    with pytest.raises(ValueError, match="^the 'cap' profile needs a nonnegative cap value$"):
+        so.weighted_concave([1.0, 2.0], "cap")
+
+
 def test_graphic_matroid_examples():
     tri = so.graphic_matroid_rank(3, [(0, 1), (1, 2), (0, 2)])
     assert tri(0b111) == 2.0
