@@ -292,9 +292,12 @@ def cut_table(tails, heads, wts, p):
     np.add.at(w, (tails, heads), wts)
     out = w.sum(axis=1)
     both = w + w.T
-    table = np.zeros(1, dtype=np.float64)
+    table = np.empty(1 << p, dtype=np.float64)
+    table[0] = 0.0
     for k in range(p):
-        table = np.concatenate((table, table + out[k] - subset_sums(both[k, :k])))
+        upper = table[1 << k:2 << k]
+        np.add(table[:1 << k], out[k], out=upper)
+        upper -= subset_sums(both[k, :k])
     return table
 
 

@@ -6,8 +6,8 @@ invocations produce byte-identical output apart from the timing field.
 Log and error text goes to stderr.
 
 Exit codes: 0 ok, 1 input or parse error (a ``ValueError``), 2 numerical or
-cap error (a ``SubmodoptError``), out of memory or any other failure, 3
-precondition violation detected by --verify.
+cap error (a ``SubmodoptError`` or numpy's ``LinAlgError``), out of memory or
+any other failure, 3 precondition violation detected by --verify.
 Every failure is one ``error:`` line on stderr, never a traceback.
 """
 
@@ -367,6 +367,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), 3)
     except SubmodoptError as exc:  # cap, convergence and other numerical errors
         return _fail(str(exc), 2)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but no input error
+        return _fail(f"LinAlgError: {exc}", 2)
     except ValueError as exc:
         return _fail(str(exc), 1)
     except Exception as exc:  # the exit-code contract admits no traceback

@@ -23,7 +23,6 @@ from .errors import NoConvergence, NumericalInconsistency
 from .lovasz import greedy_base
 
 _DROP_COEFF = 1e-12
-_JITTER = 1e-12
 
 
 @dataclass
@@ -31,10 +30,12 @@ class Corral:
     """State of the minimum-norm-point solver.
 
     ``bases`` rows are vertices of the base polytope produced by the greedy
-    oracle; ``coeffs`` are their convex weights (nonnegative, summing to one
-    within 1e-12); the current iterate is coeffs @ bases.  ``gap`` is the
-    linearization gap at the iterate, and ``major_cycles`` counts the
-    vertices added to the corral after the starting one.
+    oracle, copied from the active rows of the solver's buffers in the
+    order they entered the corral; ``coeffs`` are their convex weights
+    (nonnegative, summing to one within 1e-12); the current iterate is
+    coeffs @ bases.  ``gap`` is the linearization gap at the iterate, and
+    ``major_cycles`` counts the vertices added to the corral after the
+    starting one.
     """
 
     bases: np.ndarray
@@ -60,29 +61,29 @@ class SfmResult:
     gap: float
 
 
-def _affine_minimizer(gram: np.ndarray) -> np.ndarray:
+def _affine_minimizer(M: np.ndarray) -> np.ndarray:
     """Coefficients of the norm minimizer over the affine hull of the corral.
 
-    Solves (gram + jitter * I) y = 1 with one LAPACK call and normalizes y
-    to sum one.  An exactly singular system (LinAlgError) or a zero or
-    non-finite sum(y) escalates the diagonal jitter a hundredfold, up to
-    six times, before a least-squares solve takes over.
+    M is Wolfe's bordered Gram matrix G + 11^T of the corral, where
+    G_ij = <s_i - c, s_j - c>_d.  The minimizer's coefficients y solve
+    G y = mu 1 with sum(y) = 1, so M y is a multiple of 1 as well: one
+    LAPACK solve of M y = 1 and a normalization give them.  Since
+    y^T M y = |sum_i y_i (s_i - c)|_d^2 + sum(y)^2, M is positive definite
+    whenever the corral is affinely independent, also when its affine hull
+    passes through c and G is singular.  An exactly singular M
+    (LinAlgError) or a zero or non-finite sum(y) falls back to a
+    least-squares solve.
     """
-    m = gram.shape[0]
-    ones = np.ones(m)
-    eye = np.eye(m)
-    jitter = _JITTER * max(1.0, float(gram.diagonal().max()))
-    for _ in range(6):
-        try:
-            y = np.linalg.solve(gram + jitter * eye, ones)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            total = float(y.sum())
-            if total != 0.0 and math.isfinite(total):
-                return y / total
-        jitter *= 100.0
-    y, *_ = np.linalg.lstsq(gram + jitter * eye, ones, rcond=None)
+    ones = np.ones(M.shape[0])
+    try:
+        y = np.linalg.solve(M, ones)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        total = float(y.sum())
+        if total != 0.0 and math.isfinite(total):
+            return y / total
+    y, *_ = np.linalg.lstsq(M, ones, rcond=None)
     return y / float(y.sum())
 
 
@@ -102,12 +103,23 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
     when every singleton ties the order is the identity.  Closed structures
     list their singletons without oracle calls; any other F pays p of them.
 
+    The corral lives in buffers made once per call, with room for p + 1
+    vertices (p affinely independent ones on s(V) = F(V) plus the one just
+    added; a numerically degenerate corral that needs more grows them by a
+    copy).  They hold the vertices, their rows d * (s - c), and the
+    bordered Gram matrix M of ``_affine_minimizer``, kept across cycles:
+    an added vertex costs one matrix-vector product for its row of M, a
+    minor cycle one solve on M, and a dropped vertex a shift of the rows
+    and columns after it in place.
+
     Returns the optimal point and the final corral.  Raises NoConvergence
     (with the best iterate attached) after ``max_major`` cycles, default
     100 * p, and NumericalInconsistency if the norm grows across a major
-    cycle.  Non-finite or misshapen weights or center, nonpositive
-    weights, and an eps that is not a finite positive number raise
-    ValueError.
+    cycle or a row of M overflows.  The solve runs with numpy's overflow
+    and invalid-value warnings off, and so do the evaluations of F it
+    makes; a non-finite M never reaches LAPACK.  Non-finite or misshapen
+    weights or center, nonpositive weights, and an eps that is not a
+    finite positive number raise ValueError.
     """
     p = F.p
     d = (np.ones(p) if weights is None
@@ -121,58 +133,96 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
     if max_major is None:
         max_major = 100 * p
 
-    s0 = greedy_base(F, d * (c - F.singletons()))
-    bases = s0[np.newaxis, :].copy()
-    coeffs = np.array([1.0])
-    x = s0
-    prev_norm = np.inf
-    majors = 0
+    size = p + 1
+    bases = np.empty((size, p))     # the corral's vertices s_i, rows 0..m-1
+    scaled = np.empty((size, p))    # d * (s_i - c)
+    M = np.empty((size, size))      # <s_i - c, s_j - c>_d + 1
+    coeffs = np.empty(size)         # convex weights
+    # an overflow shows as an inf or nan gap, which does not converge, or
+    # as a non-finite row of M, which is refused before any solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = greedy_base(F, d * (c - F.singletons()))
+        bases[0] = x
+        coeffs[0] = 1.0
+        m = 1
+        prev_norm = np.inf
+        majors = 0
 
-    while True:
-        g = x - c
-        norm = float(d @ (g * g))
-        if norm > prev_norm + 1e-9 * (1.0 + prev_norm):
-            raise NumericalInconsistency(
-                f"norm increased across major cycle {majors}: "
-                f"{prev_norm!r} -> {norm!r}")
-        prev_norm = norm
-        q = greedy_base(F, -d * g)
-        gap = float(d @ (g * x)) - float(d @ (g * q))
-        converged = gap <= eps * (1.0 + float(d @ (x * x)))
-        # stop on convergence, at the cap, or when the oracle repeats a vertex
-        if (converged or majors == max_major
-                or np.any(np.all(np.abs(bases - q) <= 1e-12, axis=1))):
-            break
-        majors += 1
-        bases = np.vstack([bases, q])
-        coeffs = np.append(coeffs, 0.0)
-
-        # minor cycles: step toward the affine minimizer, dropping vertices
-        # whose convex coefficient hits zero, until it is a convex minimizer
         while True:
-            centered = bases - c
-            y = _affine_minimizer((centered * d) @ centered.T)
-            if y.min() >= _DROP_COEFF:
-                coeffs = y
+            g = x - c
+            norm = float(d @ (g * g))
+            if norm > prev_norm + 1e-9 * (1.0 + prev_norm):
+                raise NumericalInconsistency(
+                    f"norm increased across major cycle {majors}: "
+                    f"{prev_norm!r} -> {norm!r}")
+            prev_norm = norm
+            q = greedy_base(F, -d * g)
+            gap = float(d @ (g * x)) - float(d @ (g * q))
+            converged = gap <= eps * (1.0 + float(d @ (x * x)))
+            # stop on convergence, at the cap, or when the oracle repeats a vertex
+            if (converged or majors == max_major
+                    or (np.abs(bases[:m] - q) <= 1e-12).all(axis=1).any()):
                 break
-            shrink = coeffs - y
-            move = shrink > _DROP_COEFF
-            theta = float((coeffs[move] / shrink[move]).min())
-            theta = min(max(theta, 0.0), 1.0)
-            coeffs = (1.0 - theta) * coeffs + theta * y
-            keep = coeffs > _DROP_COEFF
-            if keep.all():
-                # numerical stall: keep the smallest coefficient anyway
-                keep[int(np.argmin(coeffs))] = False
-            bases = bases[keep]
-            coeffs = coeffs[keep]
-            coeffs = coeffs / float(coeffs.sum())
-            if bases.shape[0] == 1:
-                coeffs = np.array([1.0])
-                break
-        x = coeffs @ bases
+            majors += 1
+            if majors == 1:  # the start's own row, from this cycle's g and norm
+                if not math.isfinite(norm):
+                    raise NumericalInconsistency(
+                        f"the Gram matrix of the corral overflows at major cycle {majors}")
+                np.multiply(d, g, out=scaled[0])
+                M[0, 0] = norm + 1.0
+            if m == size:
+                size *= 2
+                bases, scaled, coeffs = (np.concatenate((a, np.empty_like(a)))
+                                         for a in (bases, scaled, coeffs))
+                grown = np.empty((size, size))
+                grown[:m, :m] = M
+                M = grown
+            qc = q - c
+            row = M[m, :m + 1]
+            np.add(scaled[:m] @ qc, 1.0, out=row[:m])
+            row[m] = float(d @ (qc * qc)) + 1.0
+            if not np.isfinite(row).all():
+                raise NumericalInconsistency(
+                    f"the Gram matrix of the corral overflows at major cycle {majors}")
+            M[:m, m] = row[:m]
+            bases[m] = q
+            np.multiply(d, qc, out=scaled[m])
+            coeffs[m] = 0.0
+            m += 1
 
-    corral = Corral(bases=bases, coeffs=coeffs, gap=gap,
+            # minor cycles: step toward the affine minimizer, dropping vertices
+            # whose convex coefficient hits zero, until it is a convex minimizer
+            while True:
+                y = _affine_minimizer(M[:m, :m])
+                if y.min() >= _DROP_COEFF:
+                    coeffs[:m] = y
+                    break
+                lam = coeffs[:m]
+                shrink = lam - y
+                move = shrink > _DROP_COEFF
+                theta = float((lam[move] / shrink[move]).min())
+                theta = min(max(theta, 0.0), 1.0)
+                lam = (1.0 - theta) * lam + theta * y
+                keep = lam > _DROP_COEFF
+                if keep.all():
+                    # numerical stall: keep the smallest coefficient anyway
+                    keep[int(np.argmin(lam))] = False
+                lam = lam[keep]
+                # shift the rows and columns after each dropped vertex up in
+                # place, the last one first
+                for i in np.flatnonzero(~keep)[::-1].tolist():
+                    bases[i:m - 1] = bases[i + 1:m]
+                    scaled[i:m - 1] = scaled[i + 1:m]
+                    M[i:m - 1, :m] = M[i + 1:m, :m]
+                    M[:m - 1, i:m - 1] = M[:m - 1, i + 1:m]
+                    m -= 1
+                coeffs[:m] = lam / float(lam.sum())
+                if m == 1:
+                    coeffs[0] = 1.0
+                    break
+            x = coeffs[:m] @ bases[:m]
+
+    corral = Corral(bases=bases[:m].copy(), coeffs=coeffs[:m].copy(), gap=gap,
                     converged=converged, major_cycles=majors)
     if not converged:
         raise NoConvergence(

@@ -339,20 +339,25 @@ def flow_function(net: FlowNetwork) -> SetFunction:
     Equivalently the minimum capacity of a cut separating the sources from
     A; non-decreasing and submodular.  Attachment arcs get a safe big-M
     capacity (1 + total finite capacity) so all arithmetic stays finite.
+    The max-flow runs on the nodes that a source, a sink or an arc names,
+    numbered in that order, so ``n_nodes`` sizes no allocation.
     """
     p = len(net.sinks)
     big = 1.0 + sum(c for _, _, c in net.arcs)
-    src, snk = net.n_nodes, net.n_nodes + 1
+    ids = {}
+    for node in (*net.sources, *net.sinks, *(v for a in net.arcs for v in a[:2])):
+        ids.setdefault(node, len(ids))
+    n = len(ids)
+    src, snk = n, n + 1
+    base = ([(ids[u], ids[v], c) for u, v, c in net.arcs]
+            + [(src, ids[s], big) for s in net.sources])
+    sinks = [ids[t] for t in net.sinks]
 
     def fn(mask: int) -> float:
         if mask == 0:
             return 0.0
-        arcs = list(net.arcs)
-        for s in net.sources:
-            arcs.append((src, s, big))
-        for k in elements_of(mask):
-            arcs.append((net.sinks[k], snk, big))
-        return _maxflow.max_flow(net.n_nodes + 2, arcs, src, snk).value
+        arcs = base + [(sinks[k], snk, big) for k in elements_of(mask)]
+        return _maxflow.max_flow(n + 2, arcs, src, snk).value
 
     return SetFunction(p, fn, memoize=True)
 

@@ -12,6 +12,7 @@ import resource
 import numpy as np
 
 from submodopt import SetFunction, elements_of
+from submodopt import lovasz as so_lovasz
 from submodopt import transforms as so_transforms
 from submodopt import zoo as so_zoo
 
@@ -158,6 +159,19 @@ def subset_sums_ref(s):
     return out
 
 
+def cut_table_concat_ref(tails, heads, wts, p):
+    """The bit-doubling recurrence of ``_kernels.cut_table``, growing the
+    table by one concatenation per element instead of filling one array."""
+    w = np.zeros((p, p))
+    np.add.at(w, (tails, heads), wts)
+    out = w.sum(axis=1)
+    both = w + w.T
+    table = np.zeros(1)
+    for k in range(p):
+        table = np.concatenate((table, table + out[k] - subset_sums_ref(both[k, :k])))
+    return table
+
+
 def max_margin_ref(sums, table):
     best = sums[0] - table[0]
     arg = 0
@@ -281,6 +295,74 @@ def is_submodular_pairwise(F: SetFunction, tol=1e-9):
     """F(A) + F(B) >= F(A | B) + F(A & B) - tol over all 4**p pairs."""
     table = [F(m) for m in powerset_masks(F.p)]
     return pairwise_check_ref(table, F.p, tol, False)[0]
+
+
+# ---------------------------------------------------------------------------
+# a reference for the kept bordered Gram matrix of sfm.min_norm_point: the
+# same loop on the corral's plain Gram matrix, rebuilt every minor cycle, with
+# one jittered solve on it
+# ---------------------------------------------------------------------------
+
+def affine_minimizer_ref(gram):
+    """Solve (gram + jitter * I) y = 1 and normalize; the jitter grows a
+    hundredfold, up to six times, while the solve fails or sum(y) is zero
+    or not finite, and a least-squares solve takes over after that."""
+    m = gram.shape[0]
+    ones = np.ones(m)
+    jitter = 1e-12 * max(1.0, float(gram.diagonal().max()))
+    for _ in range(6):
+        try:
+            y = np.linalg.solve(gram + jitter * np.eye(m), ones)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            total = float(y.sum())
+            if total != 0.0 and np.isfinite(total):
+                return y / total
+        jitter *= 100.0
+    y, *_ = np.linalg.lstsq(gram + jitter * np.eye(m), ones, rcond=None)
+    return y / float(y.sum())
+
+
+def min_norm_point_ref(F: SetFunction, weights=None, center=None, eps=1e-9):
+    """Wolfe's loop with the same start, stopping rules and drops as
+    ``sfm.min_norm_point``; returns (x, number of major cycles)."""
+    p = F.p
+    d = np.ones(p) if weights is None else np.asarray(weights, dtype=float)
+    c = np.zeros(p) if center is None else np.asarray(center, dtype=float)
+    bases = so_lovasz.greedy_base(F, d * (c - F.singletons()))[np.newaxis, :]
+    coeffs = np.array([1.0])
+    x = bases[0]
+    majors = 0
+    while True:
+        g = x - c
+        q = so_lovasz.greedy_base(F, -d * g)
+        gap = float(d @ (g * x)) - float(d @ (g * q))
+        if (gap <= eps * (1.0 + float(d @ (x * x))) or majors == 100 * p
+                or np.any(np.all(np.abs(bases - q) <= 1e-12, axis=1))):
+            return x, majors
+        majors += 1
+        bases = np.vstack([bases, q])
+        coeffs = np.append(coeffs, 0.0)
+        while True:
+            centered = bases - c
+            y = affine_minimizer_ref((centered * d) @ centered.T)
+            if y.min() >= 1e-12:
+                coeffs = y
+                break
+            shrink = coeffs - y
+            move = shrink > 1e-12
+            theta = min(max(float((coeffs[move] / shrink[move]).min()), 0.0), 1.0)
+            coeffs = (1.0 - theta) * coeffs + theta * y
+            keep = coeffs > 1e-12
+            if keep.all():
+                keep[int(np.argmin(coeffs))] = False
+            bases = bases[keep]
+            coeffs = coeffs[keep] / float(coeffs[keep].sum())
+            if bases.shape[0] == 1:
+                coeffs = np.array([1.0])
+                break
+        x = coeffs @ bases
 
 
 # ---------------------------------------------------------------------------

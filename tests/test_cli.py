@@ -5,12 +5,14 @@ import inspect
 import json
 import math
 import pkgutil
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import submodopt
-from submodopt import cli, core, transforms
+from submodopt import cli, core, sfm, transforms
 from submodopt.cli import main
 from submodopt.errors import SubmodoptError
 
@@ -366,6 +368,61 @@ def test_unexpected_errors_exit_2_with_one_line(capsys, monkeypatch, exc):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def run_quietly(capfd, tmp_path, spec, *argv):
+    """Run main on a spec file; return the exit code, the captured file
+    descriptors 1 and 2 (LAPACK writes to C stdout) and the warnings."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, str(path)])
+    out, err = capfd.readouterr()
+    return code, out, err, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("value, message", [
+    (1e300, "error: the Gram matrix of the corral overflows at major cycle 1\n"),
+    (-1e300, "error: minimum-norm point stalled after 0 major cycles with gap nan\n")])
+def test_overflow_in_min_norm_exits_2_with_one_line(capfd, tmp_path, value, message):
+    # the overflow is refused before LAPACK, which prints to C stdout, and
+    # it is a failed computation, not a bad input
+    spec = {"kind": "explicit", "values": [0, value, 1, 1]}
+    assert run_quietly(capfd, tmp_path, spec, "minimize") == (2, "", message, [])
+
+
+def test_overflowing_cover_weight_minimizes_without_warnings(capfd, tmp_path):
+    spec = {"kind": "cover", "p": 3, "groups": [{"members": [0, 1], "weight": 1e300},
+                                                {"members": [2], "weight": 1.0}]}
+    code, out, err, caught = run_quietly(capfd, tmp_path, spec, "minimize")
+    assert (code, err, caught) == (0, "", [])
+    assert json.loads(out)["results"] == {
+        "certificate": [1e300, 0.0, 1.0], "gap": 0.0, "maximal_minimizer": [],
+        "min_value": 0.0, "minimal_minimizer": []}
+
+
+def test_linalg_error_is_a_computation_error(capsys, monkeypatch):
+    # numpy's LinAlgError subclasses ValueError, yet it is no input error
+    def fail(M):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(sfm, "_affine_minimizer", fail)
+    code, out, err = run(capsys, "minimize", DATA / "random_cut6.json")
+    assert (code, out, err) == (2, "", "error: LinAlgError: SVD did not converge\n")
+
+
+def test_flow_spec_with_10_to_the_8_nodes(capsys, tmp_path):
+    # n_nodes only bounds the node indices and sizes no allocation
+    spec = {"kind": "flow", "n_nodes": 10 ** 8, "sources": [0], "sinks": [1, 2],
+            "arcs": [[0, 1, 1.0], [0, 2, 2.0]]}
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(spec))
+    with address_space_limit():
+        r = run_json(capsys, "minimize", path)["results"]
+    spec["n_nodes"] = 3
+    path.write_text(json.dumps(spec))
+    assert run_json(capsys, "minimize", path)["results"] == r
 
 
 def test_add_modular_above_the_cap(capsys, tmp_path):

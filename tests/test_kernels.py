@@ -9,7 +9,7 @@ from submodopt import _kernels as K
 from submodopt import zoo
 
 from helpers import (argmin_extremes_ref, close_lattice, closure_violation_ref,
-                     dyadic_cover, max_margin_ref, mobius_transform_ref, monotone_check_ref,
+                     cut_table_concat_ref, dyadic, dyadic_cover, max_margin_ref, mobius_transform_ref, monotone_check_ref,
                      pairwise_check_ref, second_order_check_ref,
                      subset_sums_ref, symmetric_check_ref, zeta_transform_ref)
 
@@ -53,6 +53,19 @@ def test_subset_sums_match_reference():
     for p in (0, 1, 3, 6, 10, 13):
         s = rng.standard_normal(p)
         assert bits(K.subset_sums(s)) == bits(subset_sums_ref(s))
+
+
+def test_cut_table_matches_the_concatenated_table_and_the_cut_values():
+    # dyadic weights: every order of summation gives the same cut values
+    rng = np.random.default_rng(4)
+    for p in range(14):
+        tails, heads = rng.integers(0, max(p, 1), size=(2, 3 * p))
+        tails, heads = tails[tails != heads], heads[tails != heads]  # no self-loops
+        wts = dyadic(rng, 2 ** -16, 1.0, size=tails.shape[0])
+        table = K.cut_table(tails, heads, wts, p)
+        assert bits(table) == bits(cut_table_concat_ref(tails, heads, wts, p))
+        chain = zoo.CutChain(p, tails, heads, wts, np.zeros(p))
+        assert table.tolist() == [chain.value(m) for m in range(1 << p)]
 
 
 def test_margin_and_argmin_match_reference():

@@ -1,5 +1,7 @@
 """Minimum-norm-point solver, minimization backends, certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ import submodopt as so
 from submodopt import sfm
 from submodopt.errors import NumericalInconsistency
 
-from helpers import brute_min, dyadic_digraph, dyadic_energy
+from helpers import (brute_min, dyadic_cover, dyadic_digraph, dyadic_energy,
+                     min_norm_point_ref)
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
 SYM_CUT2 = so.explicit_function([0.0, 1.0, 1.0, 0.0])
@@ -231,17 +234,38 @@ def test_norm_increase_raises_package_error(monkeypatch):
     # B(F) is the segment from (2, 1) to (0, 3); weighting the second vertex
     # too heavily moves the iterate away from the origin
     F = so.explicit_function([0.0, 2.0, 3.0, 3.0])
-    monkeypatch.setattr(sfm, "_affine_minimizer", lambda gram: np.array([0.1, 0.9]))
+    monkeypatch.setattr(sfm, "_affine_minimizer", lambda M: np.array([0.1, 0.9]))
     with pytest.raises(NumericalInconsistency, match="norm increased.*5.0"):
         so.min_norm_point(F)
 
 
-def _affine_minimizer_by_cholesky(gram):
-    """Reference: the Cholesky factor of gram + jitter * I and two solves."""
-    m = gram.shape[0]
-    jitter = 1e-12 * max(1.0, float(np.max(np.diag(gram))))
-    chol = np.linalg.cholesky(gram + jitter * np.eye(m))
-    y = np.linalg.solve(chol.T, np.linalg.solve(chol, np.ones(m)))
+def test_overflow_warnings_are_off_during_a_solve():
+    # the solve, and the evaluations of F it makes, run with numpy's overflow
+    # and invalid-value warnings off; the caller's settings hold again after
+    def fn(mask):
+        _ = np.float64(1e300) * 1e300 if mask else 0.0
+        return float(bin(mask).count("1"))
+
+    F = so.SetFunction(3, fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, _ = so.min_norm_point(F)
+        assert np.array_equal(x, np.ones(3))
+        with pytest.raises(NumericalInconsistency, match="Gram matrix"):
+            so.min_norm_point(so.explicit_function([0.0, 1e300, 1.0, 1.0]))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            F(1)
+
+
+def _bordered_gram(vertices, d, c):
+    centered = vertices - c
+    return (centered * d) @ centered.T + 1.0
+
+
+def _affine_minimizer_by_cholesky(M):
+    """Reference: the Cholesky factor of M and two triangular solves."""
+    chol = np.linalg.cholesky(M)
+    y = np.linalg.solve(chol.T, np.linalg.solve(chol, np.ones(M.shape[0])))
     return y / np.sum(y)
 
 
@@ -249,35 +273,49 @@ def _affine_minimizer_by_cholesky(gram):
 def test_affine_minimizer_matches_the_cholesky_solve(m):
     rng = np.random.default_rng(m)
     for _ in range(5):
-        vertices = rng.standard_normal((m, m + 5))
-        gram = vertices @ vertices.T
-        y = sfm._affine_minimizer(gram)
-        ref = _affine_minimizer_by_cholesky(gram)
+        M = _bordered_gram(rng.standard_normal((m, m + 5)),
+                           rng.uniform(0.5, 4.0, m + 5), rng.standard_normal(m + 5))
+        y = sfm._affine_minimizer(M)
+        ref = _affine_minimizer_by_cholesky(M)
         assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the coefficients sum to one and make the residual of the plain
+        # Gram matrix G = M - 11^T constant: G y = mu 1
+        assert abs(float(np.sum(y)) - 1.0) <= 1e-12
+        assert np.ptp((M - 1.0) @ y) <= 1e-10 * np.max(np.abs(M))
 
 
-def test_affine_minimizer_on_singular_grams():
-    # two equal rows: the corral holds one vertex twice
+def test_affine_minimizer_on_singular_grams(monkeypatch):
+    # two equal rows make M exactly singular: the solve raises and the
+    # least-squares solve gives coefficients of the same affine minimizer
+    lstsq = np.linalg.lstsq
+    calls = []
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: calls.append(1) or lstsq(*a, **k))
     rng = np.random.default_rng(3)
-    vertices = rng.standard_normal((5, 7))
-    vertices[3] = vertices[1]
-    y = sfm._affine_minimizer(vertices @ vertices.T)
-    assert np.all(np.isfinite(y)) and abs(float(np.sum(y)) - 1.0) <= 1e-12
-    # gram + jitter * I exactly singular: the solve raises and the jitter grows
-    y = sfm._affine_minimizer(np.diag([-1e-12, 1.0]))
-    assert np.all(np.isfinite(y)) and abs(float(np.sum(y)) - 1.0) <= 1e-12
+    for _ in range(5):
+        vertices = rng.standard_normal((5, 7))
+        vertices[3] = vertices[1]
+        d, c = rng.uniform(0.5, 4.0, 7), rng.standard_normal(7)
+        calls.clear()
+        y = sfm._affine_minimizer(_bordered_gram(vertices, d, c))
+        assert calls == [1]
+        assert np.all(np.isfinite(y)) and abs(float(np.sum(y)) - 1.0) <= 1e-12
+        distinct = np.delete(vertices, 3, axis=0)
+        ref = _affine_minimizer_by_cholesky(_bordered_gram(distinct, d, c))
+        assert np.allclose(y @ vertices, ref @ distinct, rtol=0.0, atol=1e-12)
 
 
 def test_min_norm_point_on_a_cut_with_parallel_copies(monkeypatch):
     # a symmetric cut with two parallel copies of one element: 0 lies in
-    # B(F), so the final corral's affine hull passes through the origin and
-    # its Gram matrix is singular
+    # B(F), so the final corral's affine hull passes through the origin; its
+    # Gram matrix M - 11^T is singular, while the bordered M is not
     original = sfm._affine_minimizer
-    ranks = []
+    nullities = []  # of the plain Gram matrix M - 11^T and of M
 
-    def recording(gram):
-        ranks.append(gram.shape[0] - np.linalg.matrix_rank(gram))
-        return original(gram)
+    def recording(M):
+        m = M.shape[0]
+        nullities.append((m - np.linalg.matrix_rank(M - 1.0), m - np.linalg.matrix_rank(M)))
+        return original(M)
 
     monkeypatch.setattr(sfm, "_affine_minimizer", recording)
     for seed in range(5):
@@ -288,9 +326,11 @@ def test_min_norm_point_on_a_cut_with_parallel_copies(monkeypatch):
         arcs += [(p - 1 if u == 0 else u, p - 1 if v == 0 else v, w)
                  for u, v, w in arcs if 0 in (u, v)]
         F = so.cut_function(so.Digraph(p, arcs))
-        ranks.clear()
+        nullities.clear()
         x, corral = so.min_norm_point(F)
-        assert corral.converged and max(ranks) > 0
+        assert corral.converged
+        assert max(gram for gram, _ in nullities) > 0
+        assert max(bordered for _, bordered in nullities) == 0
         assert np.max(np.abs(x)) <= 1e-9
         assert np.all(corral.coeffs >= 0.0)
         assert abs(float(np.sum(corral.coeffs)) - 1.0) <= 1e-12
@@ -298,6 +338,96 @@ def test_min_norm_point_on_a_cut_with_parallel_copies(monkeypatch):
         vmin, amin, omin, _ = brute_min(F)
         assert (res.min_value, res.minimal_minimizer,
                 res.maximal_minimizer) == (vmin, amin, omin)
+
+
+def test_corral_grows_past_p_plus_one_vertices(monkeypatch):
+    # uniform coefficients never drop a vertex, so the corral outgrows the
+    # p + 1 rows made at the start; every M a minor cycle sees must still be
+    # the bordered Gram matrix of the vertices added so far, in order
+    F = dyadic_energy(np.random.default_rng(11), 3)
+    vertices = []
+    greedy = sfm.greedy_base
+    monkeypatch.setattr(sfm, "greedy_base",
+                        lambda F, w: vertices.append(greedy(F, w)) or vertices[-1])
+    sizes = []
+
+    def uniform(M):
+        m = M.shape[0]
+        assert len(vertices) == m
+        ref = _bordered_gram(np.array(vertices), np.ones(3), np.zeros(3))
+        assert np.allclose(M, ref, rtol=1e-14, atol=0.0)
+        sizes.append(m)
+        return np.full(m, 1.0 / m)
+
+    monkeypatch.setattr(sfm, "_affine_minimizer", uniform)
+    with pytest.raises(so.NoConvergence) as info:
+        so.min_norm_point(F, max_major=5)
+    _, corral = info.value.result
+    assert max(sizes) > F.p + 1
+    assert np.array_equal(corral.bases, np.array(vertices[:len(corral.bases)]))
+    assert np.array_equal(corral.coeffs, np.full(len(corral.bases), 1.0 / len(corral.bases)))
+
+
+def test_two_vertices_dropped_in_one_minor_cycle(monkeypatch):
+    # coefficients (-1/3, 1/3, -1/3, 4/3) on a corral weighted 1/3 each plus
+    # the new vertex reach zero at the first and third vertex in the same
+    # step; M must then be the bordered Gram matrix of the other two
+    F = dyadic_energy(np.random.default_rng(11), 6)
+    vertices = []
+    greedy = sfm.greedy_base
+    monkeypatch.setattr(sfm, "greedy_base",
+                        lambda F, w: vertices.append(greedy(F, w)) or vertices[-1])
+    corral, sizes = [0], []
+
+    def stub(M):
+        m = M.shape[0]
+        if m > len(corral):
+            corral.append(len(vertices) - 1)
+        ref = _bordered_gram(np.array([vertices[i] for i in corral]),
+                             np.ones(6), np.zeros(6))
+        assert np.allclose(M, ref, rtol=1e-14, atol=0.0)
+        sizes.append(m)
+        if m == 4 and sizes.count(4) == 1:
+            del corral[2], corral[0]
+            return np.array([-1.0, 1.0, -1.0, 4.0]) / 3.0
+        return np.full(m, 1.0 / m)
+
+    monkeypatch.setattr(sfm, "_affine_minimizer", stub)
+    # the next iterate, (v1 + v3) / 2, is farther from the origin than the
+    # mean of v0, v1 and v2; its norm in the error shows the kept rows
+    with pytest.raises(NumericalInconsistency,
+                       match="norm increased across major cycle 3") as info:
+        so.min_norm_point(F)
+    assert sizes == [2, 3, 4, 2]
+    x = np.full(2, 0.5) @ np.array([vertices[i] for i in corral])
+    assert str(info.value).endswith(f" -> {float(np.ones(6) @ (x * x))!r}")
+
+
+def _case(family, seed, p):
+    rng = np.random.default_rng(seed)
+    if family == "energy":
+        F = dyadic_energy(rng, p)
+    elif family == "cover":
+        F = so.cover_function(dyadic_cover(rng, p))
+    else:
+        F = so.random_submodular(seed, p, "logdet+modular")
+    return F, rng.uniform(0.25, 4.0, p), rng.uniform(-2.0, 2.0, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["energy", "cover", "logdet+modular"]),
+       seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 12))
+def test_kept_bordered_gram_agrees_with_the_rebuilt_gram(family, seed, p):
+    # the loop that rebuilds the jittered Gram matrix every minor cycle
+    F, d, c = _case(family, seed, p)
+    for weights, center in ((None, None), (d, c)):
+        x, corral = so.min_norm_point(F, weights=weights, center=center)
+        x_ref, majors_ref = min_norm_point_ref(F, weights=weights, center=center)
+        assert np.max(np.abs(x - x_ref)) <= 1e-9 * (1.0 + np.max(np.abs(x_ref)))
+        assert abs(corral.major_cycles - majors_ref) <= 2
+    res = so.minimize(F)
+    assert (res.min_value, res.minimal_minimizer,
+            res.maximal_minimizer) == brute_min(F)[:3]
 
 
 def test_min_norm_argument_validation():

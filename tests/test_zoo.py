@@ -1,13 +1,14 @@
 """Cuts, covers, flows, concave families, log-det, matroid ranks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import submodopt as so
 
-from helpers import cover_lovasz_ref, cut_lovasz_ref
+from helpers import address_space_limit, cover_lovasz_ref, cut_lovasz_ref
 
 
 def sym_digraph(p, edges):
@@ -149,6 +150,35 @@ def test_flow_properties():
     F = so.flow_function(net)
     assert so.is_submodular(F, tol=1e-9).holds
     assert so.is_monotone(F, tol=1e-9).holds
+
+
+def test_flow_n_nodes_sizes_no_allocation():
+    # the max-flows run on the nodes that sources, sinks and arcs name, so a
+    # network numbered up to 10**8 costs what its used nodes cost
+    arcs = [(0, 1, 1.0), (0, 2, 2.0)]
+    small = so.to_explicit(so.flow_function(so.FlowNetwork(3, (0,), (1, 2), arcs)))
+    tracemalloc.start()
+    try:
+        with address_space_limit():
+            huge = so.to_explicit(so.flow_function(
+                so.FlowNetwork(10 ** 8, (0,), (1, 2), arcs)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert np.array_equal(huge, small)
+    # the same random network with its seven nodes spread over 10**8 ids,
+    # in another order: the same values bit for bit
+    rng = np.random.default_rng(2)
+    arcs = [(int(u), int(v), float(rng.random()))
+            for u in range(7) for v in range(7) if u != v and rng.random() < 0.4]
+    spread = rng.choice(10 ** 8, size=7, replace=False).tolist()
+    net = so.FlowNetwork(7, (0, 1), (4, 5, 6), arcs)
+    moved = so.FlowNetwork(10 ** 8, (spread[0], spread[1]), tuple(spread[4:]),
+                           [(spread[u], spread[v], w) for u, v, w in arcs])
+    with address_space_limit():
+        moved_table = so.to_explicit(so.flow_function(moved))
+    assert np.array_equal(moved_table, so.to_explicit(so.flow_function(net)))
 
 
 def test_flow_equals_partial_min_of_cut():
