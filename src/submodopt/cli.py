@@ -7,8 +7,9 @@ Log and error text goes to stderr.
 
 Exit codes: 0 ok, 1 input or parse error (a ``ValueError``), 2 numerical or
 cap error (a ``SubmodoptError`` or numpy's ``LinAlgError``), out of memory or
-any other failure, 3 precondition violation detected by --verify.
-Every failure is one ``error:`` line on stderr, never a traceback.
+any other failure, 3 precondition violation detected by --verify.  A usage
+error (missing, unknown or mistyped flag) exits 1.  Every failure is one
+``error:`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -245,12 +246,10 @@ def cmd_prox(F, args) -> dict:
         s = prox.prox_decomposition(F, quad, eps=args.eps)
         u = z - s / a
         extra = {}
-    elif args.algo == "homotopy":
+    else:
         u = prox.prox_homotopy(F, quad, eps=args.eps)
         s = a * (z - u)
         extra = {}
-    else:
-        raise ValueError(f"unknown prox algorithm {args.algo!r}")
     results = {"u": list(u), "s": list(s), **extra}
     if args.alpha:
         thresholds = []
@@ -276,71 +275,72 @@ def cmd_explicit(F, args) -> dict:
     return {"spec": {"kind": "explicit", "values": list(table)}}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError (exit 1) on a usage error, named by the parser's prog."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return args, extras
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+_TOL = ("--tol", {"type": float, "default": 1e-9,
+                  "help": "additive tolerance for checks and memberships"})
+_EPS = ("--eps", {"type": float, "default": 1e-9,
+                  "help": "solver convergence tolerance"})
+_CAP = ("--max-exhaustive", {"type": int, "default": core.EXHAUSTIVE_CAP,
+                             "help": "cap on p for 2**p enumerations"})
+_VERIFY = ("--verify", {"action": "store_true",
+                        "help": "check preconditions (exponential) before solving"})
+_W = ("--w", {"required": True, "help": "comma-separated weight vector"})
+
+# command -> (help, the options its handler reads).  Every command also takes
+# the spec path and --seed, which main reads.  main looks the handler
+# cmd_<command> up when it runs, so a handler patched into the module runs.
+COMMANDS = {
+    "check": ("run the exhaustive property checks", (_TOL, _CAP)),
+    "minimize": ("minimize the function", (
+        _TOL, _EPS, _CAP, _VERIFY,
+        ("--algo", {"choices": ("minnorm", "brute"), "default": "minnorm"}))),
+    "eval": ("evaluate the Lovász extension", (_W,)),
+    "greedy": ("greedy base for a weight vector", (
+        _TOL, _CAP, _VERIFY, _W,
+        ("--truncated", {"action": "store_true",
+                         "help": "positive-part variant over P(F) (needs monotone F)"}))),
+    "conjugate": ("discrete conjugate at a vector", (
+        _CAP, ("--s", {"required": True, "help": "comma-separated vector"}))),
+    "prox": ("separable quadratic prox solve", (
+        _TOL, _EPS, _CAP, _VERIFY,
+        ("--weights", {"help": "quadratic weights a (default ones)"}),
+        ("--centers", {"help": "quadratic centers z (default zeros)"}),
+        ("--algo", {"choices": ("minnorm", "decomposition", "homotopy"),
+                    "default": "minnorm"}),
+        ("--alpha", {"help": "comma-separated thresholds to report"}))),
+    "linesearch": ("max step inside P(F) along a direction", (
+        _TOL, _CAP,
+        ("--direction", {"required": True, "help": "comma-separated direction"}),
+        ("--s", {"help": "start point in P(F), default zero"}))),
+    "explicit": ("dump the function as an explicit spec", (_CAP,)),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="submodopt",
         description="Analyze and optimize submodular set-functions from spec files.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (help_text, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("spec", help="path to a JSON function-spec file")
-        sp.add_argument("--tol", type=float, default=1e-9,
-                        help="additive tolerance for checks and memberships")
-        sp.add_argument("--eps", type=float, default=1e-9,
-                        help="solver convergence tolerance")
-        sp.add_argument("--max-exhaustive", type=int, default=core.EXHAUSTIVE_CAP,
-                        help="cap on p for 2**p enumerations")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for 'random' spec kinds")
-        sp.add_argument("--verify", action="store_true",
-                        help="check preconditions (exponential) before solving")
-
-    sp = sub.add_parser("check", help="run the exhaustive property checks")
-    common(sp)
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("minimize", help="minimize the function")
-    common(sp)
-    sp.add_argument("--algo", choices=("minnorm", "brute"), default="minnorm")
-    sp.set_defaults(fn=cmd_minimize)
-
-    sp = sub.add_parser("eval", help="evaluate the Lovász extension")
-    common(sp)
-    sp.add_argument("--w", required=True, help="comma-separated weight vector")
-    sp.set_defaults(fn=cmd_eval)
-
-    sp = sub.add_parser("greedy", help="greedy base for a weight vector")
-    common(sp)
-    sp.add_argument("--w", required=True, help="comma-separated weight vector")
-    sp.add_argument("--truncated", action="store_true",
-                    help="positive-part variant over P(F) (needs monotone F)")
-    sp.set_defaults(fn=cmd_greedy)
-
-    sp = sub.add_parser("conjugate", help="discrete conjugate at a vector")
-    common(sp)
-    sp.add_argument("--s", required=True, help="comma-separated vector")
-    sp.set_defaults(fn=cmd_conjugate)
-
-    sp = sub.add_parser("prox", help="separable quadratic prox solve")
-    common(sp)
-    sp.add_argument("--weights", help="quadratic weights a (default ones)")
-    sp.add_argument("--centers", help="quadratic centers z (default zeros)")
-    sp.add_argument("--algo", choices=("minnorm", "decomposition", "homotopy"),
-                    default="minnorm")
-    sp.add_argument("--alpha", help="comma-separated thresholds to report")
-    sp.set_defaults(fn=cmd_prox)
-
-    sp = sub.add_parser("linesearch", help="max step inside P(F) along a direction")
-    common(sp)
-    sp.add_argument("--direction", required=True, help="comma-separated direction")
-    sp.add_argument("--s", help="start point in P(F), default zero")
-    sp.set_defaults(fn=cmd_linesearch)
-
-    sp = sub.add_parser("explicit", help="dump the function as an explicit spec")
-    common(sp)
-    sp.set_defaults(fn=cmd_explicit)
-
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -351,9 +351,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         started = time.perf_counter()
         spec = _load_spec(args.spec)
         try:
@@ -361,7 +360,7 @@ def main(argv=None) -> int:
         except (AttributeError, KeyError, OverflowError, TypeError) as exc:
             # a missing, mistyped or unrepresentable nested field
             raise ValueError(f"malformed spec: {type(exc).__name__}: {exc}")
-        results = args.fn(F, args)
+        results = globals()["cmd_" + args.command](F, args)
         _report(args.command, spec, results, started)
     except PreconditionFailed as exc:
         return _fail(str(exc), 3)

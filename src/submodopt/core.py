@@ -161,10 +161,6 @@ def complement(mask: int, p: int) -> int:
     return ((1 << p) - 1) ^ mask
 
 
-def cardinality(mask: int) -> int:
-    return int(mask).bit_count()
-
-
 class SetFunction:
     """Evaluation oracle A -> F(A) over bitmask subsets, with F(empty) = 0.
 

@@ -5,6 +5,8 @@ import inspect
 import json
 import math
 import pkgutil
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -18,7 +20,8 @@ from submodopt.errors import SubmodoptError
 
 from helpers import address_space_limit
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def run(capsys, *argv):
@@ -545,3 +548,76 @@ def test_random_seed_flag(capsys, tmp_path):
     c = run_json(capsys, "explicit", spec, "--seed", "4")
     assert a["results"] == b["results"]
     assert a["results"] != c["results"]
+
+
+# the options of each command besides spec and --seed, which every command
+# takes: 44 in all
+OPTIONS = {
+    "check": ["--tol", "--max-exhaustive"],
+    "minimize": ["--tol", "--eps", "--max-exhaustive", "--verify", "--algo"],
+    "eval": ["--w"],
+    "greedy": ["--tol", "--max-exhaustive", "--verify", "--w", "--truncated"],
+    "conjugate": ["--max-exhaustive", "--s"],
+    "prox": ["--tol", "--eps", "--max-exhaustive", "--verify", "--weights",
+             "--centers", "--algo", "--alpha"],
+    "linesearch": ["--tol", "--max-exhaustive", "--direction", "--s"],
+    "explicit": ["--max-exhaustive"],
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_help_lists_exactly_the_options_of_the_command(capsys, command):
+    assert list(cli.COMMANDS) == list(OPTIONS)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    listed = re.findall(r"^  (spec|-h, --help|--[a-z-]+)", out, re.M)
+    assert listed == ["spec", "-h, --help", "--seed", *OPTIONS[command]]
+
+
+def test_help_and_version_exit_0(capsys):
+    for argv in (["--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.endswith(f"\n{submodopt.__version__}\n") and err == ""
+
+
+F_OR = str(DATA / "f_or.json")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["explicit", F_OR, "--verify"],
+     "submodopt explicit: unrecognized arguments: --verify"),
+    (["eval", F_OR, "--w", "3,1", "--tol", "1"],
+     "submodopt eval: unrecognized arguments: --tol 1"),
+    (["check", F_OR, "--eps", "1e-9"],
+     "submodopt check: unrecognized arguments: --eps 1e-9"),
+    (["eval", F_OR], "submodopt eval: the following arguments are required: --w"),
+    (["minimize", F_OR, "--eps", "abc"],
+     "submodopt minimize: argument --eps: invalid float value: 'abc'"),
+    (["frobnicate", F_OR],
+     "submodopt: argument command: invalid choice: 'frobnicate'"),
+    ([], "submodopt: the following arguments are required: command"),
+])
+def test_usage_errors_exit_1_with_one_line(capsys, argv, message):
+    # exit 2 means a failed computation, so a usage error must not take it
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_readme_example_reports_are_unchanged(capsys, monkeypatch):
+    # readme_reports.json holds each README example's report with its
+    # timing field removed
+    expected = json.loads((DATA / "readme_reports.json").read_text())
+    examples = [line for line in (ROOT / "README.md").read_text().splitlines()
+                if line.startswith("submodopt ")]
+    assert examples == list(expected)
+    monkeypatch.chdir(ROOT)
+    for line in examples:
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, err
+        assert re.sub(r'"timing": [^,]*, ', "", out) == expected[line], line

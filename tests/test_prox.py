@@ -327,6 +327,7 @@ def test_check_separable_optimality_examples():
 def test_lex_compare_examples():
     assert so.lex_compare([0.5, 0.5], [0.5, 0.5]) == 0
     assert so.lex_compare([0.5, 0.5], [1.0, 0.0]) == 1
+    assert so.lex_compare([1.0, 0.0], [0.5, 0.5]) == -1
     assert so.lex_compare([0.0, 1.0], [1.0, 0.0]) == 0
     with pytest.raises(ValueError):
         so.lex_compare([1, 2], [1, 2, 3])
