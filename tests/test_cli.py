@@ -1,5 +1,6 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
+import argparse
 import importlib
 import inspect
 import json
@@ -89,6 +90,21 @@ def test_truncated_greedy_precondition(capsys):
     doc = run_json(capsys, "greedy", DATA / "cover3.json", "--w", "3,-1,2",
                    "--truncated", "--verify")
     assert doc["results"]["base"][1] == 0.0
+
+
+def test_greedy_verify_checks_submodularity(capsys):
+    # plain greedy needs a submodular spec: on any other its "base" is no
+    # vertex of B(F); --truncated checks monotonicity instead (above)
+    code, out, err = run(capsys, "greedy", DATA / "bad_submodular.json",
+                         "--w", "1,2", "--verify")
+    assert (code, out) == (3, "")
+    assert err == ("error: spec is not submodular: witness "
+                   "{'A': 0, 'j': 0, 'k': 1, 'lhs': 1.0, 'rhs': 3.0}\n")
+    doc = run_json(capsys, "greedy", DATA / "bad_submodular.json", "--w", "1,2")
+    assert doc["results"]["base"] == [3.0, 1.0]
+    argv = ("greedy", DATA / "random_cut6.json", "--w", "6,5,4,3,2,1")
+    verified = run_json(capsys, *argv, "--verify")
+    assert verified["results"] == run_json(capsys, *argv)["results"]
 
 
 def test_prox(capsys):
@@ -583,6 +599,9 @@ def test_help_and_version_exit_0(capsys):
         assert exc.value.code == 0
     out, err = capsys.readouterr()
     assert out.endswith(f"\n{submodopt.__version__}\n") and err == ""
+    # a run builds only its own command's subparser; the help lists them all
+    assert "{" + ",".join(cli.COMMANDS) + "}" in out
+    assert re.findall(r"^    ([a-z]+) ", out, re.M) == list(cli.COMMANDS)
 
 
 F_OR = str(DATA / "f_or.json")
@@ -621,3 +640,70 @@ def test_readme_example_reports_are_unchanged(capsys, monkeypatch):
         code, out, err = run(capsys, *shlex.split(line)[1:])
         assert code == 0, err
         assert re.sub(r'"timing": [^,]*, ', "", out) == expected[line], line
+
+
+def readme_examples() -> list:
+    return [shlex.split(line)[1:]
+            for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("submodopt ")]
+
+
+@pytest.mark.parametrize("argv", [
+    *readme_examples(),
+    ["check", "spec.json", "--tol", "1e-6", "--max-exhaustive", "10", "--seed", "2"],
+    ["minimize", "spec.json", "--verify", "--algo", "brute"],
+    ["minimize", "spec.json", "--eps", "1e-7", "--tol", "0"],
+    ["eval", "spec.json", "--w=-3,1", "--seed", "5"],
+    ["greedy", "spec.json", "--w", "1,2", "--verify", "--tol", "1e-8"],
+    ["greedy", "spec.json", "--w", "1,2", "--truncated", "--verify", "--max-exhaustive", "4"],
+    ["conjugate", "spec.json", "--s", "2,0", "--max-exhaustive", "5"],
+    ["prox", "spec.json", "--algo", "homotopy", "--alpha=-0.6,0"],
+    ["prox", "spec.json", "--algo", "decomposition", "--weights", "1,2", "--centers=-1,0",
+     "--verify", "--eps", "1e-8", "--tol", "1e-7", "--max-exhaustive", "3"],
+    ["linesearch", "spec.json", "--direction", "1,1", "--s", "0,0", "--tol", "1e-8"],
+    ["explicit", "spec.json", "--max-exhaustive", "4", "--seed", "7"],
+], ids=" ".join)
+def test_command_parser_parses_as_the_full_parser(argv):
+    assert vars(cli.make_parser(argv[0]).parse_args(argv)) == vars(
+        cli.make_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["conjugate", F_OR, "--s", "2,0"], ["conjugate"]),
+    (["frobnicate", F_OR], list(cli.COMMANDS)),
+    (["--help"], list(cli.COMMANDS)),
+    (["--version"], list(cli.COMMANDS)),
+    ([], list(cli.COMMANDS)),
+])
+def test_main_builds_only_the_subparser_of_its_command(capsys, monkeypatch,
+                                                        argv, built):
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    try:
+        main(argv)
+    except SystemExit:  # --help and --version
+        pass
+    assert names == built
+
+
+def test_explicit_report_matches_boxed_scalars_byte_for_byte(capsys, tmp_path):
+    # json writes a numpy float64 with float.__repr__, so reporting
+    # table.tolist() prints the same bytes as the boxed list(table)
+    values = [0.0, -0.0, 1e-300, 0.1, 2.5e17, 1.0 / 3.0, -7.25, 1e22]
+    spec = tmp_path / "odd.json"
+    spec.write_text(json.dumps({"kind": "explicit", "values": values}))
+    code, out, err = run(capsys, "explicit", spec)
+    assert code == 0, err
+    table = core.to_explicit(core.explicit_function(values))
+    boxed = list(table)
+    assert all(type(v) is np.float64 for v in boxed)
+    doc = json.loads(out)
+    doc["results"] = {"spec": {"kind": "explicit", "values": boxed}}
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
+    assert "[0.0, -0.0, 1e-300, 0.1, 2.5e+17, 0.3333333333333333, -7.25, 1e+22]" in out
