@@ -8,7 +8,8 @@ Log and error text goes to stderr.
 Exit codes: 0 ok, 1 input or parse error (a ``ValueError``), 2 numerical or
 cap error (a ``SubmodoptError`` or numpy's ``LinAlgError``), out of memory or
 any other failure, 3 precondition violation detected by --verify.  A usage
-error (missing, unknown or mistyped flag) exits 1.  Every failure is one
+error (missing, unknown, mistyped or misplaced flag) exits 1, and so does a
+boolean or string in a spec where a number belongs.  Every failure is one
 ``error:`` line on stderr, never a traceback.
 """
 
@@ -61,7 +62,7 @@ def build_function(spec: dict, seed: int = 0) -> core.SetFunction:
         p = _need_int(spec, "p")
         groups = _need(spec, "groups")
         masks = _masks_from_indices([g["members"] for g in groups], p)
-        groups = [(m, float(g["weight"])) for m, g in zip(masks, groups)]
+        groups = [(m, g["weight"]) for m, g in zip(masks, groups)]
         return zoo.cover_function(zoo.CoverSystem(p=p, groups=groups))
     if kind == "card_concave":
         return zoo.concave_cardinality(_need(spec, "g"))
@@ -69,7 +70,7 @@ def build_function(spec: dict, seed: int = 0) -> core.SetFunction:
         return zoo.weighted_concave(_need(spec, "weights"), _need(spec, "profile"),
                                     spec.get("cap"))
     if kind == "logdet":
-        return zoo.logdet_function(np.asarray(_need(spec, "q"), dtype=np.float64))
+        return zoo.logdet_function(_need(spec, "q"))
     if kind == "flow":
         net = zoo.FlowNetwork(n_nodes=_need_int(spec, "n_nodes"),
                               sources=_need(spec, "sources"),
@@ -80,9 +81,7 @@ def build_function(spec: dict, seed: int = 0) -> core.SetFunction:
         return zoo.graphic_matroid_rank(_need_int(spec, "n_vertices"),
                                         [tuple(e) for e in _need(spec, "edges")])
     if kind == "linear_matroid":
-        return zoo.linear_matroid_rank(np.asarray(_need(spec, "matrix"),
-                                                  dtype=np.float64),
-                                       spec.get("tol"))
+        return zoo.linear_matroid_rank(_need(spec, "matrix"), spec.get("tol"))
     if kind == "random":
         return zoo.random_submodular(core.check_integer(spec.get("seed", seed), "seed"),
                                      _need_int(spec, "p"), spec.get("family", "cut"))
@@ -118,7 +117,7 @@ def _build_transform(spec: dict, seed: int) -> core.SetFunction:
     if op == "add_modular":
         return transforms.add_modular(inner, _need(spec, "vector"))
     if op == "scale":
-        return transforms.scale(inner, float(_need(spec, "factor")))
+        return transforms.scale(inner, _need(spec, "factor"))
     raise ValueError(f"unknown transform op {op!r}")
 
 
@@ -133,6 +132,15 @@ def _load_spec(path: str) -> dict:
         raise ValueError(f"cannot parse {path}: {exc}")
     if not isinstance(spec, dict):
         raise ValueError("spec document must be a JSON object")
+    # no field is boolean, and numpy reads [true, 2] as [1, 2]; a spec whose
+    # text holds neither literal needs no walk
+    stack = [spec] if "true" in text or "false" in text else []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, bool):
+            raise ValueError(f"spec holds {json.dumps(node)}; no field takes a boolean")
+        stack.extend(node.values() if isinstance(node, dict)
+                     else node if isinstance(node, list) else ())
     return spec
 
 
@@ -366,6 +374,9 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
+        flag = argv[0].split("=")[0] if argv else ""
+        if flag.startswith("-") and flag not in ("-", "-h", "--help", "--version"):
+            raise ValueError(f"submodopt: option {flag} must come after the command")
         args = make_parser(argv[0] if argv else None).parse_args(argv)
         started = time.perf_counter()
         spec = _load_spec(args.spec)

@@ -31,6 +31,7 @@ Concrete families, the seeded random instances included, live in ``zoo``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -69,9 +70,19 @@ def check_cap(p: int, cap: int = EXHAUSTIVE_CAP) -> None:
         raise CapExceeded(f"enumeration over 2**{p} subsets exceeds cap {cap}")
 
 
+def _numbers(values, what: str) -> np.ndarray:
+    """values as float64; the cast would read "1" as 1.0 and True as 1, so a
+    string, a boolean or None raises TypeError naming ``what``."""
+    arr = np.asarray(values)  # an int beyond int64 makes an object array
+    if arr.dtype.kind not in "iuf" and not (arr.dtype.kind == "O" and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in arr.flat)):
+        raise TypeError(f"{what} must be numeric")
+    return arr.astype(np.float64, copy=False)
+
+
 def check_vector(x, p: int) -> np.ndarray:
     """x as a float64 array, which must have shape (p,)."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _numbers(x, "vector")
     if x.shape != (p,):
         raise ValueError(f"vector has shape {x.shape}, expected ({p},)")
     return x
@@ -83,7 +94,7 @@ def check_finite(values, what: str) -> np.ndarray:
     NaN and infinities raise ValueError naming ``what``, so the CLI reports
     them as input errors instead of computing with them.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _numbers(values, what)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} must be finite")
     return values
@@ -109,7 +120,7 @@ def check_indices(values, n: int, what: str) -> np.ndarray:
     number (NaN and infinities too) raises ValueError "<what> <v> is not an
     integer", and the first outside 0..n-1 "<what> <v> out of range".
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _numbers(values, what)
     bad = (values != np.floor(values)) | (values < 0) | (values >= n)
     if bad.any():
         v = float(values[bad][0])

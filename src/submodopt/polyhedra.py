@@ -106,19 +106,26 @@ def _prefix_gap(F: SetFunction, s: np.ndarray, mask: int) -> float:
     return abs(float(np.sum(s[elements_of(mask)])) - F(mask))
 
 
+def _levels_tight(F: SetFunction, s: np.ndarray, values, tol: float,
+                  group_tol: float = 0.0) -> bool:
+    """Whether s is tight within tol on every prefix of the level sets of
+    values, ascending, with values within group_tol in one level."""
+    return not any(_prefix_gap(F, s, mask) > tol
+                   for _, mask in level_sets(values, group_tol))
+
+
 def is_base_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     """Whether a base s maximizes w^T s over the base polytope.
 
-    Primary criterion: every upper level set of w must be tight for s, one
-    oracle call per distinct value of w.  The exchangeable-pair form is
-    available separately as :func:`base_maximizer_exchange_check` for
-    cross-checking.
+    Every upper level set of w must be tight for s: one oracle call per
+    distinct value of w, and no table.  :func:`base_maximizer_exchange_check`
+    is the exchange form over all tight sets.
     """
     tol = check_tolerance(tol)
     s = check_vector(s, F.p)
     w = check_vector(w, F.p)
     # the upper level sets of w are the lower level sets of -w
-    return not any(_prefix_gap(F, s, mask) > tol for _, mask in level_sets(-w))
+    return _levels_tight(F, s, -w, tol)
 
 
 def base_maximizer_exchange_check(F: SetFunction, s, w, tol: float = DEFAULT_TOL,

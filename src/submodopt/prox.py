@@ -28,9 +28,11 @@ coordinate of local element k.  They evaluate the root penalty and take
 its ``idx`` entries, so the penalty is never re-indexed itself.
 
 Threshold-set extraction, line search inside P(F), the P(F) and positive
-P(F) variants, and separable optimality checks round out the toolbox.
-Everything reduces to monotone scalar equations, solved by a safeguarded
-bisection/secant iteration (bracket growth factor 2, 200-iteration cap).
+P(F) variants, and the level-set optimality test round out the toolbox.
+A block of u between level sets B_{i-1} and B_i has the value alpha with
+sum_{j in block} psi'_j(alpha) = F(B_{i-1}) - F(B_i), closed-form for a
+quadratic (:func:`_block_value`); other scalar equations are monotone and
+solved by safeguarded bisection/secant (growth factor 2, 200-step cap).
 """
 
 from __future__ import annotations
@@ -42,12 +44,12 @@ import numpy as np
 
 from . import _kernels, transforms
 from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_finite,
-                   check_tolerance, complement, elements_of, level_sets,
+                   check_tolerance, check_vector, complement, elements_of,
                    subset_of, to_explicit)
 from .errors import (NoConvergence, NumericalInconsistency, RecursionOverflow,
                      Unbounded)
 from .lovasz import lovasz_extension
-from .polyhedra import base_maximizer_exchange_check
+from .polyhedra import _levels_tight
 from .sfm import min_norm_point, minimize
 
 _ROOT_REL_TOL = 1e-12
@@ -250,22 +252,23 @@ def prox_threshold_sets(u, alpha: float, tau: float = 1e-9) -> tuple[int, int]:
     return minimal, maximal
 
 
+def _block_value(psi: SeparableConvex, idx: np.ndarray, total: float,
+                 x0: float = 0.0) -> float:
+    """The alpha with sum_{j in idx} psi'_j(alpha) = -total: (sum a_j z_j -
+    total) / sum a_j for a quadratic, else one root search from x0."""
+    if isinstance(psi, Quadratic):
+        a = psi.a[idx]
+        return (float(np.sum(a * psi.z[idx])) - total) / float(np.sum(a))
+    return solve_increasing(lambda x: float(np.sum(psi.deriv_at(x)[idx])),
+                            -total, x0=x0)
+
+
 def _equalized_start(fv: float, psi: SeparableConvex,
                      idx: np.ndarray) -> np.ndarray:
-    """The sum-constrained minimizer of the dual objective: t with t(V) = fv.
-
-    Minimizing sum_j psi*_j(-t_j) subject to the sum constraint equalizes
-    the dual derivatives, i.e. t_j = -psi'_j(nu) for a common scalar nu
-    (for uniform quadratic weights this reduces to equal t_j - z_j).  Local
-    element j of the reduced function, whose F(V) is fv, is root
-    coordinate idx[j] of psi.
-    """
-    if isinstance(psi, Quadratic):
-        a, z = psi.a[idx], psi.z[idx]
-        nu = (float(np.sum(a * z)) - fv) / float(np.sum(a))
-        return a * z - a * nu
-    nu = solve_increasing(lambda m: float(np.sum(psi.deriv_at(m)[idx])), -fv)
-    return -psi.deriv_at(nu)[idx]
+    """The t with t(V) = fv that minimizes sum_j psi*_j(-t_j): the dual
+    derivatives equalize, t_j = -psi'_j(nu) at the block value nu of the
+    whole ground set.  Local element j is root coordinate idx[j] of psi."""
+    return -psi.deriv_at(_block_value(psi, idx, fv))[idx]
 
 
 def prox_decomposition(F: SetFunction, psi: SeparableConvex,
@@ -349,10 +352,9 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     recurse on the contraction by it; local element k of the contraction
     is root coordinate idx[k], and psi is always the root penalty.  The
     secant starts at the largest singleton root, max_k alpha_k with
-    F({k}) + psi'_k(alpha_k) = 0: at the
-    block value alpha*, F + psi'(alpha*) is nonnegative on every set,
-    singletons included, so every alpha_k <= alpha*, and the singleton
-    attaining the max is tight at the start.  When the top block is one
+    F({k}) + psi'_k(alpha_k) = 0: at the block value alpha*, F + psi'(alpha*)
+    is nonnegative on every set, singletons included, so every alpha_k <=
+    alpha*, and the singleton attaining the max is tight at the start.  When the top block is one
     element, the first SFM confirms it; when one element remains, its block
     value is its singleton root and no SFM runs.  The secant loop stops on a
     minimization of F + psi'(alpha) at the final alpha; its maximal
@@ -387,11 +389,8 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
             if res.min_value >= -tol:
                 break
             a_mask = res.maximal_minimizer
-            tight = idx[elements_of(a_mask)]
-            target = -cur_f(a_mask)
-            alpha = solve_increasing(
-                lambda x: float(np.sum(psi.deriv_at(x)[tight])), target,
-                x0=alpha)
+            alpha = _block_value(psi, idx[elements_of(a_mask)], cur_f(a_mask),
+                                 x0=alpha)
             last_tight = a_mask
         else:
             raise NoConvergence("homotopy root search exceeded iteration cap")
@@ -505,48 +504,23 @@ DerivativeSpec = Union[SeparableConvex, Callable]
 
 
 def _derivative_values(g: DerivativeSpec, s: np.ndarray) -> np.ndarray:
-    deriv = g.deriv if isinstance(g, SeparableConvex) else g
-    w = np.asarray(deriv(s), dtype=np.float64)
-    if w.shape != s.shape:
-        raise ValueError(f"derivative values have shape {w.shape}, "
-                         f"expected {s.shape}")
-    return w
+    return check_vector((g.deriv if isinstance(g, SeparableConvex) else g)(s), s.size)
 
 
 def check_separable_optimality(F: SetFunction, s, g: DerivativeSpec,
-                               tol: float = 1e-8,
-                               cap: int = EXHAUSTIVE_CAP) -> bool:
+                               tol: float = 1e-8) -> bool:
     """Whether a base s minimizes sum_j g_j(s_j) over the base polytope.
 
-    Primary form: g'_k(s_k) >= g'_q(s_q) for every exchangeable pair (k, q),
-    the exchange check of :func:`polyhedra.base_maximizer_exchange_check`
-    with weights -g'(s).  The equivalent level-set form (every lower level
-    set of g'(s) tight) is computed as well; disagreement raises
-    NumericalInconsistency.  ``tol`` bounds both the tight sets and the
-    derivative comparisons.
+    s is optimal iff every lower level set of g'(s), with values within
+    ``tol`` in one level, is tight within ``tol`` (Fujishige 2005, section
+    8): one oracle call per level and no table, so any p.  The exchange form
+    over all tight sets is :func:`polyhedra.base_maximizer_exchange_check`.
 
     ``g`` is a SeparableConvex or a vectorized derivative callable.
     """
-    s = np.asarray(s, dtype=np.float64)
-    w = _derivative_values(g, s)
-    ok_pairs = base_maximizer_exchange_check(F, s, -w, tol, cap)
-
-    # level-set form: cluster the derivative values, check prefixes tight
-    ok_levels = True
-    acc = 0.0
-    for block, mask in level_sets(w, tol):
-        if mask == (1 << F.p) - 1:  # the final prefix is V, always tight for a base
-            break
-        for j in block.tolist():
-            acc += s[j]
-        if abs(acc - F(mask)) > tol:
-            ok_levels = False
-            break
-
-    if ok_pairs != ok_levels:
-        raise NumericalInconsistency(
-            f"exchange form says {ok_pairs}, level-set form says {ok_levels}")
-    return ok_pairs
+    tol = check_tolerance(tol)
+    s = check_vector(s, F.p)
+    return _levels_tight(F, s, _derivative_values(g, s), tol, group_tol=tol)
 
 
 def lex_compare(s1, s2, g: Optional[DerivativeSpec] = None) -> int:
@@ -555,15 +529,11 @@ def lex_compare(s1, s2, g: Optional[DerivativeSpec] = None) -> int:
     Sorts g'(s) increasingly and compares lexicographically; returns -1, 0,
     or 1.  The identity derivative is used when g is None.
     """
-    s1 = np.asarray(s1, dtype=np.float64)
-    s2 = np.asarray(s2, dtype=np.float64)
-    if s1.shape != s2.shape:
-        raise ValueError(f"vectors of shapes {s1.shape} and {s2.shape}")
+    s1 = check_vector(s1, np.size(s1))
+    s2 = check_vector(s2, s1.size)
     w1 = s1 if g is None else _derivative_values(g, s1)
     w2 = s2 if g is None else _derivative_values(g, s2)
-    t1 = np.sort(w1)
-    t2 = np.sort(w2)
-    for a, b in zip(t1, t2):
+    for a, b in zip(np.sort(w1), np.sort(w2)):
         if a < b:
             return -1
         if a > b:

@@ -350,6 +350,32 @@ def test_non_integral_sizes_and_unused_caps_exit_1(capsys, tmp_path, spec, messa
     assert code == 1 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "cover", "p": 2, "groups": [{"members": [0], "weight": "1"}]},
+     "malformed spec: TypeError: cover weights must be numeric"),
+    ({"kind": "cover", "p": 2, "groups": [{"members": [True], "weight": 1.0}]},
+     "spec holds true; no field takes a boolean"),
+    ({"kind": "explicit", "values": [0, "1", True, 1]},
+     "spec holds true; no field takes a boolean"),
+    ({"kind": "explicit", "values": [0, "1", 1, 1]},
+     "malformed spec: TypeError: table values must be numeric"),
+    ({"kind": "flow", "n_nodes": 3, "sources": [True], "sinks": [2],
+      "arcs": [[0, 2, 1.0]]}, "spec holds true; no field takes a boolean"),
+    ({"kind": "transform", "op": "add_modular", "vector": ["1", 2],
+      "inner": _EXPLICIT}, "malformed spec: TypeError: vector must be numeric"),
+    ({"kind": "transform", "op": "scale", "factor": "2", "inner": _EXPLICIT},
+     "malformed spec: TypeError: scale factor must be numeric"),
+    ({"kind": "logdet", "q": [[1.0, False], [False, 1.0]]},
+     "spec holds false; no field takes a boolean"),
+])
+def test_spec_numbers_must_be_json_numbers(capsys, tmp_path, spec, message):
+    # before, each exited 0: numpy read "1" as 1.0 and true as 1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "explicit", path)
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
 def test_whole_number_sizes_are_accepted(capsys, tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"kind": "random", "p": 4.0, "seed": 3.0}))
@@ -620,6 +646,13 @@ F_OR = str(DATA / "f_or.json")
     (["frobnicate", F_OR],
      "submodopt: argument command: invalid choice: 'frobnicate'"),
     ([], "submodopt: the following arguments are required: command"),
+    # a flag before the command was read as a bad command name: "invalid
+    # choice: '3'"
+    (["--seed", "3", "check", F_OR],
+     "submodopt: option --seed must come after the command"),
+    (["--tol=1e-6", "check", F_OR],
+     "submodopt: option --tol must come after the command"),
+    (["-x", "check", F_OR], "submodopt: option -x must come after the command"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, message):
     # exit 2 means a failed computation, so a usage error must not take it

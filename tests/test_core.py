@@ -151,6 +151,20 @@ def test_check_indices():
             so.core.check_indices([1, bad], 3, "element")
 
 
+def test_checks_take_only_numbers():
+    # the float64 cast read "1" as 1.0 and True as 1; numpy reads [True, 2]
+    # as int64, so the CLI rejects booleans in the spec document itself
+    for check in (lambda v: so.core.check_finite(v, "values"),
+                  lambda v: so.core.check_indices(v, 3, "values"),
+                  lambda v: so.core.check_vector(v, 2)):
+        for bad in (["1", 2], [True, False], [1.0, None], [2 ** 70, "1"]):
+            with pytest.raises(TypeError, match="must be numeric$"):
+                check(bad)
+    # an int beyond int64 makes an object array, and it is a number
+    assert so.core.check_finite([2 ** 70, 1], "values").tolist() == [2.0 ** 70, 1.0]
+    assert so.core.check_finite(np.float32(0.5), "values") == 0.5
+
+
 def test_check_integer_and_ground_size():
     assert so.core.check_integer(3.0, "p") == 3
     assert so.core.check_integer(np.int64(2 ** 62 + 1), "seed") == 2 ** 62 + 1

@@ -44,6 +44,43 @@ def test_solve_increasing_raises_on_a_stalled_bracket():
         solve_increasing(lambda x: x - 0.3 + (1e300 if x >= 0.3 else 0.0), 0.0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 12))
+def test_block_value_closed_form_matches_the_root_search(seed, p):
+    rng = np.random.default_rng(seed)
+    q = so.Quadratic(np.exp(rng.uniform(-2.0, 2.0, p)), rng.uniform(-3.0, 3.0, p))
+    idx = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
+    total = float(rng.uniform(-10.0, 10.0))
+    alpha = prox._block_value(q, idx, total)
+    searched = solve_increasing(lambda x: float(np.sum(q.deriv_at(x)[idx])), -total)
+    assert abs(alpha - searched) <= 1e-12 * (1.0 + abs(searched))
+    general = SeparableConvex(p, deriv=q.deriv)  # the same psi, no closed form
+    assert abs(prox._block_value(general, idx, total) - searched) <= (
+        1e-12 * (1.0 + abs(searched)))
+
+
+@pytest.mark.parametrize("p", [6, 9, 12])
+def test_quadratic_routes_run_no_root_search(monkeypatch, p):
+    # every block value and singleton root of a quadratic has a closed form
+    rng = np.random.default_rng(p)
+    F = so.add_modular(so.cut_function(dyadic_digraph(rng, p)),
+                       dyadic(rng, -1.0, 1.0, size=p))
+    q = so.Quadratic(dyadic(rng, 0.5, 4.0, size=p), dyadic(rng, -2.0, 2.0, size=p))
+    searches = []
+
+    def counting_search(*args, **kwargs):
+        searches.append(args)
+        return solve_increasing(*args, **kwargs)
+
+    monkeypatch.setattr(prox, "solve_increasing", counting_search)
+    s = so.prox_decomposition(F, q)
+    u = so.prox_homotopy(F, q)
+    assert searches == []
+    assert np.max(np.abs(u - (q.z - s / q.a))) <= 1e-9
+    so.prox_homotopy(F, SeparableConvex(p, deriv=q.deriv))
+    assert searches  # the counter sees a penalty without closed forms
+
+
 def test_separable_convex_validation():
     with pytest.raises(ValueError):
         SeparableConvex(2, deriv=lambda w: np.tanh(w))  # saturates
@@ -317,6 +354,8 @@ def test_prox_over_P_with_a_derivative_only_penalty(kind):
 def test_check_separable_optimality_examples():
     assert so.check_separable_optimality(F_OR, [0.5, 0.5], quad(2))
     assert not so.check_separable_optimality(F_OR, [1.0, 0.0], quad(2))
+    # one level, V, which the test skipped, so this non-base passed
+    assert not so.check_separable_optimality(F_OR, [0.4, 0.4], quad(2))
     t = so.modular_function([0.2, -0.9])
     assert so.check_separable_optimality(t, [0.2, -0.9], cosh_penalty(2))
     # derivative values must have the shape of s
@@ -571,6 +610,24 @@ def test_decomposition_above_the_cap_allocates_no_dense_table():
     assert np.max(np.abs(s - pr.s)) <= 1e-6
 
 
+def _dual_derivative(q):
+    """g' of the dual objective g(s) = sum_j psi*_j(-s_j) of a quadratic."""
+    return lambda s: s / q.a - q.z
+
+
+def _assert_routes_certified(F, q, pr, s_dec, u_hom, tol=1e-6):
+    """The level-set test accepts each route's dual base, above the cap too,
+    and rejects the min-norm base with mass moved between two coordinates."""
+    g = _dual_derivative(q)
+    for s in (pr.s, s_dec, q.a * (q.z - u_hom)):
+        assert so.check_separable_optimality(F, s, g, tol)
+    top, bottom = int(np.argmax(pr.u)), int(np.argmin(pr.u))
+    moved = pr.s.copy()
+    moved[top] += 1e-3
+    moved[bottom] -= 1e-3
+    assert not so.check_separable_optimality(F, moved, g, tol)
+
+
 @pytest.mark.parametrize("p", [40, 63])
 def test_decomposition_and_homotopy_on_large_cuts(p):
     # cut + modular chains in one pass at every level of the recursion
@@ -589,6 +646,7 @@ def test_decomposition_and_homotopy_on_large_cuts(p):
     assert np.max(np.abs(s - pr.s)) <= 1e-6
     assert np.max(np.abs(u - pr.u)) <= 1e-6
     assert len(np.unique(np.round(pr.u, 6))) > 5  # several blocks to peel
+    _assert_routes_certified(build(), q, pr, s, u)
 
 
 @pytest.mark.parametrize("p", [40, 63])
@@ -600,9 +658,64 @@ def test_decomposition_and_homotopy_on_large_covers(p):
         pr = so.prox_minnorm(so.cover_function(c), q, eps=1e-11)
         s = so.prox_decomposition(so.cover_function(c), q)
         u = so.prox_homotopy(so.cover_function(c), q)
+        _assert_routes_certified(so.cover_function(c), q, pr, s, u)
     assert np.max(np.abs(s - pr.s)) <= 1e-6
     assert np.max(np.abs(u - pr.u)) <= 1e-6
     assert len(np.unique(np.round(pr.u, 6))) > 5  # several blocks to peel
+
+
+def test_level_set_test_builds_no_table_and_reads_f_once_per_level(monkeypatch):
+    p = 63
+    rng = np.random.default_rng(p)
+    F = so.add_modular(so.cut_function(dyadic_digraph(rng, p, density=0.1)),
+                       dyadic(rng, -1.0, 1.0, size=p))
+    q = so.Quadratic(dyadic(rng, 1.0, 4.0, size=p), dyadic(rng, -1.0, 1.0, size=p))
+    s = so.prox_decomposition(F, q)
+    levels = len(list(so.core.level_sets(s / q.a - q.z, 1e-6)))
+    reads = []
+    counted = so.SetFunction(p, lambda mask: reads.append(mask) or F(mask))
+    reads.clear()  # the constructor reads F(empty set)
+
+    def no_table(self, cap=None):
+        raise AssertionError("the level-set test built a table")
+
+    monkeypatch.setattr(so.SetFunction, "tabulate", no_table)
+    assert so.check_separable_optimality(counted, s, _dual_derivative(q), 1e-6)
+    assert len(reads) == levels > 5
+
+
+def _check_level_set_test_against_exchange_form(F, s, g, tol=1e-8):
+    """The level-set test gives the answer of the exchange form with weights -g'(s)."""
+    ok = so.check_separable_optimality(F, s, g, tol)
+    assert ok == so.polyhedra.base_maximizer_exchange_check(F, s, -g(s), tol)
+    return ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["cut", "cover"]))
+def test_level_set_test_agrees_with_the_exchange_form(p, seed, kind):
+    # the exchange form reads all 2**p tight sets, so it is the reference
+    # for the level-set test that check_separable_optimality runs alone
+    rng = np.random.default_rng(seed)
+    base = (so.cut_function(dyadic_digraph(rng, p)) if kind == "cut"
+            else so.cover_function(dyadic_cover(rng, p)))
+    F = so.add_modular(base, dyadic(rng, -1.0, 1.0, size=p))
+    q = so.Quadratic(dyadic(rng, 0.5, 4.0, size=p), dyadic(rng, -2.0, 2.0, size=p))
+    g = _dual_derivative(q)
+    for _ in range(3):  # greedy bases, optimal or not
+        s = so.greedy_base(F, dyadic(rng, -2.0, 2.0, size=p))
+        _check_level_set_test_against_exchange_form(F, s, g)
+    routes = (so.prox_decomposition(F, q),
+              q.a * (q.z - so.prox_homotopy(F, q)))
+    for s in routes:
+        assert _check_level_set_test_against_exchange_form(F, s, g)
+    if p > 1:  # a base with mass moved between two coordinates is not optimal
+        i, j = rng.choice(p, size=2, replace=False)
+        s = routes[0].copy()
+        s[i] += 2.0 ** -4
+        s[j] -= 2.0 ** -4
+        assert not _check_level_set_test_against_exchange_form(F, s, g)
 
 
 def _assert_prox_optimal(F, table, u, s, tol=1e-6):
