@@ -20,11 +20,12 @@ that read F once per level set of a vector (block-value recovery, the
 level-set optimality and maximizer checks) walk those sets through
 :func:`level_sets`.
 
-Cuts and covers, each plus a modular term, and modular functions chain
-by a :class:`ClosedStructure`: it also evaluates, tabulates and lists the
-singleton values of its function, and it is closed under restriction,
-contraction and modular shifts, so ``transforms`` rebuilds the oracle, the
-table and the chain of such a transform from the reduced structure.
+Modular functions are :class:`ClosedStructure` objects, and cuts and
+covers, each plus a modular term, are its two subclasses in ``zoo``.  A
+closed structure evaluates, chains, tabulates and lists the singleton
+values of its function, and it is closed under restriction, contraction
+and modular shifts, so ``transforms`` rebuilds the oracle, the table and
+the chain of such a transform from the reduced structure.
 
 Concrete families, the seeded random instances included, live in ``zoo``.
 """
@@ -49,8 +50,12 @@ def check_integer(value, what: str) -> int:
     """value as an int, which must be a whole number.
 
     int() alone would truncate 2.5 to 2; here that raises ValueError
-    "<what> 2.5 is not an integer".  What int() rejects raises as it does.
+    "<what> 2.5 is not an integer".  int() would also read "2" as 2 and True
+    as 1, so a string, a boolean or None raises TypeError "<what> must be
+    numeric".  What else int() rejects raises as it does.
     """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{what} must be numeric")
     n = int(value)
     if n != value:
         raise ValueError(f"{what} {value} is not an integer")
@@ -281,31 +286,66 @@ class SetFunction:
 
 
 class ClosedStructure:
-    """Chainer of a family closed under restrict, contract and add_modular.
+    """A modular vector ``m`` plus the arrays ``part`` of a cut or a cover.
 
-    A cut or a cover plus a modular vector ``m`` stays one under these
-    transforms (``zoo.CutChain``, ``zoo.CoverChain``), and so does a
-    modular function (:class:`ModularChain`).  A subclass has the
-    ground size ``p`` and provides:
+    A cut or a cover plus a modular vector stays one under restriction,
+    contraction and modular shifts (``zoo.CutChain``, ``zoo.CoverChain``).
+    This base class, with an empty ``part``, is the modular function
+    A -> m(A), which stays one too.
 
-    - ``__call__(order)``, the chain;
-    - ``value(mask)``, the oracle;
-    - ``table(cap)``, the table builder;
-    - ``singles()``, F({k}) for every k;
-    - ``restrict(elems)``, ``contract(elems)`` and ``add_modular(s)``, the
-      structure of the transformed function on the sorted ``elems``.
-
-    ``transforms`` builds the transformed function from the returned
-    structure alone, so a stack of transforms never calls back into its
-    parents.
+    Every value is read through :meth:`_steps`: given the step ``pos[k]`` at
+    which each element k joins (n + 1 if it never does), entry i of its
+    result is the increase of F at step i.  The chain of an order is the
+    cumulative sum of its steps, and the oracle at a mask is one step that
+    adds the whole mask.  A family provides ``_steps``, ``table(cap)``,
+    ``singles()`` (F({k}) for every k) and ``restrict(elems)`` and
+    ``contract(elems)``, the structure of the transformed function on the
+    sorted ``elems``.  ``transforms`` builds the transformed function from
+    the returned structure alone, so a stack of transforms never calls back
+    into its parents; ``part`` is shared down the stack, ``m`` is not.
     """
 
-    __slots__ = ()
+    __slots__ = ("p", "m", "part")
+
+    def __init__(self, m: np.ndarray, *part):
+        self.p, self.m, self.part = m.shape[0], m, part
+
+    def _steps(self, pos: np.ndarray, n: int) -> np.ndarray:
+        return np.bincount(pos, self.m, minlength=n + 2)
+
+    def __call__(self, order: np.ndarray) -> np.ndarray:
+        """F(first k of order) for k = 0..len(order)."""
+        n = order.shape[0]
+        pos = np.empty(self.p, dtype=np.int64)
+        pos.fill(n + 1)  # faster than np.full for the short arrays here
+        pos[order] = np.arange(1, n + 1)
+        return self._steps(pos, n)[:n + 1].cumsum()
+
+    def value(self, mask: int) -> float:
+        if not mask:  # F(empty) = 0, which SetFunction reads at construction
+            return 0.0
+        return self._steps(2 - ((mask >> _BITS[:self.p]) & 1), 1)[1]
+
+    def table(self, cap: int) -> np.ndarray:
+        return _kernels.subset_sums(self.m)
+
+    def singles(self) -> np.ndarray:
+        return self.m.copy()
+
+    def restrict(self, elems) -> "ClosedStructure":
+        return ClosedStructure(self.m[elems])
+
+    contract = restrict  # of a modular function: m on the elements kept
+
+    def add_modular(self, s: np.ndarray) -> "ClosedStructure":
+        return type(self)(self.m + s, *self.part)
 
     def function(self) -> "SetFunction":
-        """The memoized function whose oracle, table and chain are this structure."""
-        return SetFunction(self.p, self.value, memoize=True, builder=self.table,
-                           chainer=self)
+        """The function whose oracle, table and chain are this structure."""
+        return SetFunction(self.p, self.value, builder=self.table, chainer=self)
+
+
+_BITS = np.arange(MAX_GROUND_SIZE)
 
 
 def _check_chain(order: np.ndarray, p: int) -> None:
@@ -372,61 +412,14 @@ class ModularSums:
         return total
 
 
-def modular_chain(s: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """s(first k of order) for k = 0..len(order): one cumulative sum."""
-    out = np.zeros(order.shape[0] + 1, dtype=np.float64)
-    np.cumsum(s[order], out=out[1:])
-    return out
-
-
-class ModularChain(ClosedStructure):
-    """Structure of the modular function A -> m(A).
-
-    The chain is one cumulative sum, the oracle reads :class:`ModularSums`
-    and the table is the subset sums of m.  Restricting or contracting to
-    elems keeps m[elems], and a modular shift by s gives m + s.
-    """
-
-    __slots__ = ("p", "m", "_sums")
-
-    def __init__(self, m: np.ndarray):
-        self.p, self.m = m.shape[0], m
-        self._sums = ModularSums(m)
-
-    def __call__(self, order: np.ndarray) -> np.ndarray:
-        return modular_chain(self.m, order)
-
-    def value(self, mask: int) -> float:
-        return self._sums[mask]
-
-    def table(self, cap: int) -> np.ndarray:
-        return _kernels.subset_sums(self.m)
-
-    def singles(self) -> np.ndarray:
-        return self.m.copy()
-
-    def restrict(self, elems) -> "ModularChain":
-        return ModularChain(self.m[elems])
-
-    def contract(self, elems) -> "ModularChain":
-        return ModularChain(self.m[elems])
-
-    def add_modular(self, s: np.ndarray) -> "ModularChain":
-        return ModularChain(self.m + s)
-
-    def function(self) -> SetFunction:
-        """The function of this structure, unmemoized: a lookup costs p/8 reads."""
-        return SetFunction(self.p, self.value, builder=self.table, chainer=self)
-
-
 def modular_function(s) -> SetFunction:
     """Modular function A -> sum of s[k] over k in A.
 
-    A lazy oracle over byte tables (see :class:`ModularSums`) at every p;
-    it tabulates, chains and lists its singletons from s, and it is a
-    closed structure (:class:`ModularChain`).
+    A closed structure with no cut or cover part (:class:`ClosedStructure`)
+    at every p: it evaluates, tabulates, chains and lists its singletons
+    from s.
     """
-    return ModularChain(check_finite(s, "modular vector")).function()
+    return ClosedStructure(check_finite(s, "modular vector")).function()
 
 
 def shift_to_zero(p: int, fn: Callable[[int], float], memoize: bool = False) -> SetFunction:

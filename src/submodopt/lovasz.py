@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from . import _kernels
-from .core import EXHAUSTIVE_CAP, SetFunction, check_vector, to_explicit
+from .core import (EXHAUSTIVE_CAP, SetFunction, check_finite, check_vector,
+                   to_explicit)
 
 
 def descending_order(w) -> np.ndarray:
@@ -88,9 +89,10 @@ def conjugate(F: SetFunction, s, cap: int = EXHAUSTIVE_CAP) -> tuple[float, int]
     """Discrete conjugate max_A s(A) - F(A) by exhaustive scan.
 
     Returns ``(value, argmax_mask)`` with the smallest bitmask among tied
-    maximizers.  A nonpositive value means s lies in P(F).
+    maximizers.  A nonpositive value means s lies in P(F).  A NaN or an
+    infinity in s raises ValueError.
     """
-    s = check_vector(s, F.p)
+    s = check_finite(check_vector(s, F.p), "s")
     table = to_explicit(F, cap)
     sums = _kernels.subset_sums(s)
     value, arg = _kernels.max_margin(sums, table)

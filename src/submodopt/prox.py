@@ -418,11 +418,12 @@ def line_search_P(F: SetFunction, s0, t, tol: float = DEFAULT_TOL,
     piecewise-affine g(lambda) = min_A F(A) - s0(A) - lambda t(A) down to
     its zero by secant steps on the current minimizer.  Directions without
     a strictly positive coordinate never leave the polyhedron: Unbounded.
-    A NaN, infinite or negative tol raises ValueError.
+    A NaN or an infinity in s0 or t, and a NaN, infinite or negative tol,
+    raise ValueError.
     """
     tol = check_tolerance(tol)
-    s0 = np.asarray(s0, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
+    s0 = check_finite(s0, "start")
+    t = check_finite(t, "direction")
     if s0.shape != (F.p,) or t.shape != (F.p,):
         raise ValueError("start and direction must have length p")
     if not np.any(t > 0.0):

@@ -17,14 +17,14 @@ their inputs whenever every input chains from its structure, and so does
 ``add_modular``, which is ``add`` of a modular function; any other
 restriction or contraction chains by one oracle call per prefix.
 
-Cuts and covers, each plus a modular term, and modular functions are
+Modular functions, and cuts and covers each plus a modular term, are
 closed under ``restrict``, ``contract`` and ``add_modular``
-(:class:`core.ClosedStructure`, with ``zoo.CutChain``, ``zoo.CoverChain``
-and ``core.ModularChain``).  On such an input these three transforms build
-the reduced structure once and take the oracle, the table, the singleton
-values and the chain of their result from it alone:
-no call into the parent, no memo per layer, and no table over the parent's
-ground set.  So any stack of them over a cut or a cover evaluates and
+(:class:`core.ClosedStructure`, the modular base, with its subclasses
+``zoo.CutChain`` and ``zoo.CoverChain``).  On such an input these three
+transforms build the reduced structure once and take the oracle, the
+table, the singleton values and the chain of their result from it alone:
+no call into the parent, no memo, and no table over the parent's ground
+set.  So any stack of them over a cut or a cover evaluates and
 chains in one pass over the remaining arcs or group members, and
 tabulates at its own size even when the parent is above the cap.
 

@@ -5,11 +5,13 @@ tables from their structure (see :meth:`SetFunction.tabulate`) and chain
 from it (see :meth:`SetFunction.chain`).
 
 A cut or a cover plus a modular vector is held by :class:`CutChain` or
-:class:`CoverChain`, the two :class:`core.ClosedStructure` families: each
-is its function's oracle, table builder, singleton values and chainer, and
-each is closed under restriction, contraction and modular shifts, so that
-``transforms`` rebuilds those three transforms of a cut or a cover from the
-reduced structure instead of reading through the parent.
+:class:`CoverChain`, the two families over the modular base
+:class:`core.ClosedStructure`: each adds the arrays of its arcs or groups
+to the modular vector, reads its oracle and its chain through one step
+routine, and builds its table and singleton values.  Both are closed under
+restriction, contraction and modular shifts, so ``transforms`` rebuilds
+those three transforms of a cut or a cover from the reduced structure
+instead of reading through the parent.
 
 :func:`random_submodular` draws seeded cut, cover and log-determinant
 instances, optionally plus a modular shift, and builds them with the
@@ -27,8 +29,8 @@ import numpy as np
 
 from . import _kernels, _maxflow
 from .core import (ClosedStructure, SetFunction, check_finite, check_indices,
-                   check_tolerance, check_vector, elements_of, modular_chain,
-                   subset_of, validate_ground_size)
+                   check_tolerance, check_vector, elements_of, subset_of,
+                   validate_ground_size)
 from .sfm import SfmResult
 from .transforms import add_modular
 
@@ -68,19 +70,9 @@ def _checked_arcs(arcs, n: int, what: str) -> tuple:
 
 
 def _arc_arrays(g: Digraph):
-    tails = np.array([a[0] for a in g.arcs], dtype=np.int64)
-    heads = np.array([a[1] for a in g.arcs], dtype=np.int64)
-    wts = np.array([a[2] for a in g.arcs], dtype=np.float64)
-    return tails, heads, wts
-
-
-def _positions(p: int, order: np.ndarray) -> np.ndarray:
-    """The prefix at which each element joins the chain of order (len + 1 if never)."""
-    n = order.shape[0]
-    pos = np.empty(p, dtype=np.int64)
-    pos.fill(n + 1)
-    pos[order] = np.arange(1, n + 1)
-    return pos
+    """Tails over heads as one (2, arcs) int64 array, and the arc weights."""
+    ends = np.array([[a[0] for a in g.arcs], [a[1] for a in g.arcs]], dtype=np.int64)
+    return ends, np.array([a[2] for a in g.arcs], dtype=np.float64)
 
 
 def _local_index(p: int, elems) -> np.ndarray:
@@ -90,91 +82,67 @@ def _local_index(p: int, elems) -> np.ndarray:
     return local
 
 
-_BIT_INDEX = np.arange(63)
-
-
-def _bits(mask: int, p: int) -> np.ndarray:
-    return ((mask >> _BIT_INDEX[:p]) & 1).astype(bool)
-
-
 def _plus_modular(table: np.ndarray, m: np.ndarray) -> np.ndarray:
     return table + _kernels.subset_sums(m) if np.any(m) else table
 
 
 class CutChain(ClosedStructure):
-    """Structure of F(A) = cut(A) + m(A): arcs on 0..p-1 plus a modular vector.
+    """Structure of F(A) = cut(A) + m(A); ``part`` is (ends, wts).
 
-    A chain gives each element the prefix at which it joins (len(order) + 1
-    for one that never does); an arc u -> v is cut at prefix k exactly when
-    pos[u] <= k < pos[v].  So one weighted count of m by pos, two over
-    the arcs with pos[u] < pos[v] and one cumulative sum give every prefix
-    value in O(arcs + p).  Restricting to elems keeps the arcs inside elems
-    and turns the arcs leaving it into modular out-weight; contracting by
-    the complement of elems keeps the arcs inside elems and subtracts the
-    arcs entering from the contracted set.
+    Arc i runs from ``ends[0, i]`` to ``ends[1, i]`` with weight ``wts[i]``.
+    An arc u -> v is cut after step k exactly when pos[u] <= k < pos[v], so
+    its weight is a step up at pos[u] and a step down at pos[v]: one
+    weighted count of m by pos and two over the arcs with pos[u] < pos[v]
+    give every step in O(arcs + p).  Restricting to elems keeps the arcs
+    inside elems and turns the arcs leaving it into modular out-weight;
+    contracting by the complement of elems keeps the arcs inside elems and
+    subtracts the arcs entering from the contracted set.
     """
 
-    __slots__ = ("p", "tails", "heads", "wts", "m", "_ends")
+    __slots__ = ()
 
-    def __init__(self, p: int, tails, heads, wts, m):
-        self.p, self.tails, self.heads, self.wts, self.m = p, tails, heads, wts, m
-        self._ends = np.concatenate((tails, heads))
-
-    def __call__(self, order: np.ndarray) -> np.ndarray:
-        n = order.shape[0]
-        pos = _positions(self.p, order)
-        ends = pos[self._ends]
-        a = self.wts.shape[0]
-        pt, ph = ends[:a], ends[a:]
-        cut = pt < ph
-        w = self.wts[cut]
+    def _steps(self, pos: np.ndarray, n: int) -> np.ndarray:
+        ends, wts = self.part
         steps = np.bincount(pos, self.m, minlength=n + 2)
+        at = pos[ends]
+        pt, ph = at[0], at[1]  # by index: unpacking a 2-d array iterates, slower
+        cut = pt < ph
+        w = wts[cut]
         steps += np.bincount(pt[cut], w, minlength=n + 2)
         steps -= np.bincount(ph[cut], w, minlength=n + 2)
-        return steps[:n + 1].cumsum()
-
-    def value(self, mask: int) -> float:
-        if not mask:
-            return 0.0
-        bits = _bits(mask, self.p)
-        cut = bits[self.tails] & ~bits[self.heads]
-        return float(self.wts[cut].sum() + self.m[bits].sum())
+        return steps
 
     def table(self, cap: int) -> np.ndarray:
-        return _plus_modular(_kernels.cut_table(self.tails, self.heads, self.wts,
-                                                self.p), self.m)
+        ends, wts = self.part
+        return _plus_modular(_kernels.cut_table(*ends, wts, self.p), self.m)
 
     def singles(self) -> np.ndarray:
-        return np.bincount(self.tails, self.wts, minlength=self.p) + self.m
+        ends, wts = self.part
+        return np.bincount(ends[0], wts, minlength=self.p) + self.m
 
-    def _split(self, elems):
-        """Local indices of the tails and heads (-1 outside elems)."""
-        local = _local_index(self.p, elems)
-        return local[self.tails], local[self.heads]
+    def _reduced(self, elems, sign: int, side: int) -> "CutChain":
+        """The arcs inside elems, in local indices, with m[elems] plus ``sign``
+        times the weight of the arcs that cross with end ``side`` inside."""
+        ends, wts = self.part
+        local = _local_index(self.p, elems)[ends]
+        kept = local >= 0
+        inside = kept[0] & kept[1]
+        crossing = kept[side] & ~kept[1 - side]
+        m = self.m[elems] + sign * np.bincount(local[side][crossing], wts[crossing],
+                                               minlength=len(elems))
+        # compress keeps the rows contiguous, where local[:, inside] would not
+        return CutChain(m, local.compress(inside, axis=1), wts[inside])
 
     def restrict(self, elems) -> "CutChain":
-        lt, lh = self._split(elems)
-        inside = (lt >= 0) & (lh >= 0)
-        leaving = (lt >= 0) & (lh < 0)
-        m = self.m[elems] + np.bincount(lt[leaving], self.wts[leaving],
-                                        minlength=len(elems))
-        return CutChain(len(elems), lt[inside], lh[inside], self.wts[inside], m)
+        return self._reduced(elems, 1, 0)  # arcs leaving elems
 
     def contract(self, elems) -> "CutChain":
-        lt, lh = self._split(elems)
-        inside = (lt >= 0) & (lh >= 0)
-        entering = (lt < 0) & (lh >= 0)
-        m = self.m[elems] - np.bincount(lh[entering], self.wts[entering],
-                                        minlength=len(elems))
-        return CutChain(len(elems), lt[inside], lh[inside], self.wts[inside], m)
-
-    def add_modular(self, s: np.ndarray) -> "CutChain":
-        return CutChain(self.p, self.tails, self.heads, self.wts, self.m + s)
+        return self._reduced(elems, -1, 1)  # arcs entering elems
 
 
 def cut_function(g: Digraph) -> SetFunction:
     """F(A) = total weight of arcs leaving A."""
-    return CutChain(g.p, *_arc_arrays(g), np.zeros(g.p)).function()
+    return CutChain(np.zeros(g.p), *_arc_arrays(g)).function()
 
 
 def cut_minimize(g: Digraph, z) -> SfmResult:
@@ -227,75 +195,62 @@ class CoverSystem:
 
 
 class CoverChain(ClosedStructure):
-    """Structure of F(A) = cover(A) + m(A): groups of members plus a modular vector.
+    """Structure of F(A) = cover(A) + m(A); ``part`` is (members, starts, sizes, wts).
 
     Group g has the weight ``wts[g]`` and ``sizes[g] > 0`` members, listed
-    in ``members[starts[g]:starts[g] + sizes[g]]``.  A group joins a chain at the first
-    position of its members, so one minimum per group, one weighted count
-    of those positions and of m by position, and one cumulative sum give
-    every prefix value in O(members + p).  Restricting to elems keeps each
-    group's members inside elems and drops the groups left empty;
-    contracting by the complement of elems keeps only the groups that miss
-    the contracted set, since the weight of the others is already in F(A).
+    in ``members[starts[g]:starts[g] + sizes[g]]``.  A group adds its
+    weight at the first step of its members, so one minimum per group and
+    one weighted count of those steps and of m by step give every step in
+    O(members + p).  Restricting to elems keeps each group's members inside
+    elems and drops the groups left empty; contracting by the complement of
+    elems keeps only the groups that miss the contracted set, since the
+    weight of the others is already in F(A).
     """
 
-    __slots__ = ("p", "members", "sizes", "wts", "m", "starts", "_masks")
-
-    def __init__(self, p: int, members, sizes, wts, m):
-        self.p, self.members, self.sizes, self.wts, self.m = p, members, sizes, wts, m
-        self.starts = np.cumsum(sizes) - sizes
-        self._masks = np.bitwise_or.reduceat(np.left_shift(1, members), self.starts)
+    __slots__ = ()
 
     @classmethod
     def from_masks(cls, p: int, masks: np.ndarray, wts: np.ndarray) -> "CoverChain":
         """The cover of the nonzero int64 group masks, with m = 0."""
         bits = (masks[:, np.newaxis] >> np.arange(p)) & 1
-        members = np.nonzero(bits)[1]
-        return cls(p, members, np.count_nonzero(bits, axis=1), wts, np.zeros(p))
+        sizes = np.count_nonzero(bits, axis=1)
+        return cls(np.zeros(p), np.nonzero(bits)[1], np.cumsum(sizes) - sizes, sizes, wts)
 
-    def __call__(self, order: np.ndarray) -> np.ndarray:
-        n = order.shape[0]
-        pos = _positions(self.p, order)
-        first = np.minimum.reduceat(pos[self.members], self.starts)
+    def _steps(self, pos: np.ndarray, n: int) -> np.ndarray:
+        members, starts, _, wts = self.part
         steps = np.bincount(pos, self.m, minlength=n + 2)
-        steps += np.bincount(first, self.wts, minlength=n + 2)
-        return steps[:n + 1].cumsum()
-
-    def value(self, mask: int) -> float:
-        if not mask:
-            return 0.0
-        meets = (self._masks & mask) != 0
-        return float(self.wts[meets].sum() + self.m[_bits(mask, self.p)].sum())
+        steps += np.bincount(np.minimum.reduceat(pos[members], starts), wts,
+                             minlength=n + 2)
+        return steps
 
     def table(self, cap: int) -> np.ndarray:
-        return _plus_modular(_kernels.cover_table(self._masks, self.wts, self.p),
-                             self.m)
+        members, starts, _, wts = self.part
+        masks = np.bitwise_or.reduceat(np.left_shift(1, members), starts)
+        return _plus_modular(_kernels.cover_table(masks, wts, self.p), self.m)
 
     def singles(self) -> np.ndarray:
-        return np.bincount(self.members, np.repeat(self.wts, self.sizes),
-                           minlength=self.p) + self.m
+        members, _, sizes, wts = self.part
+        return np.bincount(members, np.repeat(wts, sizes), minlength=self.p) + self.m
 
     def _kept(self, elems, whole: bool) -> "CoverChain":
         """The groups cut down to elems, in local indices; with ``whole``,
         only the groups that lie inside elems."""
-        local = _local_index(self.p, elems)[self.members]
+        members, starts, sizes, wts = self.part
+        local = _local_index(self.p, elems)[members]
         inside = local >= 0
         if whole:
-            inside &= np.repeat(np.logical_and.reduceat(inside, self.starts),
-                                self.sizes)
-        sizes = np.add.reduceat(inside.astype(np.int64), self.starts)
+            inside &= np.repeat(np.logical_and.reduceat(inside, starts), sizes)
+        sizes = np.add.reduceat(inside.astype(np.int64), starts)
         nonempty = sizes > 0
-        return CoverChain(len(elems), local[inside], sizes[nonempty],
-                          self.wts[nonempty], self.m[elems])
+        sizes = sizes[nonempty]
+        return CoverChain(self.m[elems], local[inside], np.cumsum(sizes) - sizes,
+                          sizes, wts[nonempty])
 
     def restrict(self, elems) -> "CoverChain":
         return self._kept(elems, whole=False)
 
     def contract(self, elems) -> "CoverChain":
         return self._kept(elems, whole=True)
-
-    def add_modular(self, s: np.ndarray) -> "CoverChain":
-        return CoverChain(self.p, self.members, self.sizes, self.wts, self.m + s)
 
 
 def cover_function(c: CoverSystem) -> SetFunction:
@@ -417,16 +372,10 @@ def weighted_concave(s, kind: str, cap_value: Optional[float] = None) -> SetFunc
     if np.any(s < 0.0):
         raise ValueError("weights must be nonnegative")
     g = _profile(kind, cap_value)
-
-    def fn(mask: int) -> float:
-        total = 0.0
-        for k in elements_of(mask):
-            total += s[k]
-        return float(g(total))
-
-    return SetFunction(len(s), fn, memoize=True,
-                       builder=lambda cap: g(_kernels.subset_sums(s)),
-                       chainer=lambda order: g(modular_chain(s, order)))
+    S = ClosedStructure(s)
+    return SetFunction(len(s), lambda mask: g(S.value(mask)), memoize=True,
+                       builder=lambda cap: g(S.table(cap)),
+                       chainer=lambda order: g(S(order)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import submodopt as so
 from submodopt import sfm, transforms
-from submodopt.core import ModularChain, SetFunction
+from submodopt.core import ClosedStructure, SetFunction
 from submodopt.zoo import CoverChain, CutChain
 
 from helpers import dyadic, dyadic_digraph, dyadic_energy
@@ -154,10 +154,10 @@ def test_chains_follow_the_structure_of_their_inputs():
     # a modular function is a closed structure at every p, above the cap too
     for p in (6, 40):
         modular = so.modular_function(np.ones(p))
-        assert isinstance(modular.chainer, ModularChain)
-        assert isinstance(so.add_modular(modular, np.ones(p)).chainer, ModularChain)
-        assert isinstance(so.restrict(modular, 7).chainer, ModularChain)
-        assert isinstance(so.contract(modular, 1).chainer, ModularChain)
+        assert type(modular.chainer) is ClosedStructure
+        assert type(so.add_modular(modular, np.ones(p)).chainer) is ClosedStructure
+        assert type(so.restrict(modular, 7).chainer) is ClosedStructure
+        assert type(so.contract(modular, 1).chainer) is ClosedStructure
     # the random families chain exactly as the constructors they are built by
     for family in ("cut", "cut+modular"):
         assert isinstance(so.random_submodular(0, 6, family).chainer, CutChain)
@@ -167,7 +167,7 @@ def test_chains_follow_the_structure_of_their_inputs():
         assert so.random_submodular(0, 6, family).chainer is None
 
 
-def test_unstructured_chain_fills_the_memo_as_the_loop_did():
+def test_unstructured_chain_fills_the_memo_as_the_loop_did(monkeypatch):
     rng = np.random.default_rng(1)
     graph = dyadic_digraph(rng, 7)
     cut = so.cut_function(graph)
@@ -184,10 +184,16 @@ def test_unstructured_chain_fills_the_memo_as_the_loop_did():
     assert_bitwise_equal(values, np.array(expected))
     assert list(F._memo.items()) == list(G._memo.items())
 
-    # a structural chain neither reads nor fills the memo
+    # a structural chain makes no oracle call, and a closed structure keeps
+    # no memo
     fresh = so.cut_function(graph)
+    assert fresh._memo is None
+    calls = []
+    original = SetFunction.__call__
+    monkeypatch.setattr(SetFunction, "__call__",
+                        lambda self, mask: calls.append(mask) or original(self, mask))
     assert_bitwise_equal(fresh.chain(order), values)
-    assert fresh._memo == {0: 0.0}
+    assert calls == []
 
 
 def test_unstructured_chain_calls_the_oracle_once_per_prefix():

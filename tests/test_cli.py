@@ -367,6 +367,10 @@ def test_non_integral_sizes_and_unused_caps_exit_1(capsys, tmp_path, spec, messa
      "malformed spec: TypeError: scale factor must be numeric"),
     ({"kind": "logdet", "q": [[1.0, False], [False, 1.0]]},
      "spec holds false; no field takes a boolean"),
+    # int() read "2" as 2, so this said "p 2 is not an integer"
+    ({"kind": "cut", "p": "2", "arcs": []}, "malformed spec: TypeError: p must be numeric"),
+    ({"kind": "random", "p": 4, "seed": "3"},
+     "malformed spec: TypeError: seed must be numeric"),
 ])
 def test_spec_numbers_must_be_json_numbers(capsys, tmp_path, spec, message):
     # before, each exited 0: numpy read "1" as 1.0 and true as 1
@@ -435,6 +439,20 @@ def test_overflow_in_min_norm_exits_2_with_one_line(capfd, tmp_path, value, mess
     # it is a failed computation, not a bad input
     spec = {"kind": "explicit", "values": [0, value, 1, 1]}
     assert run_quietly(capfd, tmp_path, spec, "minimize") == (2, "", message, [])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("conjugate", "--s=nan,1"), "error: s must be finite\n"),
+    (("conjugate", "--s=inf,1"), "error: s must be finite\n"),
+    (("linesearch", "--direction=nan,1"), "error: direction must be finite\n"),
+    (("linesearch", "--direction=inf,1"), "error: direction must be finite\n"),
+    (("linesearch", "--direction=1,1", "--s=nan,0"), "error: start must be finite\n"),
+])
+def test_non_finite_vectors_exit_1_with_one_line(capfd, tmp_path, argv, message):
+    # before, conjugate printed a bare NaN or Infinity and exited 0, and
+    # linesearch warned and exited 2 on a NaN and gave lambda 0.0 on an inf
+    spec = json.loads((DATA / "f_or.json").read_text())
+    assert run_quietly(capfd, tmp_path, spec, *argv) == (1, "", message, [])
 
 
 def test_overflowing_cover_weight_minimizes_without_warnings(capfd, tmp_path):

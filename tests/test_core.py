@@ -168,8 +168,12 @@ def test_checks_take_only_numbers():
 def test_check_integer_and_ground_size():
     assert so.core.check_integer(3.0, "p") == 3
     assert so.core.check_integer(np.int64(2 ** 62 + 1), "seed") == 2 ** 62 + 1
-    for bad in (2.5, np.float64(-0.5), "3"):
+    for bad in (2.5, np.float64(-0.5)):
         with pytest.raises(ValueError, match=f"^p {bad} is not an integer$"):
+            so.core.check_integer(bad, "p")
+    # int() reads "3" as 3 and True as 1
+    for bad in ("3", "2.5", True, np.bool_(False), None, [3]):
+        with pytest.raises(TypeError, match="^p must be numeric$"):
             so.core.check_integer(bad, "p")
     with pytest.raises(ValueError, match="NaN"):
         so.core.check_integer(np.nan, "p")

@@ -50,6 +50,11 @@ def wrong_size_quadratic():
      "penalty dimension does not match the ground set"),
     (lambda: prox.line_search_P(F_OR, [0.0, 0.0, 0.0], [1.0, 1.0]),
      "start and direction must have length p"),
+    (lambda: prox.line_search_P(F_OR, [np.nan, 0.0], [1.0, 1.0]), "start must be finite"),
+    (lambda: prox.line_search_P(F_OR, [0.0, 0.0], [np.nan, 1.0]),
+     "direction must be finite"),
+    (lambda: prox.line_search_P(F_OR, [0.0, 0.0], [np.inf, 1.0]),
+     "direction must be finite"),
     # polyhedra
     (lambda: so.separable_witness(F_OR, 0), "separability is defined for nonempty sets"),
     (lambda: so.face_check(F_OR, [0b01, 0b11]),
@@ -59,7 +64,24 @@ def wrong_size_quadratic():
     (lambda: sfm.minimize(F_OR, backend="simplex"), "unknown backend 'simplex'"),
     # lovasz
     (lambda: so.greedy_base(F_OR, [np.nan, 0.0]), "weight vector must be finite"),
+    (lambda: so.conjugate(F_OR, [np.nan, 1.0]), "s must be finite"),
+    (lambda: so.conjugate(F_OR, [np.inf, 1.0]), "s must be finite"),
+    # in_P, in_B and in_P_plus read s through conjugate
+    (lambda: so.in_P(F_OR, [np.nan, 0.0]), "s must be finite"),
+    (lambda: so.in_B(F_OR, [np.nan, 1.0]), "s must be finite"),
+    (lambda: so.in_P_plus(F_OR, [np.nan, 0.0]), "s must be finite"),
 ])
 def test_input_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    # int() would read "2" as 2 and True as 1
+    (lambda: core.validate_ground_size("2"), "ground set size must be numeric"),
+    (lambda: zoo.Digraph(True), "ground set size must be numeric"),
+    (lambda: core.check_integer(None, "seed"), "seed must be numeric"),
+])
+def test_non_numeric_integers(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call()

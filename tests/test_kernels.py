@@ -64,7 +64,7 @@ def test_cut_table_matches_the_concatenated_table_and_the_cut_values():
         wts = dyadic(rng, 2 ** -16, 1.0, size=tails.shape[0])
         table = K.cut_table(tails, heads, wts, p)
         assert bits(table) == bits(cut_table_concat_ref(tails, heads, wts, p))
-        chain = zoo.CutChain(p, tails, heads, wts, np.zeros(p))
+        chain = zoo.CutChain(np.zeros(p), np.array([tails, heads]), wts)
         assert table.tolist() == [chain.value(m) for m in range(1 << p)]
 
 

@@ -123,7 +123,7 @@ def test_modular_stacks_make_no_oracle_calls(monkeypatch):
 
     monkeypatch.setattr(so.SetFunction, "__call__", counting)
     for G in stack:
-        assert isinstance(G.chainer, so.core.ModularChain) and G._memo is None
+        assert type(G.chainer) is ClosedStructure and G._memo is None
         table = G.tabulate()
         # on dyadic data the singletons are the table's and the chain is the
         # running sum of them; the hypothesis test above checks the values
@@ -132,6 +132,42 @@ def test_modular_stacks_make_no_oracle_calls(monkeypatch):
         assert_bitwise_equal(G.chain(order),
                              np.concatenate(([0.0], np.cumsum(table[1 << order]))))
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("family", ["cut", "cover", "modular"])
+def test_stacks_keep_their_type_and_leave_their_parents_unchanged(family):
+    rng = np.random.default_rng(26)
+    p = 10
+    if family == "cut":
+        F = so.cut_function(so.Digraph(p, [(u, v, float(rng.exponential()))
+                                           for u in range(p) for v in range(p)
+                                           if u != v and rng.random() < 0.4]))
+    elif family == "cover":
+        F = so.cover_function(dyadic_cover(rng, p))
+    else:
+        F = so.modular_function(rng.standard_normal(p))
+    S = type(F.chainer)
+    stack, tables = [F], [F.tabulate()]
+    for op in ("add_modular", "restrict", "add_modular", "contract", "add_modular"):
+        G = stack[-1]
+        if op == "add_modular":
+            G = transforms.add_modular(G, rng.standard_normal(G.p))  # not dyadic
+            parent, child = stack[-1].chainer, G.chainer
+            assert all(a is b for a, b in zip(child.part, parent.part))
+            assert child.m is not parent.m
+        elif op == "restrict":
+            G = transforms.restrict(G, (1 << G.p) - 1 - 0b100)
+        else:
+            G = transforms.contract(G, 0b10)
+        assert type(G.chainer) is S and G._memo is None
+        stack.append(G)
+        tables.append(G.tabulate())
+    for G, table in zip(stack, tables):
+        assert_bitwise_equal(G.tabulate(), table)  # no child changed a parent
+        for A in range(1 << G.p):
+            value = G(A)
+            chain = G.chain(rng.permutation(so.elements_of(A)))
+            assert abs(value - chain[-1]) <= 1e-12 * (1.0 + abs(value))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
