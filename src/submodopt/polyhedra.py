@@ -17,8 +17,8 @@ import numpy as np
 
 from . import _kernels
 from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_cap,
-                   check_indices, check_tolerance, check_vector, elements_of,
-                   level_sets, to_explicit)
+                   check_finite, check_indices, check_tolerance, check_vector,
+                   elements_of, level_sets, to_explicit)
 from .errors import NumericalInconsistency
 from .lovasz import conjugate
 
@@ -31,16 +31,20 @@ def in_P(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP)
 
 
 def in_B(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP) -> bool:
+    """Whether s lies in P(F) and s(V) = F(V) within tol; a NaN or an
+    infinity in s raises ValueError, as in :func:`in_P`."""
     tol = check_tolerance(tol)
-    s = check_vector(s, F.p)
+    s = check_finite(check_vector(s, F.p), "s")
     if abs(float(np.sum(s)) - F((1 << F.p) - 1)) > tol:
         return False
     return in_P(F, s, tol, cap)
 
 
 def in_P_plus(F: SetFunction, s, tol: float = DEFAULT_TOL, cap: int = EXHAUSTIVE_CAP) -> bool:
+    """Whether s lies in P(F) and s >= 0 within tol; a NaN or an infinity
+    in s raises ValueError, as in :func:`in_P`."""
     tol = check_tolerance(tol)
-    s = check_vector(s, F.p)
+    s = check_finite(check_vector(s, F.p), "s")
     if np.any(s < -tol):
         return False
     return in_P(F, s, tol, cap)

@@ -4,8 +4,10 @@ The workhorse is Wolfe's minimum-norm-point method over the base polytope,
 generalized to a diagonal metric and center so the proximal solvers can
 reuse it: it minimizes sum_j d_j (s_j - c_j)^2 over s in B(F), using the
 greedy algorithm as the linear minimization oracle.  The sign pattern of
-the Euclidean solution yields every minimizer of F; an exhaustive backend
-provides the exact reference for small ground sets.
+the Euclidean solution yields every minimizer of F, but minimization stops
+sooner: every iterate lies in B(F), and once one fixes all but a few
+elements of every minimizer, the minor on those few is minimized exactly.
+An exhaustive backend provides the exact reference for small ground sets.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ from .core import (EXHAUSTIVE_CAP, SetFunction, check_finite, check_tolerance,
                    check_vector, level_sets, subset_of, to_explicit)
 from .errors import NoConvergence, NumericalInconsistency
 from .lovasz import greedy_base
+from .transforms import contract, restrict
 
 _DROP_COEFF = 1e-12
+# the most open elements a certified stop tabulates the minor of, when F
+# tabulates from its structure (see _certified)
+_OPEN_STRUCTURED = 10
 
 
 @dataclass
@@ -49,8 +55,13 @@ class Corral:
 class SfmResult:
     """Minimization outcome with lattice extremes and a duality certificate.
 
-    ``certificate`` is a base-polytope point whose negative part bounds the
-    minimum from below; it is None for backends that are exact by
+    ``certificate`` is a point x of the base polytope, so its negative part
+    x_-(V) bounds the minimum from below, and ``gap`` is ``min_value``
+    minus that bound (clamped at zero).  Every minimizer contains the k
+    with x_k < -gap and avoids the k with x_k > gap; the min-norm backend
+    stops at the first iterate for which that, and an exact minimization
+    of F over the elements left, settles both extremes, so the gap need
+    not be small.  ``certificate`` is None for backends that are exact by
     enumeration, in which case ``gap`` is zero.
     """
 
@@ -115,9 +126,9 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
     Returns the optimal point and the final corral.  Raises NoConvergence
     (with the best iterate attached) after ``max_major`` cycles, default
     100 * p, and NumericalInconsistency if the norm grows across a major
-    cycle or a row of M overflows.  The solve runs with numpy's overflow
-    and invalid-value warnings off, and so do the evaluations of F it
-    makes; a non-finite M never reaches LAPACK.  Non-finite or misshapen
+    cycle or an iterate or a row of M overflows.  The solve runs with
+    numpy's overflow and invalid-value warnings off, and so do the
+    evaluations of F it makes; a non-finite M never reaches LAPACK.  Non-finite or misshapen
     weights or center, nonpositive weights, and an eps that is not a
     finite positive number raise ValueError.
     """
@@ -128,11 +139,28 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
          else check_finite(check_vector(center, p), "center"))
     if np.any(d <= 0.0):
         raise ValueError("metric weights must be positive")
+    cycles = _major_cycles(F, d, c, eps, 100 * p if max_major is None else max_major)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            try:
+                next(cycles)
+            except StopIteration as done:
+                return done.value
+
+
+def _major_cycles(F: SetFunction, d: np.ndarray, c: np.ndarray, eps: float,
+                  max_major: int):
+    """The major cycles of :func:`min_norm_point`, one iterate at a time.
+
+    Yields the iterate x before each greedy step: the start vertex first,
+    then the point each major cycle ends at; every one lies in B(F).
+    Returns ``(x, corral)`` as :func:`min_norm_point` does and raises what
+    it raises.  The caller runs it with numpy's overflow and invalid-value
+    warnings off, and may drop it after any iterate.
+    """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    if max_major is None:
-        max_major = 100 * p
-
+    p = F.p
     size = p + 1
     bases = np.empty((size, p))     # the corral's vertices s_i, rows 0..m-1
     scaled = np.empty((size, p))    # d * (s_i - c)
@@ -140,87 +168,89 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
     coeffs = np.empty(size)         # convex weights
     # an overflow shows as an inf or nan gap, which does not converge, or
     # as a non-finite row of M, which is refused before any solve
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = greedy_base(F, d * (c - F.singletons()))
-        bases[0] = x
-        coeffs[0] = 1.0
-        m = 1
-        prev_norm = np.inf
-        majors = 0
+    x = greedy_base(F, d * (c - F.singletons()))
+    bases[0] = x
+    coeffs[0] = 1.0
+    m = 1
+    prev_norm = np.inf
+    majors = 0
 
-        while True:
-            g = x - c
-            norm = float(d @ (g * g))
-            if norm > prev_norm + 1e-9 * (1.0 + prev_norm):
-                raise NumericalInconsistency(
-                    f"norm increased across major cycle {majors}: "
-                    f"{prev_norm!r} -> {norm!r}")
-            prev_norm = norm
-            q = greedy_base(F, -d * g)
-            gap = float(d @ (g * x)) - float(d @ (g * q))
-            converged = gap <= eps * (1.0 + float(d @ (x * x)))
-            # stop on convergence, at the cap, or when the oracle repeats a vertex
-            if (converged or majors == max_major
-                    or (np.abs(bases[:m] - q) <= 1e-12).all(axis=1).any()):
-                break
-            majors += 1
-            if majors == 1:  # the start's own row, from this cycle's g and norm
-                if not math.isfinite(norm):
-                    raise NumericalInconsistency(
-                        f"the Gram matrix of the corral overflows at major cycle {majors}")
-                np.multiply(d, g, out=scaled[0])
-                M[0, 0] = norm + 1.0
-            if m == size:
-                size *= 2
-                bases, scaled, coeffs = (np.concatenate((a, np.empty_like(a)))
-                                         for a in (bases, scaled, coeffs))
-                grown = np.empty((size, size))
-                grown[:m, :m] = M
-                M = grown
-            qc = q - c
-            row = M[m, :m + 1]
-            np.add(scaled[:m] @ qc, 1.0, out=row[:m])
-            row[m] = float(d @ (qc * qc)) + 1.0
-            if not np.isfinite(row).all():
+    while True:
+        yield x
+        g = x - c
+        if not np.isfinite(g).all():  # the greedy step would call it a bad input
+            raise NumericalInconsistency(f"the iterate overflows at major cycle {majors}")
+        norm = float(d @ (g * g))
+        if norm > prev_norm + 1e-9 * (1.0 + prev_norm):
+            raise NumericalInconsistency(
+                f"norm increased across major cycle {majors}: "
+                f"{prev_norm!r} -> {norm!r}")
+        prev_norm = norm
+        q = greedy_base(F, -d * g)
+        gap = float(d @ (g * x)) - float(d @ (g * q))
+        converged = gap <= eps * (1.0 + float(d @ (x * x)))
+        # stop on convergence, at the cap, or when the oracle repeats a vertex
+        if (converged or majors == max_major
+                or (np.abs(bases[:m] - q) <= 1e-12).all(axis=1).any()):
+            break
+        majors += 1
+        if majors == 1:  # the start's own row, from this cycle's g and norm
+            if not math.isfinite(norm):
                 raise NumericalInconsistency(
                     f"the Gram matrix of the corral overflows at major cycle {majors}")
-            M[:m, m] = row[:m]
-            bases[m] = q
-            np.multiply(d, qc, out=scaled[m])
-            coeffs[m] = 0.0
-            m += 1
+            np.multiply(d, g, out=scaled[0])
+            M[0, 0] = norm + 1.0
+        if m == size:
+            size *= 2
+            bases, scaled, coeffs = (np.concatenate((a, np.empty_like(a)))
+                                     for a in (bases, scaled, coeffs))
+            grown = np.empty((size, size))
+            grown[:m, :m] = M
+            M = grown
+        qc = q - c
+        row = M[m, :m + 1]
+        np.add(scaled[:m] @ qc, 1.0, out=row[:m])
+        row[m] = float(d @ (qc * qc)) + 1.0
+        if not np.isfinite(row).all():
+            raise NumericalInconsistency(
+                f"the Gram matrix of the corral overflows at major cycle {majors}")
+        M[:m, m] = row[:m]
+        bases[m] = q
+        np.multiply(d, qc, out=scaled[m])
+        coeffs[m] = 0.0
+        m += 1
 
-            # minor cycles: step toward the affine minimizer, dropping vertices
-            # whose convex coefficient hits zero, until it is a convex minimizer
-            while True:
-                y = _affine_minimizer(M[:m, :m])
-                if y.min() >= _DROP_COEFF:
-                    coeffs[:m] = y
-                    break
-                lam = coeffs[:m]
-                shrink = lam - y
-                move = shrink > _DROP_COEFF
-                theta = float((lam[move] / shrink[move]).min())
-                theta = min(max(theta, 0.0), 1.0)
-                lam = (1.0 - theta) * lam + theta * y
-                keep = lam > _DROP_COEFF
-                if keep.all():
-                    # numerical stall: keep the smallest coefficient anyway
-                    keep[int(np.argmin(lam))] = False
-                lam = lam[keep]
-                # shift the rows and columns after each dropped vertex up in
-                # place, the last one first
-                for i in np.flatnonzero(~keep)[::-1].tolist():
-                    bases[i:m - 1] = bases[i + 1:m]
-                    scaled[i:m - 1] = scaled[i + 1:m]
-                    M[i:m - 1, :m] = M[i + 1:m, :m]
-                    M[:m - 1, i:m - 1] = M[:m - 1, i + 1:m]
-                    m -= 1
-                coeffs[:m] = lam / float(lam.sum())
-                if m == 1:
-                    coeffs[0] = 1.0
-                    break
-            x = coeffs[:m] @ bases[:m]
+        # minor cycles: step toward the affine minimizer, dropping vertices
+        # whose convex coefficient hits zero, until it is a convex minimizer
+        while True:
+            y = _affine_minimizer(M[:m, :m])
+            if y.min() >= _DROP_COEFF:
+                coeffs[:m] = y
+                break
+            lam = coeffs[:m]
+            shrink = lam - y
+            move = shrink > _DROP_COEFF
+            theta = float((lam[move] / shrink[move]).min())
+            theta = min(max(theta, 0.0), 1.0)
+            lam = (1.0 - theta) * lam + theta * y
+            keep = lam > _DROP_COEFF
+            if keep.all():
+                # numerical stall: keep the smallest coefficient anyway
+                keep[int(np.argmin(lam))] = False
+            lam = lam[keep]
+            # shift the rows and columns after each dropped vertex up in
+            # place, the last one first
+            for i in np.flatnonzero(~keep)[::-1].tolist():
+                bases[i:m - 1] = bases[i + 1:m]
+                scaled[i:m - 1] = scaled[i + 1:m]
+                M[i:m - 1, :m] = M[i + 1:m, :m]
+                M[:m - 1, i:m - 1] = M[:m - 1, i + 1:m]
+                m -= 1
+            coeffs[:m] = lam / float(lam.sum())
+            if m == 1:
+                coeffs[0] = 1.0
+                break
+        x = coeffs[:m] @ bases[:m]
 
     corral = Corral(bases=bases[:m].copy(), coeffs=coeffs[:m].copy(), gap=gap,
                     converged=converged, major_cycles=majors)
@@ -268,26 +298,120 @@ def minimize(F: SetFunction, backend: str = "minnorm", eps: float = 1e-9,
              cap: int = EXHAUSTIVE_CAP) -> SfmResult:
     """Minimize a submodular function.
 
-    ``backend="minnorm"`` runs the minimum-norm-point solver and reads the
-    minimizers off the sign pattern of the solution, re-evaluating
-    candidate prefixes exactly; its certificate is the solved base point
-    and the reported gap is F(argmin) minus the negative part of the
-    certificate.  ``backend="brute"`` enumerates all subsets.
+    ``backend="minnorm"`` runs the major cycles of :func:`min_norm_point`
+    and checks each iterate x, the start vertex included, for a certified
+    answer: x lies in B(F), so its negative part bounds min F from below,
+    and once that bound decides all but a few elements of every minimizer,
+    the minor on those few is minimized exactly and the solve stops.  A
+    solve that no iterate settles runs to the gap ``eps``, and the
+    minimizers are read off the prefixes of the sorted solution,
+    re-evaluated exactly.  Either way ``certificate`` is the last iterate
+    and ``gap`` is the minimum minus its negative part (see
+    :class:`SfmResult`).  ``backend="brute"`` enumerates all 2**p subsets,
+    refused above ``cap``.
     """
     if backend == "brute":
         return brute_minimize(F, cap)
     if backend != "minnorm":
         raise ValueError(f"unknown backend {backend!r}")
-    x, _ = min_norm_point(F, eps=eps)
-    vmin, amin, omin = _prefix_extraction(F, x)
-    s_minus = float(np.sum(np.minimum(x, 0.0)))
-    gap = vmin - s_minus
+    p = F.p
+    cycles = _major_cycles(F, np.ones(p), np.zeros(p), eps, 100 * p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in cycles:
+            res = _certified(F, x)
+            if res is not None:
+                return res
+    return _with_gap(*_prefix_extraction(F, x), x)
+
+
+def _certified(F: SetFunction, x: np.ndarray) -> Optional[SfmResult]:
+    """The minimization answer the base point x certifies, or None.
+
+    With A the best prefix of the ascending sort of x and g = F(A) - x_-(V),
+    every minimizer B of F has x(B) <= F(B) <= F(A), so B contains every k
+    with x_k < -g and no k with x_k > g.  That leaves U, the k with
+    |x_k| <= g plus a rounding margin, open; while U is small the minor
+    C -> F(L | C) - F(L) on U, L the elements below, is tabulated and its
+    lattice extremes are read under the tie threshold of
+    :func:`_prefix_extraction`.  U is small at ``_OPEN_STRUCTURED``
+    elements when F tabulates from its structure (cuts and covers stay
+    closed structures under the restriction and contraction that build the
+    minor), and otherwise while its 2**|U| masks are fewer than the 2p
+    oracle calls of two greedy steps.  A non-finite x or bound, and
+    extremes above the threshold, give None.
+    """
+    value = float(F.chain(np.argsort(x, kind="stable")).min())  # F(A)
+    x_minus = float(np.sum(np.minimum(x, 0.0)))
+    bound = value - x_minus + 1e-9 * (1.0 + abs(value) + float(np.max(np.abs(x))))
+    if not math.isfinite(bound):
+        return None
+    open_ = np.abs(x) <= bound
+    n = int(np.count_nonzero(open_))
+    if (n > _OPEN_STRUCTURED) if F.structured else (1 << n) >= 2 * F.p:
+        return None
+    below = x < -bound
+    first = last = 0
+    if n:
+        extremes = _minor_extremes(F, below, open_)
+        if extremes is None:
+            return None
+        first, last = extremes
+    low = subset_of(np.flatnonzero(below).tolist())
+    # bit i of a minor mask is the i-th smallest element of U
+    elems = np.flatnonzero(open_).tolist()
+    amin = low | subset_of(k for i, k in enumerate(elems) if first >> i & 1)
+    omin = low | subset_of(k for i, k in enumerate(elems) if last >> i & 1)
+    # the oracle confirms what the table read: a table that rounds away a
+    # small value next to a huge one makes a false tie
+    vmin = F(amin)
+    tol = 1e-12 * (1.0 + abs(vmin))
+    if vmin > value + tol or (omin != amin and F(omin) > vmin + tol):
+        return None
+    return _with_gap(vmin, amin, omin, x)
+
+
+def _minor_extremes(F: SetFunction, below: np.ndarray,
+                    open_: np.ndarray) -> Optional[tuple[int, int]]:
+    """Lattice extremes of the minor C -> F(L | C) - F(L) on U, or None.
+
+    L and U are the elements flagged in ``below`` and ``open_``.  The minor
+    is the contraction by L of the restriction to L | U, tabulated at its
+    own size: from the structure for cuts and covers, else by one call of F
+    per mask (and one more for F(L)).  The extremes are the intersection
+    and union of the masks within 1e-12 (1 + |min|) of the minimum, as
+    masks over U's elements in increasing order; None when the minimum is
+    not finite or an extreme is above that threshold.
+    """
+    kept = below | open_
+    minor = restrict(F, subset_of(np.flatnonzero(kept).tolist()))
+    if below.any():
+        local = np.cumsum(kept) - 1
+        minor = contract(minor, subset_of(local[below].tolist()))
+    table = minor.tabulate(minor.p)
+    vmin = float(table.min())
+    if not math.isfinite(vmin):
+        return None
+    thresh = vmin + 1e-12 * (1.0 + abs(vmin))
+    hits = np.flatnonzero(table <= thresh)
+    first = int(np.bitwise_and.reduce(hits))
+    last = int(np.bitwise_or.reduce(hits))
+    if table[first] > thresh or table[last] > thresh:
+        return None
+    return first, last
+
+
+def _with_gap(vmin: float, amin: int, omin: int, x: np.ndarray) -> SfmResult:
+    """The result with certificate x and gap vmin - x_-(V), clamped at zero.
+
+    A gap below -1e-9 (1 + |vmin|) raises NumericalInconsistency: x would
+    lie outside B(F).
+    """
+    gap = vmin - float(np.sum(np.minimum(x, 0.0)))
     if gap < -1e-9 * (1.0 + abs(vmin)):
         raise NumericalInconsistency(
             f"negative duality gap {gap:.3e}; certificate outside B(F)?")
     return SfmResult(min_value=vmin, minimal_minimizer=amin,
-                     maximal_minimizer=omin, certificate=x,
-                     gap=max(gap, 0.0))
+                     maximal_minimizer=omin, certificate=x, gap=max(gap, 0.0))
 
 
 def certificate_gap(F: SetFunction, A: int, s) -> float:

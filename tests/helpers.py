@@ -11,8 +11,10 @@ import resource
 
 import numpy as np
 
-from submodopt import SetFunction, elements_of
+from submodopt import SetFunction, elements_of, subset_of
 from submodopt import lovasz as so_lovasz
+from submodopt import polyhedra as so_polyhedra
+from submodopt import sfm as so_sfm
 from submodopt import transforms as so_transforms
 from submodopt import zoo as so_zoo
 
@@ -38,6 +40,30 @@ def brute_min(F: SetFunction):
         amin &= m
         omin |= m
     return best, amin, omin, mins
+
+
+def check_certified_minimum(F: SetFunction, res):
+    """The contract of a min-norm ``sfm.minimize`` result.
+
+    Its minimizers equal brute force's exactly and its value agrees within
+    1e-12 (1 + |v|); its certificate x lies in B(F); its gap is the value
+    minus x_-(V), at least 0; and the minimizers sit in the sandwich that
+    gap puts around them: {x < -gap} <= minimal <= maximal <= {x <= gap}.
+    """
+    ref = so_sfm.brute_minimize(F)
+    assert (res.minimal_minimizer, res.maximal_minimizer) == (
+        ref.minimal_minimizer, ref.maximal_minimizer), (res, ref)
+    v = ref.min_value
+    assert abs(res.min_value - v) <= 1e-12 * (1.0 + abs(v)), (res, ref)
+    x = res.certificate
+    assert so_polyhedra.in_B(F, x, tol=1e-7)
+    assert res.gap == max(res.min_value - float(np.sum(np.minimum(x, 0.0))), 0.0)
+    assert res.gap >= 0.0
+    low = subset_of(np.flatnonzero(x < -res.gap).tolist())
+    high = subset_of(np.flatnonzero(x <= res.gap).tolist())
+    assert low & ~res.minimal_minimizer == 0, (res, low)
+    assert res.minimal_minimizer & ~res.maximal_minimizer == 0, res
+    assert res.maximal_minimizer & ~high == 0, (res, high)
 
 
 def modular_sum(s, mask):

@@ -19,7 +19,7 @@ from submodopt import cli, core, sfm, transforms
 from submodopt.cli import main
 from submodopt.errors import SubmodoptError
 
-from helpers import address_space_limit
+from helpers import address_space_limit, check_certified_minimum
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data"
@@ -57,22 +57,37 @@ def test_check(capsys):
     assert doc3["results"]["posimodular"]["holds"]
 
 
+def check_minimize_report(path, r):
+    """The report's fields satisfy the contract of sfm.minimize."""
+    F = cli.build_function(json.loads(path.read_text()))
+    res = sfm.SfmResult(r["min_value"], core.subset_of(r["minimal_minimizer"]),
+                        core.subset_of(r["maximal_minimizer"]),
+                        np.array(r["certificate"]), r["gap"])
+    check_certified_minimum(F, res)
+
+
 def test_minimize(capsys):
     doc = run_json(capsys, "minimize", DATA / "f_or.json")
     r = doc["results"]
     assert r["min_value"] == 0.0
     assert r["minimal_minimizer"] == [] and r["maximal_minimizer"] == []
-    assert r["gap"] <= 1e-9
+    check_minimize_report(DATA / "f_or.json", r)
+    # minimize stops at a certified answer; the projection converges
+    F = cli.build_function(json.loads((DATA / "f_or.json").read_text()))
+    x, _ = sfm.min_norm_point(F)
+    assert sfm.certificate_gap(F, 0, x) <= 1e-9
 
     doc2 = run_json(capsys, "minimize", DATA / "sym_cut2.json")
     r2 = doc2["results"]
     assert r2["minimal_minimizer"] == [] and r2["maximal_minimizer"] == [0, 1]
+    check_minimize_report(DATA / "sym_cut2.json", r2)
 
     # shifted cut: subtracting (2, 0) makes the full set the unique minimizer
     doc3 = run_json(capsys, "minimize", DATA / "shifted_cut.json")
     r3 = doc3["results"]
     assert r3["min_value"] == -2.0
     assert r3["maximal_minimizer"] == [0, 1]
+    check_minimize_report(DATA / "shifted_cut.json", r3)
 
 
 def test_greedy_and_conjugate(capsys):
@@ -436,9 +451,30 @@ def run_quietly(capfd, tmp_path, spec, *argv):
     (-1e300, "error: minimum-norm point stalled after 0 major cycles with gap nan\n")])
 def test_overflow_in_min_norm_exits_2_with_one_line(capfd, tmp_path, value, message):
     # the overflow is refused before LAPACK, which prints to C stdout, and
-    # it is a failed computation, not a bad input
+    # it is a failed computation, not a bad input; prox projects onto B(F)
+    # to the end, where minimize stops at the start vertex
     spec = {"kind": "explicit", "values": [0, value, 1, 1]}
-    assert run_quietly(capfd, tmp_path, spec, "minimize") == (2, "", message, [])
+    assert run_quietly(capfd, tmp_path, spec, "prox") == (2, "", message, [])
+
+
+@pytest.mark.parametrize("command", ["minimize", "prox"])
+def test_overflowing_start_vertex_exits_2_with_one_line(capfd, tmp_path, command):
+    # the start vertex is (-inf, 1e308): its greedy step used to refuse the
+    # weights as a bad input and exit 1
+    spec = {"kind": "explicit", "values": [0, 1.5e308, 1e308, -1.5e308]}
+    message = "error: the iterate overflows at major cycle 0\n"
+    assert run_quietly(capfd, tmp_path, spec, command) == (2, "", message, [])
+
+
+def test_minimize_certifies_the_start_vertex_before_any_overflow(capfd, tmp_path):
+    # the start vertex (0, 1) leaves only element 0 open, whose minor is
+    # minimized from its table: no Gram row overflows
+    spec = {"kind": "explicit", "values": [0, 1e300, 1, 1]}
+    code, out, err, caught = run_quietly(capfd, tmp_path, spec, "minimize")
+    assert (code, err, caught) == (0, "", [])
+    assert json.loads(out)["results"] == {
+        "certificate": [0.0, 1.0], "gap": 0.0, "maximal_minimizer": [],
+        "min_value": 0.0, "minimal_minimizer": []}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -471,7 +507,7 @@ def test_linalg_error_is_a_computation_error(capsys, monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(sfm, "_affine_minimizer", fail)
-    code, out, err = run(capsys, "minimize", DATA / "random_cut6.json")
+    code, out, err = run(capsys, "prox", DATA / "random_cut6.json")
     assert (code, out, err) == (2, "", "error: LinAlgError: SVD did not converge\n")
 
 

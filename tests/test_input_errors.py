@@ -66,10 +66,17 @@ def wrong_size_quadratic():
     (lambda: so.greedy_base(F_OR, [np.nan, 0.0]), "weight vector must be finite"),
     (lambda: so.conjugate(F_OR, [np.nan, 1.0]), "s must be finite"),
     (lambda: so.conjugate(F_OR, [np.inf, 1.0]), "s must be finite"),
-    # in_P, in_B and in_P_plus read s through conjugate
+    # in_P reads s through conjugate; in_B and in_P_plus check it before
+    # their sum and sign tests, which answered False on an infinity
     (lambda: so.in_P(F_OR, [np.nan, 0.0]), "s must be finite"),
     (lambda: so.in_B(F_OR, [np.nan, 1.0]), "s must be finite"),
     (lambda: so.in_P_plus(F_OR, [np.nan, 0.0]), "s must be finite"),
+    (lambda: so.in_P(F_OR, [np.inf, 1.0]), "s must be finite"),
+    (lambda: so.in_P(F_OR, [-np.inf, 1.0]), "s must be finite"),
+    (lambda: so.in_B(F_OR, [np.inf, 1.0]), "s must be finite"),
+    (lambda: so.in_B(F_OR, [-np.inf, 1.0]), "s must be finite"),
+    (lambda: so.in_P_plus(F_OR, [np.inf, 1.0]), "s must be finite"),
+    (lambda: so.in_P_plus(F_OR, [-np.inf, 1.0]), "s must be finite"),
 ])
 def test_input_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
