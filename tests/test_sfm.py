@@ -550,9 +550,21 @@ def test_unstructured_minor_stays_within_two_greedy_steps(monkeypatch):
         return out
 
     monkeypatch.setattr(sfm, "_minor_extremes", counted)
-    for seed in range(40):
-        p = 3 + seed % 10
-        inner = so.random_submodular(seed, p, "logdet+modular")
+    inners = [so.random_submodular(seed, 3 + seed % 10, "logdet+modular")
+              for seed in range(40)]
+    # a symmetric cycle on the first k elements, whose optimal x is 0 there,
+    # and a modular term of +-1 on the rest: U ends as the k cycle elements,
+    # with 2p <= 2**k < 4p, one element too many for the minor
+    for p in range(3, 13):
+        k = (2 * p - 1).bit_length()
+        if k < p:
+            cycle = [(j, (j + 1) % k, 0.5) for j in range(k)]
+            signs = [0.0] * k + [(-1.0) ** j for j in range(p - k)]
+            inners.append(so.add_modular(
+                so.cut_function(so.Digraph(p, cycle + [(b, a, w) for a, b, w in cycle])),
+                signs))
+    for inner in inners:
+        p = inner.p
         F = so.SetFunction(p, lambda m, inner=inner: calls.append(m) or inner(m))
         assert not F.structured
         res = so.minimize(F)
