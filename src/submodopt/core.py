@@ -303,6 +303,11 @@ class ClosedStructure:
     sorted ``elems``.  ``transforms`` builds the transformed function from
     the returned structure alone, so a stack of transforms never calls back
     into its parents; ``part`` is shared down the stack, ``m`` is not.
+
+    :meth:`network` lays out the s-t network whose minimum cuts are the
+    minimizers of F, so ``sfm.minimize`` solves it by one max-flow: the
+    modular vector gives the terminal arcs, and a family adds the arcs of
+    its part through ``_part_arcs``.
     """
 
     __slots__ = ("p", "m", "part")
@@ -343,6 +348,33 @@ class ClosedStructure:
     def function(self) -> "SetFunction":
         """The function whose oracle, table and chain are this structure."""
         return SetFunction(self.p, self.value, builder=self.table, chainer=self)
+
+    def _part_arcs(self):
+        """(m, n, tails, heads, caps): m plus what the part folds into it,
+        and the arcs of the part over the elements 0..p-1, the sink p + 1
+        and n - p - 2 nodes of its own from p + 2 on, each of tails, heads
+        and caps a tuple of arrays to be joined; a modular function has no
+        arcs."""
+        return self.m, self.p + 2, (), (), ()
+
+    def network(self):
+        """(n, tails, heads, caps): an s-t network, source p and sink p + 1,
+        whose minimum cuts, read on the elements, are the minimizers of F.
+
+        The part adds its arcs (see ``_part_arcs``), and then each element
+        k one arc: source -> k of capacity -m_k if m_k < 0, else k -> sink
+        of capacity m_k.  A cut with A on the source side costs F(A) minus
+        the sum of the negative m_k.  Each capacity is one weight or one
+        entry of m, with the one-member groups of its element added, never a
+        big-M total over the network, so none overflows where F({k}) does
+        not.
+        """
+        m, n, tails, heads, caps = self._part_arcs()
+        elems = _BITS[:self.p]
+        neg = m < 0.0
+        return (n, np.concatenate((*tails, np.where(neg, self.p, elems))),
+                np.concatenate((*heads, np.where(neg, elems, self.p + 1))),
+                np.concatenate((*caps, np.abs(m))))
 
 
 _BITS = np.arange(MAX_GROUND_SIZE)

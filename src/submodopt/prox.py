@@ -16,11 +16,15 @@ and the conjugate value.  Three routes are provided:
   largest value down, each found by a secant iteration that starts at the
   largest singleton root, a lower bound on the block value.
 
-All three routes run their min-norm solves from the same start, the
-greedy vertex of the singleton roots (see :func:`sfm.min_norm_point`): for
-``prox_minnorm`` it follows the descending roots z_k - F({k}) / a_k, the
-values the homotopy starts each peel from, and for the SFMs inside the
-decomposition and the homotopy it takes the smallest singletons first.
+The SFMs inside the decomposition and the homotopy run under
+``sfm_backend="auto"`` by default: a cut or a cover plus a modular term,
+and every restriction, contraction and shift of one, is minimized by one
+max-flow, any other function by min-norm (see :func:`sfm.minimize`).
+All min-norm solves run from the same start, the greedy vertex of the
+singleton roots (see :func:`sfm.min_norm_point`): for ``prox_minnorm`` it
+follows the descending roots z_k - F({k}) / a_k, the values the homotopy
+starts each peel from, and for the SFMs inside the decomposition and the
+homotopy it takes the smallest singletons first.
 
 Both recursive solvers work on reduced functions over a compact ground set
 and carry one int64 array ``idx`` beside each: ``idx[k]`` is the root
@@ -272,7 +276,7 @@ def _equalized_start(fv: float, psi: SeparableConvex,
 
 
 def prox_decomposition(F: SetFunction, psi: SeparableConvex,
-                       sfm_backend: str = "minnorm", eps: float = 1e-9,
+                       sfm_backend: str = "auto", eps: float = 1e-9,
                        depth_limit: Optional[int] = None) -> np.ndarray:
     """Dual-optimal base point by recursive ground-set splitting.
 
@@ -289,6 +293,8 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
     so a one-element leaf returns t after the same check.
     Each level removes at least one element, so recursion deeper than p
     levels is an internal bug, reported as RecursionOverflow.
+    ``sfm_backend`` names the :func:`sfm.minimize` backend of every SFM;
+    the default ``"auto"`` takes one max-flow on a cut or a cover.
     """
     if psi.p != F.p:
         raise ValueError("penalty dimension does not match the ground set")
@@ -343,7 +349,7 @@ def _largest_singleton_root(singles: np.ndarray, psi: SeparableConvex,
 
 
 def prox_homotopy(F: SetFunction, psi: SeparableConvex,
-                  sfm_backend: str = "minnorm", eps: float = 1e-9) -> np.ndarray:
+                  sfm_backend: str = "auto", eps: float = 1e-9) -> np.ndarray:
     """Primal prox solution by peeling level sets from the top value down.
 
     For each remaining block, find the smallest alpha at which
@@ -359,7 +365,8 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     value is its singleton root and no SFM runs.  The secant loop stops on a
     minimization of F + psi'(alpha) at the final alpha; its maximal
     minimizer, united with the last tight set, is the peeled block, so no
-    SFM is repeated for the peel.
+    SFM is repeated for the peel.  ``sfm_backend`` is as in
+    :func:`prox_decomposition`.
     """
     if psi.p != F.p:
         raise ValueError("penalty dimension does not match the ground set")
@@ -466,12 +473,14 @@ def _base_pair(F: SetFunction, psi: SeparableConvex, eps: float,
 
 
 def prox_over_P(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
-                sfm_backend: str = "minnorm") -> tuple[np.ndarray, np.ndarray]:
+                sfm_backend: str = "auto") -> tuple[np.ndarray, np.ndarray]:
     """Separable minimization with the dual ranging over all of P(F).
 
     From the base-polytope pair (v, t): the primal is the positive part of
     v, and each dual coordinate is the unconstrained maximizer of
-    -psi*_k(-s) capped at t_k.
+    -psi*_k(-s) capped at t_k.  A quadratic psi takes (v, t) from
+    :func:`prox_minnorm`, any other from :func:`prox_decomposition` with
+    ``sfm_backend``.
     """
     v, t = _base_pair(F, psi, eps, sfm_backend)
     unconstrained = -psi.deriv_at(0.0)
@@ -479,12 +488,13 @@ def prox_over_P(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
 
 
 def prox_over_P_plus(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
-                     sfm_backend: str = "minnorm") -> tuple[np.ndarray, np.ndarray]:
+                     sfm_backend: str = "auto") -> tuple[np.ndarray, np.ndarray]:
     """Variant over the positive polyhedron; F must be non-decreasing.
 
     Dual coordinates clip the unconstrained maximizer into [0, t_k]; the
     primal solves s_k + psi'_k(w_k) = 0.  A sampled monotonicity spot-check
-    guards the precondition (not exhaustive) and raises ValueError.
+    guards the precondition (not exhaustive) and raises ValueError.  The
+    pair (v, t) comes as in :func:`prox_over_P`.
     """
     rng = np.random.default_rng(0)
     full = (1 << F.p) - 1

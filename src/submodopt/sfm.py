@@ -7,7 +7,9 @@ greedy algorithm as the linear minimization oracle.  The sign pattern of
 the Euclidean solution yields every minimizer of F, but minimization stops
 sooner: every iterate lies in B(F), and once one fixes all but a few
 elements of every minimizer, the minor on those few is minimized exactly.
-An exhaustive backend provides the exact reference for small ground sets.
+A cut or a cover plus a modular term is minimized by one s-t max-flow
+instead (``backend="auto"``), and an exhaustive backend provides the
+exact reference for small ground sets.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
-from .core import (EXHAUSTIVE_CAP, SetFunction, check_finite, check_tolerance,
-                   check_vector, level_sets, subset_of, to_explicit)
+from . import _kernels, _maxflow
+from .core import (EXHAUSTIVE_CAP, ClosedStructure, SetFunction, check_finite,
+                   check_tolerance, check_vector, level_sets, subset_of,
+                   to_explicit)
 from .errors import NoConvergence, NumericalInconsistency
 from .lovasz import greedy_base
 from .transforms import contract, restrict
@@ -309,10 +312,23 @@ def minimize(F: SetFunction, backend: str = "minnorm", eps: float = 1e-9,
     and ``gap`` is the minimum minus its negative part (see
     :class:`SfmResult`).  ``backend="brute"`` enumerates all 2**p subsets,
     refused above ``cap``.
+
+    ``backend="auto"`` solves F by one max-flow when it chains by a closed
+    structure (a cut or a cover plus a modular term, or a modular
+    function; see :meth:`core.ClosedStructure.network`), and by min-norm
+    otherwise.  The minimal and maximal minimizers are the elements
+    reachable from the source in the residual network and those that
+    cannot reach the sink, exact up to the flow's scaled saturation
+    threshold (see ``_maxflow``); ``min_value`` is F(minimal), read by
+    the oracle, ``certificate`` is None and ``gap`` is zero.
     """
     if backend == "brute":
         return brute_minimize(F, cap)
-    if backend != "minnorm":
+    if backend == "auto":
+        S = F.chainer
+        if isinstance(S, ClosedStructure):
+            return _flow_minimize(F, S)
+    elif backend != "minnorm":
         raise ValueError(f"unknown backend {backend!r}")
     p = F.p
     cycles = _major_cycles(F, np.ones(p), np.zeros(p), eps, 100 * p)
@@ -322,6 +338,16 @@ def minimize(F: SetFunction, backend: str = "minnorm", eps: float = 1e-9,
             if res is not None:
                 return res
     return _with_gap(*_prefix_extraction(F, x), x)
+
+
+def _flow_minimize(F: SetFunction, S: ClosedStructure) -> SfmResult:
+    """The lattice extremes of the minimizers of F = S by one max-flow."""
+    p = S.p
+    res = _maxflow.max_flow(*S.network(), p, p + 1)
+    amin = subset_of(np.flatnonzero(res.source_side[:p]).tolist())
+    omin = subset_of(np.flatnonzero(~res.sink_side[:p]).tolist())
+    return SfmResult(min_value=F(amin), minimal_minimizer=amin,
+                     maximal_minimizer=omin, certificate=None, gap=0.0)
 
 
 def _certified(F: SetFunction, x: np.ndarray) -> Optional[SfmResult]:

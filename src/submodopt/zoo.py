@@ -1,8 +1,9 @@
 """Concrete submodular functions: cuts, covers, flows, concave-of-modular,
-log-determinants, and matroid ranks, plus a max-flow route for cut
-minimization.  Cuts, covers and the concave families build their 2**p
-tables from their structure (see :meth:`SetFunction.tabulate`) and chain
-from it (see :meth:`SetFunction.chain`).
+log-determinants, and matroid ranks, plus :func:`cut_minimize`, the
+max-flow route for cut minimization.  Cuts, covers and the concave
+families build their 2**p tables from their structure (see
+:meth:`SetFunction.tabulate`) and chain from it (see
+:meth:`SetFunction.chain`).
 
 A cut or a cover plus a modular vector is held by :class:`CutChain` or
 :class:`CoverChain`, the two families over the modular base
@@ -11,7 +12,8 @@ to the modular vector, reads its oracle and its chain through one step
 routine, and builds its table and singleton values.  Both are closed under
 restriction, contraction and modular shifts, so ``transforms`` rebuilds
 those three transforms of a cut or a cover from the reduced structure
-instead of reading through the parent.
+instead of reading through the parent.  Each also lays out the arcs of its
+part for the s-t network that ``sfm.minimize`` solves by one max-flow.
 
 :func:`random_submodular` draws seeded cut, cover and log-determinant
 instances, optionally plus a modular shift, and builds them with the
@@ -29,9 +31,9 @@ import numpy as np
 
 from . import _kernels, _maxflow
 from .core import (ClosedStructure, SetFunction, check_finite, check_indices,
-                   check_tolerance, check_vector, elements_of, subset_of,
+                   check_tolerance, check_vector, elements_of,
                    validate_ground_size)
-from .sfm import SfmResult
+from .sfm import SfmResult, minimize
 from .transforms import add_modular
 
 
@@ -139,6 +141,10 @@ class CutChain(ClosedStructure):
     def contract(self, elems) -> "CutChain":
         return self._reduced(elems, -1, 1)  # arcs entering elems
 
+    def _part_arcs(self):
+        ends, wts = self.part
+        return self.m, self.p + 2, (ends[0],), (ends[1],), (wts,)
+
 
 def cut_function(g: Digraph) -> SetFunction:
     """F(A) = total weight of arcs leaving A."""
@@ -148,26 +154,14 @@ def cut_function(g: Digraph) -> SetFunction:
 def cut_minimize(g: Digraph, z) -> SfmResult:
     """Minimize cut(A) - z(A) through one max-flow computation.
 
-    Source arcs carry the positive parts of z, sink arcs the negative
-    parts; min cuts of the augmented network correspond to minimizers, and
-    the residual reachability sets give the lattice extremes.
+    ``sfm.minimize`` of ``add_modular(cut_function(g), -z)`` under its
+    ``"auto"`` backend: source arcs carry the positive parts of z, sink
+    arcs the negative parts, min cuts of the augmented network correspond
+    to minimizers, and the residual reachability sets give the lattice
+    extremes (see :meth:`core.ClosedStructure.network`).
     """
     z = check_finite(check_vector(z, g.p), "z")
-    src, snk = g.p, g.p + 1
-    arcs = list(g.arcs)
-    for k in range(g.p):
-        if z[k] > 0.0:
-            arcs.append((src, k, float(z[k])))
-        elif z[k] < 0.0:
-            arcs.append((k, snk, float(-z[k])))
-    res = _maxflow.max_flow(g.p + 2, arcs, src, snk)
-
-    minimal = subset_of(k for k in range(g.p) if res.source_side[k])
-    maximal = subset_of(k for k in range(g.p) if not res.sink_side[k])
-    F = cut_function(g)
-    value = F(maximal) - float(sum(z[k] for k in elements_of(maximal)))
-    return SfmResult(min_value=value, minimal_minimizer=minimal,
-                     maximal_minimizer=maximal, certificate=None, gap=0.0)
+    return minimize(add_modular(cut_function(g), -z), backend="auto")
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +246,24 @@ class CoverChain(ClosedStructure):
     def contract(self, elems) -> "CoverChain":
         return self._kept(elems, whole=True)
 
+    def _part_arcs(self):
+        """One node per group of two or more members, with an arc of its
+        weight from each member and one to the sink: a cut pays the weight
+        once if the group meets the source side, by the node's arc to the
+        sink or by the arcs of its members.  A group of one member is a
+        modular term and folds into m."""
+        members, starts, sizes, wts = self.part
+        multi = sizes > 1
+        single = ~multi
+        m = self.m + np.bincount(members[starts[single]], wts[single], minlength=self.p)
+        tails = members[np.repeat(multi, sizes)]
+        sizes, wts = sizes[multi], wts[multi]
+        sink = self.p + 1
+        nodes = np.arange(sink + 1, sink + 1 + sizes.shape[0])
+        return (m, sink + 1 + sizes.shape[0], (tails, nodes),
+                (np.repeat(nodes, sizes), np.full(sizes.shape[0], sink)),
+                (np.repeat(wts, sizes), wts))
+
 
 def cover_function(c: CoverSystem) -> SetFunction:
     """F(A) = total weight of the groups meeting A."""
@@ -304,15 +316,21 @@ def flow_function(net: FlowNetwork) -> SetFunction:
         ids.setdefault(node, len(ids))
     n = len(ids)
     src, snk = n, n + 1
-    base = ([(ids[u], ids[v], c) for u, v, c in net.arcs]
-            + [(src, ids[s], big) for s in net.sources])
-    sinks = [ids[t] for t in net.sinks]
+    tails = np.array([ids[u] for u, _, _ in net.arcs] + [src] * len(net.sources),
+                     dtype=np.int64)
+    heads = np.array([ids[v] for _, v, _ in net.arcs] + [ids[s] for s in net.sources],
+                     dtype=np.int64)
+    caps = np.array([c for _, _, c in net.arcs] + [big] * len(net.sources))
+    sinks = np.array([ids[t] for t in net.sinks], dtype=np.int64)
 
     def fn(mask: int) -> float:
         if mask == 0:
             return 0.0
-        arcs = base + [(sinks[k], snk, big) for k in elements_of(mask)]
-        return _maxflow.max_flow(n + 2, arcs, src, snk).value
+        attached = sinks[elements_of(mask)]
+        return _maxflow.max_flow(
+            n + 2, np.concatenate((tails, attached)),
+            np.concatenate((heads, np.full(attached.shape[0], snk))),
+            np.concatenate((caps, np.full(attached.shape[0], big))), src, snk).value
 
     return SetFunction(p, fn, memoize=True)
 

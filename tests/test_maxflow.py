@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from submodopt._maxflow import max_flow
+from submodopt import _maxflow
+
+
+def max_flow(n, arcs, s, t):
+    """The max-flow of the (tail, head, capacity) triples arcs."""
+    tails = np.array([u for u, _, _ in arcs], dtype=np.int64)
+    heads = np.array([v for _, v, _ in arcs], dtype=np.int64)
+    caps = np.array([c for _, _, c in arcs], dtype=np.float64)
+    return _maxflow.max_flow(n, tails, heads, caps, s, t)
 
 
 @pytest.mark.parametrize("n, arcs, s, t", [
@@ -37,6 +45,29 @@ def test_counts_on_a_path_and_a_diamond():
     # two disjoint paths of length 2 are one level graph, two paths
     r = max_flow(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)], 0, 3)
     assert (r.value, r.phases, r.augmentations) == (2.0, 1, 2)
+
+
+def test_saturation_threshold_scales_with_the_network():
+    # a capacity of 1e-13 counts next to 1: the path carries it
+    r = max_flow(3, [(0, 1, 1e-13), (1, 2, 1.0)], 0, 2)
+    assert r.value == 1e-13
+    assert r.source_side.tolist() == [True, False, False]
+    assert r.sink_side.tolist() == [False, True, True]
+    # and 0.5 left on an arc of 1 counts next to a path of 1e300
+    r = max_flow(4, [(0, 1, 1e300), (1, 3, 1e300), (0, 2, 1.0), (2, 3, 0.5)], 0, 3)
+    assert r.value == 1e300 + 0.5
+    assert r.source_side.tolist() == [True, False, True, False]
+    # capacities that sum past 1e308 overflow the flow value, not the cut
+    r = max_flow(4, [(0, 1, 1e308), (1, 3, 1e308), (0, 2, 1e308), (2, 3, 1e308)], 0, 3)
+    assert r.value == math.inf
+    assert r.source_side.tolist() == [True, False, False, False]
+
+
+def test_rejects_mismatched_arrays():
+    with pytest.raises(ValueError, match="one length"):
+        _maxflow.max_flow(2, np.array([0]), np.array([1, 1]), np.array([1.0]), 0, 1)
+    with pytest.raises(TypeError, match="integers"):
+        _maxflow.max_flow(2, np.array([0.5]), np.array([1]), np.array([1.0]), 0, 1)
 
 
 @st.composite

@@ -730,7 +730,7 @@ def _assert_prox_optimal(F, table, u, s, tol=1e-6):
 @settings(max_examples=150, deadline=None)
 @given(p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["cut", "cover"]),
-       backend=st.sampled_from(["minnorm", "brute"]))
+       backend=st.sampled_from(["minnorm", "brute", "auto"]))
 def test_prox_routes_agree_on_shifted_cuts_and_covers(p, seed, kind, backend):
     # coefficients differ per coordinate, so a reduced problem that reads
     # the penalty at the wrong root coordinates changes the answer
@@ -758,3 +758,42 @@ def test_prox_routes_agree_on_shifted_cuts_and_covers(p, seed, kind, backend):
     assert np.max(np.abs(s_dec - s_hom)) <= 1e-6
     _assert_prox_optimal(F, table, u_hom, s_hom)
     _assert_prox_optimal(F, table, cubic.inv_deriv(-s_dec), s_dec)
+
+
+@pytest.mark.parametrize("kind", ["energy", "cover"])
+@pytest.mark.parametrize("p", [18, 19, 20])
+def test_default_backend_gives_the_min_norm_answers(monkeypatch, kind, p):
+    # the SFMs of both recursive routes go to max-flow by default and
+    # return the same lattice extremes as min-norm, so the answers agree
+    # to the bit
+    from submodopt import _maxflow
+
+    rng = np.random.default_rng(p)
+    F = dyadic_energy(rng, p, 0.15) if kind == "energy" else so.cover_function(
+        dyadic_cover(rng, p))
+    a = dyadic(rng, 4.0, 16.0, size=p)
+    z = dyadic(rng, -1.0, 1.0, size=p)
+    b = dyadic(rng, 0.25, 1.0, size=p)
+    q = so.Quadratic(a, z)
+    cubic = SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)
+    flows = []
+    max_flow = _maxflow.max_flow
+    monkeypatch.setattr(_maxflow, "max_flow", lambda *args: flows.append(1) or max_flow(*args))
+    for route, psi in ((so.prox_decomposition, q), (so.prox_homotopy, q),
+                       (so.prox_homotopy, cubic)):
+        del flows[:]
+        got = route(F, psi)
+        assert flows
+        assert np.array_equal(got, route(F, psi, sfm_backend="minnorm"))
+
+
+def test_auto_backend_on_an_unstructured_function_takes_min_norm(monkeypatch):
+    from submodopt import _maxflow
+
+    monkeypatch.setattr(_maxflow, "max_flow", lambda *args: pytest.fail("max-flow ran"))
+    F = so.random_submodular(4, 7, "logdet+modular")
+    q = quad(7)
+    assert np.array_equal(so.prox_decomposition(F, q),
+                          so.prox_decomposition(F, q, sfm_backend="minnorm"))
+    assert np.array_equal(so.prox_homotopy(F, q),
+                          so.prox_homotopy(F, q, sfm_backend="minnorm"))

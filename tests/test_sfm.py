@@ -485,6 +485,83 @@ def test_certified_stop_matches_brute_force(kind, seed, p):
         assert (res.minimal_minimizer, res.maximal_minimizer) == (0, (1 << p) - 1)
 
 
+def _flow_case(kind, seed, p, scale):
+    """A function with a closed structure at p <= 12, its weights multiples
+    of 2**-16 times ``scale``, a power of two, so every sum stays exact."""
+    rng = np.random.default_rng(seed)
+    if kind == "modular":
+        return so.modular_function(dyadic(rng, -1.0, 1.0, size=p) * scale)
+    if kind == "cycle":
+        # a symmetric cycle cut: the empty set and V both minimize it
+        w = float(dyadic(rng, 2 ** -16, 1.0)) * scale
+        arcs = [(k, (k + 1) % p, w) for k in range(p) if p > 1]
+        return so.cut_function(so.Digraph(p, arcs + [(b, a, w) for a, b, w in arcs]))
+    q = p + 2 if kind.endswith("stack") else p
+    if kind.startswith("cut"):
+        g = dyadic_digraph(rng, q)
+        F = so.cut_function(so.Digraph(q, [(u, v, w * scale) for u, v, w in g.arcs]))
+    else:  # dyadic_cover adds a singleton group per element
+        c = dyadic_cover(rng, q)
+        F = so.cover_function(so.CoverSystem(q, [(m, w * scale) for m, w in c.groups]))
+    if kind.endswith("stack"):
+        # contract by one element and restrict to p of the q - 1 left
+        F = so.contract(F, 1 << int(rng.integers(q)))
+        F = so.restrict(F, so.subset_of(rng.choice(q - 1, size=p, replace=False).tolist()))
+    return so.add_modular(F, dyadic(rng, -1.0, 0.5, size=p) * scale)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["cut", "cover", "modular", "cut+stack", "cover+stack",
+                             "cycle"]),
+       seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 12),
+       exponent=st.integers(-50, 20))
+def test_flow_route_matches_brute_force(kind, seed, p, exponent):
+    F = _flow_case(kind, seed, p, 2.0 ** exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = so.minimize(F, backend="auto")
+    ref = so.minimize(F, backend="brute")
+    assert (res.minimal_minimizer, res.maximal_minimizer) == (
+        ref.minimal_minimizer, ref.maximal_minimizer), (res, ref)
+    v = ref.min_value
+    assert abs(res.min_value - v) <= 1e-12 * (1.0 + abs(v)), (res, ref)
+    assert res.min_value == F(res.minimal_minimizer)
+    assert res.certificate is None and res.gap == 0.0
+    if kind == "cycle":
+        assert (res.minimal_minimizer, res.maximal_minimizer) == (0, (1 << p) - 1)
+
+
+@pytest.mark.parametrize("groups, m, answer", [
+    # the table of this cover reads F({2}) = 0 where F({2}) = 1, so brute
+    # force calls {2} a minimizer; the flow reads no table
+    ([(0b011, 1e300), (0b100, 1.0)], [0.0, 0.0, 0.0], (0.0, 0, 0)),
+    # {0} and {0, 1} tie with the empty set at 0, next to a weight of 1
+    ([(0b011, 1e300), (0b100, 1.0)], [-1e300, 0.0, -0.5], (0.0, 0, 0b011)),
+    # weights that sum past 1e308: the flow value overflows and the
+    # oracle reads F({0, 3}) = 0 as inf - inf, and the answer is exact
+    ([(0b0011, 1e308), (0b1100, 1e308), (0b0110, 1e308), (0b0010, 1.0)],
+     [-1e308, 0.0, 0.0, -1e308], (0.0, 0, 0b1001)),
+])
+def test_flow_route_on_covers_with_huge_weights(groups, m, answer):
+    F = so.add_modular(so.cover_function(so.CoverSystem(len(m), groups)), m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = so.minimize(F, backend="auto")
+    assert (res.min_value, res.minimal_minimizer, res.maximal_minimizer) == answer
+
+
+def test_auto_backend_takes_min_norm_without_a_closed_structure(monkeypatch):
+    from submodopt import _maxflow
+
+    monkeypatch.setattr(_maxflow, "max_flow", lambda *args: pytest.fail("max-flow ran"))
+    for seed in range(5):
+        F = so.random_submodular(seed, 8, "logdet+modular")
+        res, ref = so.minimize(F, backend="auto"), so.minimize(F)
+        assert (res.min_value, res.minimal_minimizer, res.maximal_minimizer) == (
+            ref.min_value, ref.minimal_minimizer, ref.maximal_minimizer)
+        assert np.array_equal(res.certificate, ref.certificate)
+
+
 def test_non_finite_iterates_never_stop(monkeypatch):
     F = so.random_submodular(3, 6, "cut+modular")
     for bad in (np.inf, -np.inf, np.nan):

@@ -80,6 +80,24 @@ def test_cut_minimize_matches_brute():
         assert res.minimal_minimizer == ref.minimal_minimizer
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-11, 1e-10])
+def test_cut_minimize_at_small_unary_scales(scale):
+    # unit arc weights and z scaled far below them: an absolute saturation
+    # threshold of 1e-12 read the source and sink arcs as saturated and
+    # returned the wrong extremes (on 200, 16 and 1 of these 200 seeds)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        arcs = [(i, j, 1.0) for i in range(8) for j in range(8)
+                if i != j and rng.random() < 0.3]
+        g = so.Digraph(8, arcs)
+        z = rng.standard_normal(8) * scale
+        res = so.cut_minimize(g, z)
+        ref = so.minimize(so.add_modular(so.cut_function(g), -z), backend="brute")
+        assert (res.minimal_minimizer, res.maximal_minimizer) == (
+            ref.minimal_minimizer, ref.maximal_minimizer), (seed, res, ref)
+        assert abs(res.min_value - ref.min_value) <= 1e-12 * (1.0 + abs(ref.min_value))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_weights_rejected(bad):
     with pytest.raises(ValueError, match="not finite"):
