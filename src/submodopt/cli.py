@@ -202,7 +202,8 @@ def cmd_minimize(F, args) -> dict:
     if args.verify and args.algo == "brute":  # one table for the check and the scan
         F = core.ExplicitFunction(core.to_explicit(F, cap=args.max_exhaustive))
     _verify_submodular(F, args)
-    res = sfm.minimize(F, backend=args.algo, eps=args.eps, cap=args.max_exhaustive)
+    res = (sfm.brute_minimize(F, args.max_exhaustive) if args.algo == "brute"
+           else sfm.minimize(F, eps=args.eps))
     return {
         "min_value": res.min_value,
         "minimal_minimizer": core.elements_of(res.minimal_minimizer),
@@ -314,7 +315,9 @@ COMMANDS = {
     "check": ("run the exhaustive property checks", (_TOL, _CAP)),
     "minimize": ("minimize the function", (
         _TOL, _EPS, _CAP, _VERIFY,
-        ("--algo", {"choices": ("minnorm", "brute"), "default": "minnorm"}))),
+        ("--algo", {"choices": ("auto", "brute"), "default": "auto",
+                    "help": "auto: max-flow on a cut or a cover, else min-norm; "
+                            "brute: enumerate all 2**p subsets"}))),
     "eval": ("evaluate the Lovász extension", (_W,)),
     "greedy": ("greedy base for a weight vector", (
         _TOL, _CAP, _VERIFY, _W,

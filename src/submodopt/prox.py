@@ -16,10 +16,10 @@ and the conjugate value.  Three routes are provided:
   largest value down, each found by a secant iteration that starts at the
   largest singleton root, a lower bound on the block value.
 
-The SFMs inside the decomposition and the homotopy run under
-``sfm_backend="auto"`` by default: a cut or a cover plus a modular term,
-and every restriction, contraction and shift of one, is minimized by one
-max-flow, any other function by min-norm (see :func:`sfm.minimize`).
+The SFMs inside the decomposition and the homotopy are
+:func:`sfm.minimize`, so the function picks the route: a cut or a cover
+plus a modular term, and every restriction, contraction and shift of
+one, is minimized by one max-flow, any other function by min-norm.
 All min-norm solves run from the same start, the greedy vertex of the
 singleton roots (see :func:`sfm.min_norm_point`): for ``prox_minnorm`` it
 follows the descending roots z_k - F({k}) / a_k, the values the homotopy
@@ -275,8 +275,7 @@ def _equalized_start(fv: float, psi: SeparableConvex,
     return -psi.deriv_at(_block_value(psi, idx, fv))[idx]
 
 
-def prox_decomposition(F: SetFunction, psi: SeparableConvex,
-                       sfm_backend: str = "auto", eps: float = 1e-9,
+def prox_decomposition(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
                        depth_limit: Optional[int] = None) -> np.ndarray:
     """Dual-optimal base point by recursive ground-set splitting.
 
@@ -292,9 +291,9 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
     one-element function runs no SFM: its B(F) is the single point F(V),
     so a one-element leaf returns t after the same check.
     Each level removes at least one element, so recursion deeper than p
-    levels is an internal bug, reported as RecursionOverflow.
-    ``sfm_backend`` names the :func:`sfm.minimize` backend of every SFM;
-    the default ``"auto"`` takes one max-flow on a cut or a cover.
+    levels is an internal bug, reported as RecursionOverflow.  Every SFM
+    is :func:`sfm.minimize`: one max-flow on a cut or a cover, min-norm
+    otherwise.
     """
     if psi.p != F.p:
         raise ValueError("penalty dimension does not match the ground set")
@@ -311,7 +310,7 @@ def prox_decomposition(F: SetFunction, psi: SeparableConvex,
             a_mask = 0
         else:
             a_mask = minimize(transforms.add_modular(Fc, -t),
-                              backend=sfm_backend, eps=eps).maximal_minimizer
+                              eps=eps).maximal_minimizer
         if a_mask == full:
             return t
         if a_mask == 0:
@@ -349,7 +348,7 @@ def _largest_singleton_root(singles: np.ndarray, psi: SeparableConvex,
 
 
 def prox_homotopy(F: SetFunction, psi: SeparableConvex,
-                  sfm_backend: str = "auto", eps: float = 1e-9) -> np.ndarray:
+                  eps: float = 1e-9) -> np.ndarray:
     """Primal prox solution by peeling level sets from the top value down.
 
     For each remaining block, find the smallest alpha at which
@@ -365,8 +364,8 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     value is its singleton root and no SFM runs.  The secant loop stops on a
     minimization of F + psi'(alpha) at the final alpha; its maximal
     minimizer, united with the last tight set, is the peeled block, so no
-    SFM is repeated for the peel.  ``sfm_backend`` is as in
-    :func:`prox_decomposition`.
+    SFM is repeated for the peel.  Every SFM is :func:`sfm.minimize`, as
+    in :func:`prox_decomposition`.
     """
     if psi.p != F.p:
         raise ValueError("penalty dimension does not match the ground set")
@@ -392,7 +391,7 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
 
         for _ in range(_ROOT_MAX_ITER):
             shifted = transforms.add_modular(cur_f, psi.deriv_at(alpha)[idx])
-            res = minimize(shifted, backend=sfm_backend, eps=eps)
+            res = minimize(shifted, eps=eps)
             if res.min_value >= -tol:
                 break
             a_mask = res.maximal_minimizer
@@ -461,34 +460,33 @@ def line_search_P(F: SetFunction, s0, t, tol: float = DEFAULT_TOL,
     raise NoConvergence("line search secant exceeded iteration cap")
 
 
-def _base_pair(F: SetFunction, psi: SeparableConvex, eps: float,
-               sfm_backend: str) -> tuple[np.ndarray, np.ndarray]:
+def _base_pair(F: SetFunction, psi: SeparableConvex,
+               eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Primal-dual solution (v, t) of the base-polytope problem."""
     if isinstance(psi, Quadratic):
         pr = prox_minnorm(F, psi, eps=eps)
         return pr.u, pr.s
-    t = prox_decomposition(F, psi, sfm_backend=sfm_backend, eps=eps)
+    t = prox_decomposition(F, psi, eps=eps)
     v = psi.inv_deriv(-t)
     return v, t
 
 
-def prox_over_P(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
-                sfm_backend: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+def prox_over_P(F: SetFunction, psi: SeparableConvex,
+                eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Separable minimization with the dual ranging over all of P(F).
 
     From the base-polytope pair (v, t): the primal is the positive part of
     v, and each dual coordinate is the unconstrained maximizer of
     -psi*_k(-s) capped at t_k.  A quadratic psi takes (v, t) from
-    :func:`prox_minnorm`, any other from :func:`prox_decomposition` with
-    ``sfm_backend``.
+    :func:`prox_minnorm`, any other from :func:`prox_decomposition`.
     """
-    v, t = _base_pair(F, psi, eps, sfm_backend)
+    v, t = _base_pair(F, psi, eps)
     unconstrained = -psi.deriv_at(0.0)
     return np.maximum(v, 0.0) + 0.0, np.minimum(t, unconstrained) + 0.0
 
 
-def prox_over_P_plus(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
-                     sfm_backend: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+def prox_over_P_plus(F: SetFunction, psi: SeparableConvex,
+                     eps: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Variant over the positive polyhedron; F must be non-decreasing.
 
     Dual coordinates clip the unconstrained maximizer into [0, t_k]; the
@@ -504,7 +502,7 @@ def prox_over_P_plus(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
         if F(int(m | (1 << k))) < F(m) - 1e-9:
             raise ValueError(
                 f"F decreases when adding {k} to mask {m}")
-    v, t = _base_pair(F, psi, eps, sfm_backend)
+    v, t = _base_pair(F, psi, eps)
     unconstrained = -psi.deriv_at(0.0)
     s = np.minimum(np.maximum(unconstrained, 0.0), np.maximum(t, 0.0)) + 0.0
     w = psi.inv_deriv(-s)

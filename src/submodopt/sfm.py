@@ -7,9 +7,12 @@ greedy algorithm as the linear minimization oracle.  The sign pattern of
 the Euclidean solution yields every minimizer of F, but minimization stops
 sooner: every iterate lies in B(F), and once one fixes all but a few
 elements of every minimizer, the minor on those few is minimized exactly.
-A cut or a cover plus a modular term is minimized by one s-t max-flow
-instead (``backend="auto"``), and an exhaustive backend provides the
-exact reference for small ground sets.
+
+:func:`minimize` picks its route from F alone: a function that chains by
+a closed structure (a cut or a cover plus a modular term, any
+restriction, contraction or shift of one, or a modular function) is
+minimized by one s-t max-flow, any other by min-norm.
+:func:`brute_minimize` is the exhaustive reference for small ground sets.
 """
 
 from __future__ import annotations
@@ -26,12 +29,8 @@ from .core import (EXHAUSTIVE_CAP, ClosedStructure, SetFunction, check_finite,
                    to_explicit)
 from .errors import NoConvergence, NumericalInconsistency
 from .lovasz import greedy_base
-from .transforms import contract, restrict
 
 _DROP_COEFF = 1e-12
-# the most open elements a certified stop tabulates the minor of, when F
-# tabulates from its structure (see _certified)
-_OPEN_STRUCTURED = 10
 
 
 @dataclass
@@ -61,11 +60,12 @@ class SfmResult:
     ``certificate`` is a point x of the base polytope, so its negative part
     x_-(V) bounds the minimum from below, and ``gap`` is ``min_value``
     minus that bound (clamped at zero).  Every minimizer contains the k
-    with x_k < -gap and avoids the k with x_k > gap; the min-norm backend
+    with x_k < -gap and avoids the k with x_k > gap, up to the rounding of
+    the p-term sum x_-(V); min-norm minimization
     stops at the first iterate for which that, and an exact minimization
     of F over the elements left, settles both extremes, so the gap need
-    not be small.  ``certificate`` is None for backends that are exact by
-    enumeration, in which case ``gap`` is zero.
+    not be small.  ``certificate`` is None for the routes that are exact
+    by construction, max-flow and enumeration, and ``gap`` is then zero.
     """
 
     min_value: float
@@ -161,8 +161,7 @@ def _major_cycles(F: SetFunction, d: np.ndarray, c: np.ndarray, eps: float,
     it raises.  The caller runs it with numpy's overflow and invalid-value
     warnings off, and may drop it after any iterate.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    _check_eps(eps)
     p = F.p
     size = p + 1
     bases = np.empty((size, p))     # the corral's vertices s_i, rows 0..m-1
@@ -264,6 +263,11 @@ def _major_cycles(F: SetFunction, d: np.ndarray, c: np.ndarray, eps: float,
     return x, corral
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+
+
 def _prefix_extraction(F: SetFunction, x: np.ndarray) -> tuple[float, int, int]:
     """Exact re-optimization over the prefixes of the ascending sort of x.
 
@@ -297,39 +301,34 @@ def brute_minimize(F: SetFunction, cap: int = EXHAUSTIVE_CAP) -> SfmResult:
                      maximal_minimizer=int(omin), certificate=None, gap=0.0)
 
 
-def minimize(F: SetFunction, backend: str = "minnorm", eps: float = 1e-9,
-             cap: int = EXHAUSTIVE_CAP) -> SfmResult:
-    """Minimize a submodular function.
+def minimize(F: SetFunction, eps: float = 1e-9) -> SfmResult:
+    """Minimize a submodular function; F picks the route.
 
-    ``backend="minnorm"`` runs the major cycles of :func:`min_norm_point`
-    and checks each iterate x, the start vertex included, for a certified
-    answer: x lies in B(F), so its negative part bounds min F from below,
-    and once that bound decides all but a few elements of every minimizer,
-    the minor on those few is minimized exactly and the solve stops.  A
-    solve that no iterate settles runs to the gap ``eps``, and the
-    minimizers are read off the prefixes of the sorted solution,
-    re-evaluated exactly.  Either way ``certificate`` is the last iterate
-    and ``gap`` is the minimum minus its negative part (see
-    :class:`SfmResult`).  ``backend="brute"`` enumerates all 2**p subsets,
-    refused above ``cap``.
-
-    ``backend="auto"`` solves F by one max-flow when it chains by a closed
-    structure (a cut or a cover plus a modular term, or a modular
-    function; see :meth:`core.ClosedStructure.network`), and by min-norm
-    otherwise.  The minimal and maximal minimizers are the elements
+    When F chains by a closed structure (a cut or a cover plus a modular
+    term, any restriction, contraction or shift of one, or a modular
+    function; see :meth:`core.ClosedStructure.network`), one max-flow
+    solves it.  The minimal and maximal minimizers are the elements
     reachable from the source in the residual network and those that
     cannot reach the sink, exact up to the flow's scaled saturation
-    threshold (see ``_maxflow``); ``min_value`` is F(minimal), read by
-    the oracle, ``certificate`` is None and ``gap`` is zero.
+    threshold (see ``_maxflow``); ``min_value`` is F(minimal), read by the
+    oracle, ``certificate`` is None and ``gap`` is zero.
+
+    Any other F runs the major cycles of :func:`min_norm_point` and checks
+    each iterate x, the start vertex included, for a certified answer: x
+    lies in B(F), so its negative part bounds min F from below, and once
+    that bound decides all but a few elements of every minimizer, the
+    minor on those few is minimized exactly and the solve stops.  A solve
+    that no iterate settles runs to the gap ``eps``, and the minimizers
+    are read off the prefixes of the sorted solution, re-evaluated
+    exactly.  Either way ``certificate`` is the last iterate and ``gap``
+    is the minimum minus its negative part (see :class:`SfmResult`).  An
+    ``eps`` that is not a finite positive number raises ValueError on
+    either route.
     """
-    if backend == "brute":
-        return brute_minimize(F, cap)
-    if backend == "auto":
-        S = F.chainer
-        if isinstance(S, ClosedStructure):
-            return _flow_minimize(F, S)
-    elif backend != "minnorm":
-        raise ValueError(f"unknown backend {backend!r}")
+    _check_eps(eps)
+    S = F.chainer
+    if isinstance(S, ClosedStructure):
+        return _flow_minimize(F, S)
     p = F.p
     cycles = _major_cycles(F, np.ones(p), np.zeros(p), eps, 100 * p)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -356,15 +355,12 @@ def _certified(F: SetFunction, x: np.ndarray) -> Optional[SfmResult]:
     With A the best prefix of the ascending sort of x and g = F(A) - x_-(V),
     every minimizer B of F has x(B) <= F(B) <= F(A), so B contains every k
     with x_k < -g and no k with x_k > g.  That leaves U, the k with
-    |x_k| <= g plus a rounding margin, open; while U is small the minor
+    |x_k| <= g plus a rounding margin, open; while its 2**|U| masks are
+    fewer than the 2p oracle calls of two greedy steps, the minor
     C -> F(L | C) - F(L) on U, L the elements below, is tabulated and its
     lattice extremes are read under the tie threshold of
-    :func:`_prefix_extraction`.  U is small at ``_OPEN_STRUCTURED``
-    elements when F tabulates from its structure (cuts and covers stay
-    closed structures under the restriction and contraction that build the
-    minor), and otherwise while its 2**|U| masks are fewer than the 2p
-    oracle calls of two greedy steps.  A non-finite x or bound, and
-    extremes above the threshold, give None.
+    :func:`_prefix_extraction`.  A non-finite x or bound, and extremes
+    above the threshold, give None.
     """
     value = float(F.chain(np.argsort(x, kind="stable")).min())  # F(A)
     x_minus = float(np.sum(np.minimum(x, 0.0)))
@@ -373,20 +369,16 @@ def _certified(F: SetFunction, x: np.ndarray) -> Optional[SfmResult]:
         return None
     open_ = np.abs(x) <= bound
     n = int(np.count_nonzero(open_))
-    if (n > _OPEN_STRUCTURED) if F.structured else (1 << n) >= 2 * F.p:
+    if (1 << n) >= 2 * F.p:
         return None
     below = x < -bound
-    first = last = 0
     if n:
         extremes = _minor_extremes(F, below, open_)
         if extremes is None:
             return None
-        first, last = extremes
-    low = subset_of(np.flatnonzero(below).tolist())
-    # bit i of a minor mask is the i-th smallest element of U
-    elems = np.flatnonzero(open_).tolist()
-    amin = low | subset_of(k for i, k in enumerate(elems) if first >> i & 1)
-    omin = low | subset_of(k for i, k in enumerate(elems) if last >> i & 1)
+        amin, omin = extremes
+    else:
+        amin = omin = subset_of(np.flatnonzero(below).tolist())
     # the oracle confirms what the table read: a table that rounds away a
     # small value next to a huge one makes a false tie
     vmin = F(amin)
@@ -398,22 +390,21 @@ def _certified(F: SetFunction, x: np.ndarray) -> Optional[SfmResult]:
 
 def _minor_extremes(F: SetFunction, below: np.ndarray,
                     open_: np.ndarray) -> Optional[tuple[int, int]]:
-    """Lattice extremes of the minor C -> F(L | C) - F(L) on U, or None.
+    """L | C for the lattice extremes C of the minor C -> F(L | C) - F(L)
+    on U, or None.
 
     L and U are the elements flagged in ``below`` and ``open_``.  The minor
-    is the contraction by L of the restriction to L | U, tabulated at its
-    own size: from the structure for cuts and covers, else by one call of F
-    per mask (and one more for F(L)).  The extremes are the intersection
-    and union of the masks within 1e-12 (1 + |min|) of the minimum, as
-    masks over U's elements in increasing order; None when the minimum is
+    is tabulated by one call of F at L | C for each of the 2**|U| subsets
+    C of U, F(L) included.  Its extremes are the intersection and union of
+    the C within 1e-12 (1 + |min|) of the minimum; None when the minimum is
     not finite or an extreme is above that threshold.
     """
-    kept = below | open_
-    minor = restrict(F, subset_of(np.flatnonzero(kept).tolist()))
-    if below.any():
-        local = np.cumsum(kept) - 1
-        minor = contract(minor, subset_of(local[below].tolist()))
-    table = minor.tabulate(minor.p)
+    # bit i of an index into masks is the i-th smallest element of U
+    masks = [subset_of(np.flatnonzero(below).tolist())]
+    for k in np.flatnonzero(open_).tolist():
+        masks += [m | 1 << k for m in masks]
+    values = np.array([F(m) for m in masks])
+    table = values - values[0]
     vmin = float(table.min())
     if not math.isfinite(vmin):
         return None
@@ -423,7 +414,7 @@ def _minor_extremes(F: SetFunction, below: np.ndarray,
     last = int(np.bitwise_or.reduce(hits))
     if table[first] > thresh or table[last] > thresh:
         return None
-    return first, last
+    return masks[first], masks[last]
 
 
 def _with_gap(vmin: float, amin: int, omin: int, x: np.ndarray) -> SfmResult:

@@ -13,7 +13,8 @@ routine, and builds its table and singleton values.  Both are closed under
 restriction, contraction and modular shifts, so ``transforms`` rebuilds
 those three transforms of a cut or a cover from the reduced structure
 instead of reading through the parent.  Each also lays out the arcs of its
-part for the s-t network that ``sfm.minimize`` solves by one max-flow.
+part for an s-t network, so ``sfm.minimize`` solves every function with
+such a structure by one max-flow, and any other by min-norm.
 
 :func:`random_submodular` draws seeded cut, cover and log-determinant
 instances, optionally plus a modular shift, and builds them with the
@@ -154,14 +155,14 @@ def cut_function(g: Digraph) -> SetFunction:
 def cut_minimize(g: Digraph, z) -> SfmResult:
     """Minimize cut(A) - z(A) through one max-flow computation.
 
-    ``sfm.minimize`` of ``add_modular(cut_function(g), -z)`` under its
-    ``"auto"`` backend: source arcs carry the positive parts of z, sink
-    arcs the negative parts, min cuts of the augmented network correspond
-    to minimizers, and the residual reachability sets give the lattice
-    extremes (see :meth:`core.ClosedStructure.network`).
+    ``sfm.minimize`` of ``add_modular(cut_function(g), -z)``, a closed
+    structure, so one max-flow: source arcs carry the positive parts of
+    z, sink arcs the negative parts, min cuts of the augmented network
+    correspond to minimizers, and the residual reachability sets give the
+    lattice extremes (see :meth:`core.ClosedStructure.network`).
     """
     z = check_finite(check_vector(z, g.p), "z")
-    return minimize(add_modular(cut_function(g), -z), backend="auto")
+    return minimize(add_modular(cut_function(g), -z))
 
 
 # ---------------------------------------------------------------------------
@@ -304,33 +305,33 @@ def flow_function(net: FlowNetwork) -> SetFunction:
     """F(A) = max flow from the sources into the sink nodes of A.
 
     Equivalently the minimum capacity of a cut separating the sources from
-    A; non-decreasing and submodular.  Attachment arcs get a safe big-M
-    capacity (1 + total finite capacity) so all arithmetic stays finite.
-    The max-flow runs on the nodes that a source, a sink or an arc names,
-    numbered in that order, so ``n_nodes`` sizes no allocation.
+    A; non-decreasing and submodular.  Each max-flow merges the sources
+    into one terminal and the sink nodes of A into the other, dropping the
+    arcs inside either, so no attachment arc carries a big-M capacity that
+    could overflow.  It runs on the nodes that a source, a sink or an arc
+    names, numbered in that order, so ``n_nodes`` sizes no allocation.
     """
     p = len(net.sinks)
-    big = 1.0 + sum(c for _, _, c in net.arcs)
     ids = {}
     for node in (*net.sources, *net.sinks, *(v for a in net.arcs for v in a[:2])):
         ids.setdefault(node, len(ids))
     n = len(ids)
-    src, snk = n, n + 1
-    tails = np.array([ids[u] for u, _, _ in net.arcs] + [src] * len(net.sources),
-                     dtype=np.int64)
-    heads = np.array([ids[v] for _, v, _ in net.arcs] + [ids[s] for s in net.sources],
-                     dtype=np.int64)
-    caps = np.array([c for _, _, c in net.arcs] + [big] * len(net.sources))
+    tails = np.array([ids[u] for u, _, _ in net.arcs], dtype=np.int64)
+    heads = np.array([ids[v] for _, v, _ in net.arcs], dtype=np.int64)
+    caps = np.array([c for _, _, c in net.arcs], dtype=np.float64)
+    sources = np.array([ids[s] for s in net.sources], dtype=np.int64)
     sinks = np.array([ids[t] for t in net.sinks], dtype=np.int64)
 
     def fn(mask: int) -> float:
         if mask == 0:
             return 0.0
-        attached = sinks[elements_of(mask)]
-        return _maxflow.max_flow(
-            n + 2, np.concatenate((tails, attached)),
-            np.concatenate((heads, np.full(attached.shape[0], snk))),
-            np.concatenate((caps, np.full(attached.shape[0], big))), src, snk).value
+        # the source terminal is node n and the sink terminal node n + 1
+        label = np.arange(n + 2)
+        label[sources] = n
+        label[sinks[elements_of(mask)]] = n + 1
+        t, h = label[tails], label[heads]
+        keep = t != h
+        return _maxflow.max_flow(n + 2, t[keep], h[keep], caps[keep], n, n + 1).value
 
     return SetFunction(p, fn, memoize=True)
 

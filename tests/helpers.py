@@ -43,12 +43,16 @@ def brute_min(F: SetFunction):
 
 
 def check_certified_minimum(F: SetFunction, res):
-    """The contract of a min-norm ``sfm.minimize`` result.
+    """The contract of an ``sfm.minimize`` result.
 
     Its minimizers equal brute force's exactly and its value agrees within
-    1e-12 (1 + |v|); its certificate x lies in B(F); its gap is the value
+    1e-12 (1 + |v|).  A max-flow result has no certificate and gap 0.  A
+    min-norm result's certificate x lies in B(F); its gap is the value
     minus x_-(V), at least 0; and the minimizers sit in the sandwich that
-    gap puts around them: {x < -gap} <= minimal <= maximal <= {x <= gap}.
+    gap puts around them: {x < -g} <= minimal <= maximal <= {x <= g}, with
+    g the gap plus a few ulps of max(1, |v|, max |x|) per element.  A tight
+    minimizer puts an element at x_k = -gap exactly, and the gap is a sum
+    of p rounded terms, so that element may land on either side of it.
     """
     ref = so_sfm.brute_minimize(F)
     assert (res.minimal_minimizer, res.maximal_minimizer) == (
@@ -56,11 +60,16 @@ def check_certified_minimum(F: SetFunction, res):
     v = ref.min_value
     assert abs(res.min_value - v) <= 1e-12 * (1.0 + abs(v)), (res, ref)
     x = res.certificate
+    if x is None:
+        assert res.gap == 0.0, res
+        return
     assert so_polyhedra.in_B(F, x, tol=1e-7)
     assert res.gap == max(res.min_value - float(np.sum(np.minimum(x, 0.0))), 0.0)
     assert res.gap >= 0.0
-    low = subset_of(np.flatnonzero(x < -res.gap).tolist())
-    high = subset_of(np.flatnonzero(x <= res.gap).tolist())
+    scale = max(1.0, abs(v), float(np.max(np.abs(x))))
+    g = res.gap + 4 * F.p * np.finfo(float).eps * scale
+    low = subset_of(np.flatnonzero(x < -g).tolist())
+    high = subset_of(np.flatnonzero(x <= g).tolist())
     assert low & ~res.minimal_minimizer == 0, (res, low)
     assert res.minimal_minimizer & ~res.maximal_minimizer == 0, res
     assert res.maximal_minimizer & ~high == 0, (res, high)

@@ -60,9 +60,9 @@ def test_check(capsys):
 def check_minimize_report(path, r):
     """The report's fields satisfy the contract of sfm.minimize."""
     F = cli.build_function(json.loads(path.read_text()))
+    x = None if r["certificate"] is None else np.array(r["certificate"])
     res = sfm.SfmResult(r["min_value"], core.subset_of(r["minimal_minimizer"]),
-                        core.subset_of(r["maximal_minimizer"]),
-                        np.array(r["certificate"]), r["gap"])
+                        core.subset_of(r["maximal_minimizer"]), x, r["gap"])
     check_certified_minimum(F, res)
 
 
@@ -77,9 +77,11 @@ def test_minimize(capsys):
     x, _ = sfm.min_norm_point(F)
     assert sfm.certificate_gap(F, 0, x) <= 1e-9
 
+    # a cut takes one max-flow: no certificate and a zero gap
     doc2 = run_json(capsys, "minimize", DATA / "sym_cut2.json")
     r2 = doc2["results"]
     assert r2["minimal_minimizer"] == [] and r2["maximal_minimizer"] == [0, 1]
+    assert (r2["certificate"], r2["gap"]) == (None, 0.0)
     check_minimize_report(DATA / "sym_cut2.json", r2)
 
     # shifted cut: subtracting (2, 0) makes the full set the unique minimizer
@@ -87,6 +89,7 @@ def test_minimize(capsys):
     r3 = doc3["results"]
     assert r3["min_value"] == -2.0
     assert r3["maximal_minimizer"] == [0, 1]
+    assert (r3["certificate"], r3["gap"]) == (None, 0.0)
     check_minimize_report(DATA / "shifted_cut.json", r3)
 
 
@@ -492,13 +495,38 @@ def test_non_finite_vectors_exit_1_with_one_line(capfd, tmp_path, argv, message)
 
 
 def test_overflowing_cover_weight_minimizes_without_warnings(capfd, tmp_path):
+    # by max-flow, and by min-norm when scaled by 1
     spec = {"kind": "cover", "p": 3, "groups": [{"members": [0, 1], "weight": 1e300},
                                                 {"members": [2], "weight": 1.0}]}
+    answer = {"maximal_minimizer": [], "min_value": 0.0, "minimal_minimizer": []}
     code, out, err, caught = run_quietly(capfd, tmp_path, spec, "minimize")
     assert (code, err, caught) == (0, "", [])
+    assert json.loads(out)["results"] == {"certificate": None, "gap": 0.0, **answer}
+    scaled = {"kind": "transform", "op": "scale", "factor": 1.0, "inner": spec}
+    code, out, err, caught = run_quietly(capfd, tmp_path, scaled, "minimize")
+    assert (code, err, caught) == (0, "", [])
     assert json.loads(out)["results"] == {
-        "certificate": [1e300, 0.0, 1.0], "gap": 0.0, "maximal_minimizer": [],
-        "min_value": 0.0, "minimal_minimizer": []}
+        "certificate": [1e300, 0.0, 1.0], "gap": 0.0, **answer}
+
+
+def test_flow_capacities_near_the_float_maximum(capfd, tmp_path):
+    # two arcs of 1e308 out of one source: no arc of the max-flow may carry
+    # their sum, which overflows, so the spec is valid input; only the value
+    # F({1, 2}) = 2e308 overflows, and its entry is left unchecked: how an
+    # overflowing value should be reported is still open
+    spec = {"kind": "flow", "n_nodes": 3, "sources": [0], "sinks": [1, 2],
+            "arcs": [[0, 1, 1e308], [0, 2, 1e308]]}
+    code, out, err, _ = run_quietly(capfd, tmp_path, spec, "explicit")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["spec"]["values"][:3] == [0.0, 1e308, 1e308]
+    code, out, err, _ = run_quietly(capfd, tmp_path, spec, "minimize", "--algo", "brute")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"] == {"certificate": None, "gap": 0.0, **dict(
+        maximal_minimizer=[], min_value=0.0, minimal_minimizer=[])}
+    # min-norm meets the infinite value at its start vertex: a failed
+    # computation, not an input error
+    assert run_quietly(capfd, tmp_path, spec, "minimize") == (
+        2, "", "error: the iterate overflows at major cycle 0\n", [])
 
 
 def test_linalg_error_is_a_computation_error(capsys, monkeypatch):
@@ -623,17 +651,23 @@ def test_explicit_round_trip(capsys, tmp_path):
         assert orig["results"] == again["results"]
 
 
-def test_minnorm_brute_agree_on_bundled_specs(capsys):
+def test_minnorm_brute_agree_on_bundled_specs(capsys, tmp_path):
+    # the default route, max-flow on the cuts and covers, and min-norm on
+    # every spec scaled by 1, which keeps its values but no closed structure
     for name in ("f_or", "sym_cut2", "path3", "cover3", "card_sqrt4",
                  "shifted_cut", "logdet3", "flow_bottleneck",
                  "triangle_matroid", "random_cut6"):
+        spec = json.loads((DATA / f"{name}.json").read_text())
+        scaled = tmp_path / f"{name}_scaled.json"
+        scaled.write_text(json.dumps({"kind": "transform", "op": "scale",
+                                      "factor": 1.0, "inner": spec}))
         brute = run_json(capsys, "minimize", DATA / f"{name}.json",
-                         "--algo", "brute")
-        mn = run_json(capsys, "minimize", DATA / f"{name}.json",
-                      "--algo", "minnorm")
-        assert math.isclose(brute["results"]["min_value"],
-                            mn["results"]["min_value"],
-                            rel_tol=0.0, abs_tol=1e-9), name
+                         "--algo", "brute")["results"]
+        for r in (run_json(capsys, "minimize", DATA / f"{name}.json")["results"],
+                  run_json(capsys, "minimize", scaled)["results"]):
+            assert math.isclose(brute["min_value"], r["min_value"],
+                                rel_tol=0.0, abs_tol=1e-9), name
+        assert r["certificate"] is not None, name
 
 
 def test_random_seed_flag(capsys, tmp_path):
@@ -707,6 +741,10 @@ F_OR = str(DATA / "f_or.json")
     (["--tol=1e-6", "check", F_OR],
      "submodopt: option --tol must come after the command"),
     (["-x", "check", F_OR], "submodopt: option -x must come after the command"),
+    # no route is named minnorm: min-norm does not run on cuts and covers
+    (["minimize", F_OR, "--algo", "minnorm"],
+     "submodopt minimize: argument --algo: invalid choice: 'minnorm' "
+     "(choose from 'auto', 'brute')"),
 ])
 def test_usage_errors_exit_1_with_one_line(capsys, argv, message):
     # exit 2 means a failed computation, so a usage error must not take it

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import submodopt as so
-from submodopt import core, prox, sfm, transforms, zoo
+from submodopt import core, prox, transforms, zoo
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
 F3 = so.random_submodular(0, 3, "cut")
@@ -60,8 +60,6 @@ def wrong_size_quadratic():
     (lambda: so.face_check(F_OR, [0b01, 0b11]),
      "partition blocks must be nonempty and disjoint"),
     (lambda: so.face_check(F3, [0b001, 0b010]), "partition does not cover the ground set"),
-    # sfm
-    (lambda: sfm.minimize(F_OR, backend="simplex"), "unknown backend 'simplex'"),
     # lovasz
     (lambda: so.greedy_base(F_OR, [np.nan, 0.0]), "weight vector must be finite"),
     (lambda: so.conjugate(F_OR, [np.nan, 1.0]), "s must be finite"),

@@ -162,7 +162,7 @@ def test_cube_minimization_equivalence():
     rng = np.random.default_rng(9)
     for seed in range(5):
         F = so.random_submodular(seed, 6, "cut+modular")
-        vmin = so.minimize(F, backend="brute").min_value
+        vmin = so.brute_minimize(F).min_value
         corner_min = min(
             so.lovasz_extension(F, np.array([(m >> k) & 1 for k in range(6)],
                                             dtype=float))

@@ -182,17 +182,6 @@ def test_solver_agreement_random():
         assert np.allclose(pr.s, -a * (pr.u - z), atol=1e-6)
 
 
-def test_solvers_accept_brute_backend():
-    F = so.random_submodular(11, 5, "cut+modular")
-    rng = np.random.default_rng(11)
-    q = so.Quadratic(np.exp(rng.uniform(-1, 1, 5)), rng.standard_normal(5))
-    pr = so.prox_minnorm(F, q, eps=1e-11)
-    s_dec = so.prox_decomposition(F, q, sfm_backend="brute")
-    u_hom = so.prox_homotopy(F, q, sfm_backend="brute")
-    assert np.max(np.abs(pr.s - s_dec)) <= 1e-6
-    assert np.max(np.abs(pr.u - u_hom)) <= 1e-6
-
-
 def test_generic_penalty_solvers_agree():
     for seed in range(5):
         F = so.random_submodular(seed, 5, "cut+modular")
@@ -530,7 +519,7 @@ def test_decomposition_rejects_an_empty_minimizer_far_from_the_base(monkeypatch)
     monkeypatch.setattr(prox, "_equalized_start",
                         lambda fv, pc, idx: s[idx] - 1e-3)
     with pytest.raises(NumericalInconsistency, match="empty"):
-        so.prox_decomposition(so.modular_function(s), quad(3), sfm_backend="brute")
+        so.prox_decomposition(so.modular_function(s), quad(3))
 
 
 def _quadratic_and_cubic(a, z, b):
@@ -729,31 +718,33 @@ def _assert_prox_optimal(F, table, u, s, tol=1e-6):
 
 @settings(max_examples=150, deadline=None)
 @given(p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
-       kind=st.sampled_from(["cut", "cover"]),
-       backend=st.sampled_from(["minnorm", "brute", "auto"]))
-def test_prox_routes_agree_on_shifted_cuts_and_covers(p, seed, kind, backend):
+       kind=st.sampled_from(["cut", "cover"]), scaled=st.booleans())
+def test_prox_routes_agree_on_shifted_cuts_and_covers(p, seed, kind, scaled):
     # coefficients differ per coordinate, so a reduced problem that reads
-    # the penalty at the wrong root coordinates changes the answer
+    # the penalty at the wrong root coordinates changes the answer; scaled
+    # by 1, F keeps its values but no closed structure, so every SFM of the
+    # decomposition and the homotopy takes min-norm instead of max-flow
     rng = np.random.default_rng(seed)
     base = (so.cut_function(dyadic_digraph(rng, p)) if kind == "cut"
             else so.cover_function(dyadic_cover(rng, p)))
     F = so.add_modular(base, dyadic(rng, -1.0, 1.0, size=p))
     table = so.to_explicit(F)
+    G = so.scale(F, 1.0) if scaled else F
     a = dyadic(rng, 0.5, 4.0, size=p)
     z = dyadic(rng, -2.0, 2.0, size=p)
     b = dyadic(rng, 0.25, 1.0, size=p)
 
     q = so.Quadratic(a, z)
     pr = so.prox_minnorm(F, q, eps=1e-11)
-    s_dec = so.prox_decomposition(F, q, sfm_backend=backend)
-    u_hom = so.prox_homotopy(F, q, sfm_backend=backend)
+    s_dec = so.prox_decomposition(G, q)
+    u_hom = so.prox_homotopy(G, q)
     for u, s in ((pr.u, pr.s), (z - s_dec / a, s_dec), (u_hom, a * (z - u_hom))):
         assert np.max(np.abs(u - pr.u)) <= 1e-6
         _assert_prox_optimal(F, table, u, s)
 
     cubic = SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)
-    s_dec = so.prox_decomposition(F, cubic, sfm_backend=backend)
-    u_hom = so.prox_homotopy(F, cubic, sfm_backend=backend)
+    s_dec = so.prox_decomposition(G, cubic)
+    u_hom = so.prox_homotopy(G, cubic)
     s_hom = -cubic.deriv(u_hom)
     assert np.max(np.abs(s_dec - s_hom)) <= 1e-6
     _assert_prox_optimal(F, table, u_hom, s_hom)
@@ -763,9 +754,10 @@ def test_prox_routes_agree_on_shifted_cuts_and_covers(p, seed, kind, backend):
 @pytest.mark.parametrize("kind", ["energy", "cover"])
 @pytest.mark.parametrize("p", [18, 19, 20])
 def test_default_backend_gives_the_min_norm_answers(monkeypatch, kind, p):
-    # the SFMs of both recursive routes go to max-flow by default and
-    # return the same lattice extremes as min-norm, so the answers agree
-    # to the bit
+    # the SFMs of both recursive routes go to max-flow on a cut or a cover
+    # and return the same lattice extremes as min-norm does on F scaled by
+    # 1, which keeps the values but no closed structure, so the answers
+    # agree to the bit
     from submodopt import _maxflow
 
     rng = np.random.default_rng(p)
@@ -784,16 +776,6 @@ def test_default_backend_gives_the_min_norm_answers(monkeypatch, kind, p):
         del flows[:]
         got = route(F, psi)
         assert flows
-        assert np.array_equal(got, route(F, psi, sfm_backend="minnorm"))
-
-
-def test_auto_backend_on_an_unstructured_function_takes_min_norm(monkeypatch):
-    from submodopt import _maxflow
-
-    monkeypatch.setattr(_maxflow, "max_flow", lambda *args: pytest.fail("max-flow ran"))
-    F = so.random_submodular(4, 7, "logdet+modular")
-    q = quad(7)
-    assert np.array_equal(so.prox_decomposition(F, q),
-                          so.prox_decomposition(F, q, sfm_backend="minnorm"))
-    assert np.array_equal(so.prox_homotopy(F, q),
-                          so.prox_homotopy(F, q, sfm_backend="minnorm"))
+        del flows[:]
+        assert np.array_equal(got, route(so.scale(F, 1.0), psi))
+        assert not flows

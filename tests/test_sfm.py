@@ -1,4 +1,4 @@
-"""Minimum-norm-point solver, minimization backends, certificates."""
+"""Minimum-norm-point solver, minimization routes, certificates."""
 
 import warnings
 
@@ -146,18 +146,20 @@ def test_minimize_brute_matches_plain_enumeration():
     for seed in range(10):
         F = so.random_submodular(seed, 7, "cut+modular")
         vmin, amin, omin, _ = brute_min(F)
-        res = so.minimize(F, backend="brute")
+        res = so.brute_minimize(F)
         assert res.min_value == vmin
         assert (res.minimal_minimizer, res.maximal_minimizer) == (amin, omin)
         assert res.certificate is None and res.gap == 0.0
 
 
 def test_minnorm_agrees_with_brute():
+    # a scaling by 1 keeps every value and chain but no closed structure,
+    # so cuts and covers take min-norm too
     for seed in range(30):
         family = ("cut+modular", "cover+modular", "logdet+modular")[seed % 3]
         F = so.random_submodular(seed, 4 + seed % 6, "%s" % family)
-        ref = so.minimize(F, backend="brute")
-        res = so.minimize(F, backend="minnorm")
+        ref = so.brute_minimize(F)
+        res = so.minimize(so.scale(F, 1.0))
         assert res.min_value == pytest.approx(ref.min_value, abs=1e-6)
         assert F(res.minimal_minimizer) == pytest.approx(ref.min_value, abs=1e-6)
         assert F(res.maximal_minimizer) == pytest.approx(ref.min_value, abs=1e-6)
@@ -192,8 +194,8 @@ def test_minnorm_brute_and_max_flow_agree_on_energies(case):
                            for k in range(p) if z[k] != 0]
     cut = so.cut_function(so.Digraph(p + 2, arcs))
     F = so.restrict(so.contract(cut, 1 << s), (1 << p) - 1)
-    results = [so.minimize(F), so.minimize(F, backend="brute"),
-               so.cut_minimize(g, z)]
+    results = [so.minimize(F), so.minimize(so.scale(F, 1.0)),
+               so.brute_minimize(F), so.cut_minimize(g, z)]
     assert len({(r.min_value, r.minimal_minimizer, r.maximal_minimizer)
                 for r in results}) == 1, results
 
@@ -218,8 +220,8 @@ def test_minimizer_lattice_conditions():
 def test_minimize_fully_degenerate_function():
     # every subset minimizes the zero function: extremes are empty and full
     zero = so.modular_function([0.0, 0.0, 0.0])
-    for backend in ("brute", "minnorm"):
-        res = so.minimize(zero, backend=backend)
+    for res in (so.brute_minimize(zero), so.minimize(zero),
+                so.minimize(so.scale(zero, 1.0))):
         assert res.min_value == 0.0
         assert res.minimal_minimizer == 0
         assert res.maximal_minimizer == 0b111
@@ -341,7 +343,7 @@ def test_min_norm_point_on_a_cut_with_parallel_copies(monkeypatch):
         assert np.max(np.abs(x)) <= 1e-9
         assert np.all(corral.coeffs >= 0.0)
         assert abs(float(np.sum(corral.coeffs)) - 1.0) <= 1e-12
-        res = so.minimize(F)
+        res = so.minimize(so.scale(F, 1.0))
         vmin, amin, omin, _ = brute_min(F)
         assert (res.min_value, res.minimal_minimizer,
                 res.maximal_minimizer) == (vmin, amin, omin)
@@ -434,7 +436,7 @@ def test_kept_bordered_gram_agrees_with_the_rebuilt_gram(family, seed, p):
         x_ref, majors_ref = min_norm_point_ref(F, weights=weights, center=center)
         assert np.max(np.abs(x - x_ref)) <= 1e-9 * (1.0 + np.max(np.abs(x_ref)))
         assert abs(corral.major_cycles - majors_ref) <= 2
-    res = so.minimize(F)
+    res = so.minimize(so.scale(F, 1.0))
     assert (res.min_value, res.minimal_minimizer,
             res.maximal_minimizer) == brute_min(F)[:3]
 
@@ -453,12 +455,14 @@ def test_kept_bordered_gram_on_a_longer_path_than_the_rebuilt_gram():
 
 
 def _stop_case(kind, seed, p):
+    """A function that takes min-norm: the cuts and covers are scaled by 1,
+    which keeps every value and chain but no closed structure."""
     rng = np.random.default_rng(seed)
     if kind == "energy":
-        return dyadic_energy(rng, p)
+        return so.scale(dyadic_energy(rng, p), 1.0)
     if kind == "cover+modular":
-        return so.add_modular(so.cover_function(dyadic_cover(rng, p)),
-                              dyadic(rng, -1.0, 0.25, size=p))
+        return so.scale(so.add_modular(so.cover_function(dyadic_cover(rng, p)),
+                                       dyadic(rng, -1.0, 0.25, size=p)), 1.0)
     if kind == "logdet+modular":
         return so.random_submodular(seed, p, kind)
     if kind == "explicit":
@@ -468,7 +472,7 @@ def _stop_case(kind, seed, p):
     w = float(dyadic(rng, 2 ** -16, 1.0))
     arcs = [(k, (k + 1) % p, w) for k in range(p) if p > 1]
     cycle = so.cut_function(so.Digraph(p, arcs + [(b, a, w) for a, b, w in arcs]))
-    return cycle if kind == "cycle" else so.add_modular(cycle, np.zeros(p))
+    return so.scale(cycle if kind == "cycle" else so.add_modular(cycle, np.zeros(p)), 1.0)
 
 
 # derandomized: the draw is fixed by the test's source, and no saved
@@ -519,8 +523,8 @@ def test_flow_route_matches_brute_force(kind, seed, p, exponent):
     F = _flow_case(kind, seed, p, 2.0 ** exponent)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = so.minimize(F, backend="auto")
-    ref = so.minimize(F, backend="brute")
+        res = so.minimize(F)
+    ref = so.brute_minimize(F)
     assert (res.minimal_minimizer, res.maximal_minimizer) == (
         ref.minimal_minimizer, ref.maximal_minimizer), (res, ref)
     v = ref.min_value
@@ -546,20 +550,41 @@ def test_flow_route_on_covers_with_huge_weights(groups, m, answer):
     F = so.add_modular(so.cover_function(so.CoverSystem(len(m), groups)), m)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = so.minimize(F, backend="auto")
+        res = so.minimize(F)
     assert (res.min_value, res.minimal_minimizer, res.maximal_minimizer) == answer
 
 
-def test_auto_backend_takes_min_norm_without_a_closed_structure(monkeypatch):
+def test_the_function_picks_the_route(monkeypatch):
+    # a closed structure takes one max-flow and never runs min-norm; any
+    # other function, a closed one scaled by 1 included, runs min-norm and
+    # never max-flow; the SFMs inside the recursive prox routes follow F
     from submodopt import _maxflow
 
-    monkeypatch.setattr(_maxflow, "max_flow", lambda *args: pytest.fail("max-flow ran"))
-    for seed in range(5):
-        F = so.random_submodular(seed, 8, "logdet+modular")
-        res, ref = so.minimize(F, backend="auto"), so.minimize(F)
-        assert (res.min_value, res.minimal_minimizer, res.maximal_minimizer) == (
-            ref.min_value, ref.minimal_minimizer, ref.maximal_minimizer)
-        assert np.array_equal(res.certificate, ref.certificate)
+    flows, cycles = [], []
+    max_flow, major_cycles = _maxflow.max_flow, sfm._major_cycles
+    monkeypatch.setattr(_maxflow, "max_flow",
+                        lambda *args: flows.append(1) or max_flow(*args))
+    monkeypatch.setattr(sfm, "_major_cycles",
+                        lambda *args: cycles.append(1) or major_cycles(*args))
+    rng = np.random.default_rng(8)
+    q = so.Quadratic(dyadic(rng, 0.5, 4.0, size=8), dyadic(rng, -2.0, 2.0, size=8))
+    closed = [_flow_case(kind, 8, 8, 1.0) for kind in
+              ("cut", "cover", "modular", "cut+stack", "cover+stack", "cycle")]
+    others = [so.random_submodular(seed, 8, "logdet+modular") for seed in range(3)]
+    others += [so.scale(F, 1.0) for F in closed[:2]]
+    for F in closed + others:
+        flows.clear()
+        cycles.clear()
+        res = so.minimize(F)
+        if F in closed:
+            assert (flows, cycles, res.certificate) == ([1], [], None)
+        else:
+            assert (flows, cycles) == ([], [1]) and res.certificate is not None
+        for route in (so.prox_decomposition, so.prox_homotopy):
+            flows.clear()
+            cycles.clear()
+            route(F, q)
+            assert (bool(flows), bool(cycles)) == (F in closed, F not in closed)
 
 
 def test_non_finite_iterates_never_stop(monkeypatch):
@@ -581,6 +606,7 @@ def test_non_finite_iterates_never_stop(monkeypatch):
         return s
 
     monkeypatch.setattr(sfm, "greedy_base", infinite)
+    F = so.scale(F, 1.0)  # min-norm, not the max-flow of the closed structure
     for solve in (so.minimize, so.min_norm_point):
         with pytest.raises(NumericalInconsistency,
                            match="^the iterate overflows at major cycle 0$"):
@@ -598,6 +624,7 @@ def test_certified_stop_on_a_61_element_energy_matches_max_flow(monkeypatch):
                            for k in range(p) if z[k] != 0]
     F = so.restrict(so.contract(so.cut_function(so.Digraph(p + 2, arcs)), 1 << s),
                     (1 << p) - 1)
+    F = so.scale(F, 1.0)  # min-norm, not the max-flow of the closed structure
     answers = []
     certified = sfm._certified
 
@@ -615,7 +642,9 @@ def test_certified_stop_on_a_61_element_energy_matches_max_flow(monkeypatch):
 
 
 def test_unstructured_minor_stays_within_two_greedy_steps(monkeypatch):
-    # 2**|U| < 2p bounds the oracle calls of the minor's table, F(L) included
+    # 2**|U| < 2p bounds the oracle calls of the minor's table, F(L)
+    # included, for every F that reaches min-norm: one that chains from its
+    # structure as well as one that does not
     calls = []
     sizes = []
     minor_extremes = sfm._minor_extremes
@@ -632,22 +661,43 @@ def test_unstructured_minor_stays_within_two_greedy_steps(monkeypatch):
     # a symmetric cycle on the first k elements, whose optimal x is 0 there,
     # and a modular term of +-1 on the rest: U ends as the k cycle elements,
     # with 2p <= 2**k < 4p, one element too many for the minor
+    cycles = []
     for p in range(3, 13):
         k = (2 * p - 1).bit_length()
         if k < p:
             cycle = [(j, (j + 1) % k, 0.5) for j in range(k)]
             signs = [0.0] * k + [(-1.0) ** j for j in range(p - k)]
-            inners.append(so.add_modular(
+            cycles.append(so.add_modular(
                 so.cut_function(so.Digraph(p, cycle + [(b, a, w) for a, b, w in cycle])),
                 signs))
-    for inner in inners:
+    # structured inputs without a closed structure: explicit tables, a
+    # concave family plus a modular term, and those cycles, energies and
+    # covers scaled by 1
+    rng = np.random.default_rng(12)
+    structured = [so.explicit_function(so.to_explicit(dyadic_energy(rng, p)))
+                  for p in (5, 9, 12)]
+    structured += [so.add_modular(so.concave_cardinality(np.sqrt(np.arange(p + 1.0))),
+                                  dyadic(rng, -2.0, 1.0, size=p)) for p in (6, 10, 12)]
+    structured += [so.scale(F, 1.0) for F in cycles]
+    structured += [so.scale(dyadic_energy(rng, p), 1.0) for p in (7, 11)]
+    structured += [so.scale(so.add_modular(so.cover_function(dyadic_cover(rng, p)),
+                                           dyadic(rng, -1.0, 0.25, size=p)), 1.0)
+                   for p in (8, 12)]
+    for inner in inners + cycles + structured:
+        if inner is structured[0]:
+            unstructured_minors = len(sizes)
         p = inner.p
-        F = so.SetFunction(p, lambda m, inner=inner: calls.append(m) or inner(m))
-        assert not F.structured
+        oracle = lambda m, inner=inner: calls.append(m) or inner(m)  # noqa: E731
+        if inner in structured:
+            F = so.SetFunction(p, oracle, builder=inner.tabulate, chainer=inner.chainer)
+            assert F.structured and not isinstance(F.chainer, so.core.ClosedStructure)
+        else:
+            F = so.SetFunction(p, oracle)
         res = so.minimize(F)
         assert (res.min_value, res.minimal_minimizer,
                 res.maximal_minimizer) == brute_min(inner)[:3]
     assert sizes and any(low for *_, low in sizes)  # minors above L = {} ran too
+    assert len(sizes) > unstructured_minors  # and minors of structured inputs
     assert all(n <= 2 * p for p, n, _ in sizes), sizes
 
 
@@ -695,7 +745,7 @@ def test_clamped_certificate_in_P():
         x, _ = so.min_norm_point(F, eps=1e-10)
         s_minus = np.minimum(x, 0.0)
         assert so.in_P(F, s_minus, tol=1e-7)
-        vmin = so.minimize(F, backend="brute").min_value
+        vmin = so.brute_minimize(F).min_value
         assert float(np.sum(s_minus)) == pytest.approx(vmin, abs=1e-6)
 
 

@@ -74,7 +74,7 @@ def test_cut_minimize_matches_brute():
         res = so.cut_minimize(g, z)
         F = so.cut_function(g)
         shifted = so.add_modular(F, -z)
-        ref = so.minimize(shifted, backend="brute")
+        ref = so.brute_minimize(shifted)
         assert res.min_value == pytest.approx(ref.min_value, abs=1e-9)
         assert res.maximal_minimizer == ref.maximal_minimizer
         assert res.minimal_minimizer == ref.minimal_minimizer
@@ -92,7 +92,7 @@ def test_cut_minimize_at_small_unary_scales(scale):
         g = so.Digraph(8, arcs)
         z = rng.standard_normal(8) * scale
         res = so.cut_minimize(g, z)
-        ref = so.minimize(so.add_modular(so.cut_function(g), -z), backend="brute")
+        ref = so.brute_minimize(so.add_modular(so.cut_function(g), -z))
         assert (res.minimal_minimizer, res.maximal_minimizer) == (
             ref.minimal_minimizer, ref.maximal_minimizer), (seed, res, ref)
         assert abs(res.min_value - ref.min_value) <= 1e-12 * (1.0 + abs(ref.min_value))
