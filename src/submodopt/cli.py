@@ -9,8 +9,10 @@ Exit codes: 0 ok, 1 input or parse error (a ``ValueError``), 2 numerical or
 cap error (a ``SubmodoptError`` or numpy's ``LinAlgError``), out of memory or
 any other failure, 3 precondition violation detected by --verify.  A usage
 error (missing, unknown, mistyped or misplaced flag) exits 1, and so does a
-boolean or string in a spec where a number belongs.  Every failure is one
-``error:`` line on stderr, never a traceback.
+boolean or string in a spec where a number belongs.  A value that
+overflows, in a table or in a report, which JSON cannot hold, exits 2.
+Every failure is one ``error:`` line on stderr, never a traceback or a
+warning.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import time
 import numpy as np
 
 from . import __version__, core, lovasz, prox, sfm, transforms, zoo
-from .errors import SubmodoptError
+from .errors import NumericalInconsistency, SubmodoptError
 
 
 def _need(obj: dict, key: str):
@@ -167,7 +169,11 @@ def _report(command: str, spec: dict, results: dict, started: float) -> None:
         "timing": round(time.perf_counter() - started, 6),
         "version": __version__,
     }
-    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+    try:
+        line = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:  # a NaN or an infinity, which JSON cannot hold
+        raise NumericalInconsistency(f"the {command} report holds a value that is not finite")
+    sys.stdout.write(line + "\n")
 
 
 def _verify_submodular(F, args) -> None:
@@ -383,12 +389,14 @@ def main(argv=None) -> int:
         args = make_parser(argv[0] if argv else None).parse_args(argv)
         started = time.perf_counter()
         spec = _load_spec(args.spec)
-        try:
-            F = build_function(spec, args.seed)
-        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
-            # a missing, mistyped or unrepresentable nested field
-            raise ValueError(f"malformed spec: {type(exc).__name__}: {exc}")
-        results = globals()["cmd_" + args.command](F, args)
+        # an overflow is reported by the value it leaves, not by a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                F = build_function(spec, args.seed)
+            except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+                # a missing, mistyped or unrepresentable nested field
+                raise ValueError(f"malformed spec: {type(exc).__name__}: {exc}")
+            results = globals()["cmd_" + args.command](F, args)
         _report(args.command, spec, results, started)
     except PreconditionFailed as exc:
         return _fail(str(exc), 3)

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import _kernels
-from .errors import CapExceeded
+from .errors import CapExceeded, NumericalInconsistency
 
 MAX_GROUND_SIZE = 63
 EXHAUSTIVE_CAP = 20
@@ -232,18 +232,26 @@ class SetFunction:
     def tabulate(self, cap: int = EXHAUSTIVE_CAP) -> np.ndarray:
         """A fresh float64 table of F over all 2**p masks; table[0] == 0.
 
-        Raises CapExceeded for p above the cap.  The table equals the
-        per-mask loop ``[F(m) for m in range(2**p)]``; builders whose
-        arithmetic is reordered agree with it exactly on dyadic data.  A
-        builder neither reads nor fills the memo of F.
+        Raises CapExceeded for p above the cap, and NumericalInconsistency
+        when a value is not finite, as a sum of finite weights past the
+        float maximum is.  The table equals the per-mask loop
+        ``[F(m) for m in range(2**p)]``; builders whose arithmetic is
+        reordered agree with it exactly on dyadic data.  A builder neither
+        reads nor fills the memo of F.
         """
         check_cap(self.p, cap)
-        table = None if self._builder is None else self._builder(cap)
-        if table is None:
-            n = 1 << self.p
-            table = np.empty(n, dtype=np.float64)
-            for m in range(n):
-                table[m] = self(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = None if self._builder is None else self._builder(cap)
+            if table is None:
+                n = 1 << self.p
+                table = np.empty(n, dtype=np.float64)
+                for m in range(n):
+                    table[m] = self(m)
+        finite = np.isfinite(table)
+        if not finite.all():
+            m = int(np.argmin(finite))  # the first mask whose value is not
+            raise NumericalInconsistency(
+                f"F at mask {m} is {float(table[m])!r}, not a finite value")
         return table
 
     @property

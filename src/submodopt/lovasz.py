@@ -34,10 +34,9 @@ def descending_order(w) -> np.ndarray:
 def lovasz_extension(F: SetFunction, w) -> float:
     """Extension value f(w) via the sorted-prefix telescoping sum."""
     w = check_vector(w, F.p)
-    order = descending_order(w)
+    s, order, _ = _greedy_chain(F, w)
     total = 0.0
-    values = F.chain(order)
-    for term in (w[order] * (values[1:] - values[:-1])).tolist():
+    for term in (w[order] * s[order]).tolist():
         total += term  # left to right, not pairwise, as the telescoping sum reads
     return total
 
@@ -48,12 +47,17 @@ def greedy_base(F: SetFunction, w) -> np.ndarray:
     Assigns each element its marginal gain along the descending-w prefix
     chain; w may have negative entries.  Satisfies w^T s == f(w).
     """
+    return _greedy_chain(F, w)[0]
+
+
+def _greedy_chain(F: SetFunction, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex of :func:`greedy_base` with its order and the chain of F along it."""
     w = check_vector(w, F.p)
     order = descending_order(w)
     values = F.chain(order)
     s = np.empty(F.p, dtype=np.float64)
     s[order] = values[1:] - values[:-1]
-    return s
+    return s, order, values
 
 
 def truncated_greedy(F: SetFunction, w) -> np.ndarray:

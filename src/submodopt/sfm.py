@@ -7,6 +7,8 @@ greedy algorithm as the linear minimization oracle.  The sign pattern of
 the Euclidean solution yields every minimizer of F, but minimization stops
 sooner: every iterate lies in B(F), and once one fixes all but a few
 elements of every minimizer, the minor on those few is minimized exactly.
+That stop and the final reading of the minimizers read F off the chain of
+the greedy step at the iterate, its ascending sort: one chain per iterate.
 
 :func:`minimize` picks its route from F alone: a function that chains by
 a closed structure (a cut or a cover plus a modular term, any
@@ -28,7 +30,7 @@ from .core import (EXHAUSTIVE_CAP, ClosedStructure, SetFunction, check_finite,
                    check_tolerance, check_vector, level_sets, subset_of,
                    to_explicit)
 from .errors import NoConvergence, NumericalInconsistency
-from .lovasz import greedy_base
+from .lovasz import _greedy_chain
 
 _DROP_COEFF = 1e-12
 
@@ -116,6 +118,7 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
     (d = 1, c = 0) the elements with the smallest F({k}) come first, and
     when every singleton ties the order is the identity.  Closed structures
     list their singletons without oracle calls; any other F pays p of them.
+    The start and each major cycle cost one greedy step, one chain of F.
 
     The corral lives in buffers made once per call, with room for p + 1
     vertices (p affinely independent ones on s(V) = F(V) plus the one just
@@ -129,11 +132,12 @@ def min_norm_point(F: SetFunction, weights=None, center=None, eps: float = 1e-9,
     Returns the optimal point and the final corral.  Raises NoConvergence
     (with the best iterate attached) after ``max_major`` cycles, default
     100 * p, and NumericalInconsistency if the norm grows across a major
-    cycle or an iterate or a row of M overflows.  The solve runs with
-    numpy's overflow and invalid-value warnings off, and so do the
-    evaluations of F it makes; a non-finite M never reaches LAPACK.  Non-finite or misshapen
-    weights or center, nonpositive weights, and an eps that is not a
-    finite positive number raise ValueError.
+    cycle or the start's weights, an iterate or a row of M overflow.  The
+    solve runs with numpy's overflow and invalid-value warnings off, and
+    so do the evaluations of F it makes; a non-finite M never reaches
+    LAPACK.  Non-finite or misshapen weights or center, nonpositive
+    weights, and an eps that is not a finite positive number raise
+    ValueError.
     """
     p = F.p
     d = (np.ones(p) if weights is None
@@ -155,11 +159,12 @@ def _major_cycles(F: SetFunction, d: np.ndarray, c: np.ndarray, eps: float,
                   max_major: int):
     """The major cycles of :func:`min_norm_point`, one iterate at a time.
 
-    Yields the iterate x before each greedy step: the start vertex first,
-    then the point each major cycle ends at; every one lies in B(F).
-    Returns ``(x, corral)`` as :func:`min_norm_point` does and raises what
-    it raises.  The caller runs it with numpy's overflow and invalid-value
-    warnings off, and may drop it after any iterate.
+    Yields ``(x, order, values)`` for the start vertex, then for the point
+    each major cycle ends at, every x in B(F): ``values`` is the chain of F
+    along the ``order`` of the greedy step at x, for minimization (d = 1,
+    c = 0) the ascending sort of x.  Returns ``(x, corral)`` as
+    :func:`min_norm_point` does and raises what it raises.  The caller runs
+    it with numpy's overflow warnings off, and may drop it after any iterate.
     """
     _check_eps(eps)
     p = F.p
@@ -170,7 +175,10 @@ def _major_cycles(F: SetFunction, d: np.ndarray, c: np.ndarray, eps: float,
     coeffs = np.empty(size)         # convex weights
     # an overflow shows as an inf or nan gap, which does not converge, or
     # as a non-finite row of M, which is refused before any solve
-    x = greedy_base(F, d * (c - F.singletons()))
+    w = d * (c - F.singletons())
+    if not np.isfinite(w).all():  # the greedy step would call it a bad input
+        raise NumericalInconsistency("the weights of the start vertex overflow")
+    x = _greedy_chain(F, w)[0]
     bases[0] = x
     coeffs[0] = 1.0
     m = 1
@@ -178,17 +186,17 @@ def _major_cycles(F: SetFunction, d: np.ndarray, c: np.ndarray, eps: float,
     majors = 0
 
     while True:
-        yield x
         g = x - c
         if not np.isfinite(g).all():  # the greedy step would call it a bad input
             raise NumericalInconsistency(f"the iterate overflows at major cycle {majors}")
+        q, order, values = _greedy_chain(F, -d * g)
+        yield x, order, values
         norm = float(d @ (g * g))
         if norm > prev_norm + 1e-9 * (1.0 + prev_norm):
             raise NumericalInconsistency(
                 f"norm increased across major cycle {majors}: "
                 f"{prev_norm!r} -> {norm!r}")
         prev_norm = norm
-        q = greedy_base(F, -d * g)
         gap = float(d @ (g * x)) - float(d @ (g * q))
         converged = gap <= eps * (1.0 + float(d @ (x * x)))
         # stop on convergence, at the cap, or when the oracle repeats a vertex
@@ -268,23 +276,6 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
 
 
-def _prefix_extraction(F: SetFunction, x: np.ndarray) -> tuple[float, int, int]:
-    """Exact re-optimization over the prefixes of the ascending sort of x.
-
-    Both lattice extremes of the minimizers of F are level sets of the
-    exact minimum-norm point, hence prefixes of the sorted order; scanning
-    all p+1 prefixes with exact oracle calls makes the extraction robust to
-    solver noise.  Returns (min value, shortest argmin prefix, longest).
-    """
-    order = np.argsort(x, kind="stable")
-    values = F.chain(order).tolist()
-    vmin = min(values)
-    thresh = vmin + 1e-12 * (1.0 + abs(vmin))
-    achieving = [k for k, v in enumerate(values) if v <= thresh]
-    order = order.tolist()
-    return vmin, subset_of(order[:achieving[0]]), subset_of(order[:achieving[-1]])
-
-
 def brute_minimize(F: SetFunction, cap: int = EXHAUSTIVE_CAP) -> SfmResult:
     """Exhaustive minimization returning the exact lattice extremes.
 
@@ -318,12 +309,12 @@ def minimize(F: SetFunction, eps: float = 1e-9) -> SfmResult:
     lies in B(F), so its negative part bounds min F from below, and once
     that bound decides all but a few elements of every minimizer, the
     minor on those few is minimized exactly and the solve stops.  A solve
-    that no iterate settles runs to the gap ``eps``, and the minimizers
-    are read off the prefixes of the sorted solution, re-evaluated
-    exactly.  Either way ``certificate`` is the last iterate and ``gap``
-    is the minimum minus its negative part (see :class:`SfmResult`).  An
-    ``eps`` that is not a finite positive number raises ValueError on
-    either route.
+    that no iterate settles runs to the gap ``eps``, and the minimizers are
+    the shortest and longest tied prefixes of the solution's ascending
+    sort, read off its greedy step's chain.  Either way ``certificate`` is
+    the last iterate and ``gap`` is the minimum minus its negative part
+    (see :class:`SfmResult`).  An ``eps`` that is not a finite positive
+    number raises ValueError on either route.
     """
     _check_eps(eps)
     S = F.chainer
@@ -332,11 +323,14 @@ def minimize(F: SetFunction, eps: float = 1e-9) -> SfmResult:
     p = F.p
     cycles = _major_cycles(F, np.ones(p), np.zeros(p), eps, 100 * p)
     with np.errstate(over="ignore", invalid="ignore"):
-        for x in cycles:
-            res = _certified(F, x)
+        for x, order, values in cycles:
+            res = _certified(F, x, values)
             if res is not None:
                 return res
-    return _with_gap(*_prefix_extraction(F, x), x)
+    vmin = float(values[np.argmin(values)])  # the first of tied minima: 0.0 before -0.0
+    hits = np.flatnonzero(values <= vmin + 1e-12 * (1.0 + abs(vmin))).tolist()
+    order = order.tolist()
+    return _with_gap(vmin, subset_of(order[:hits[0]]), subset_of(order[:hits[-1]]), x)
 
 
 def _flow_minimize(F: SetFunction, S: ClosedStructure) -> SfmResult:
@@ -349,20 +343,21 @@ def _flow_minimize(F: SetFunction, S: ClosedStructure) -> SfmResult:
                      maximal_minimizer=omin, certificate=None, gap=0.0)
 
 
-def _certified(F: SetFunction, x: np.ndarray) -> Optional[SfmResult]:
+def _certified(F: SetFunction, x: np.ndarray, values: np.ndarray) -> Optional[SfmResult]:
     """The minimization answer the base point x certifies, or None.
 
-    With A the best prefix of the ascending sort of x and g = F(A) - x_-(V),
+    ``values`` is the chain of F along the ascending sort of x, which the
+    greedy step at x read.  With A its best prefix and g = F(A) - x_-(V),
     every minimizer B of F has x(B) <= F(B) <= F(A), so B contains every k
     with x_k < -g and no k with x_k > g.  That leaves U, the k with
     |x_k| <= g plus a rounding margin, open; while its 2**|U| masks are
-    fewer than the 2p oracle calls of two greedy steps, the minor
-    C -> F(L | C) - F(L) on U, L the elements below, is tabulated and its
-    lattice extremes are read under the tie threshold of
-    :func:`_prefix_extraction`.  A non-finite x or bound, and extremes
-    above the threshold, give None.
+    fewer than the 2p oracle calls of two more major cycles, one greedy
+    step each, the minor C -> F(L | C) - F(L) on U, L the elements below,
+    is tabulated and its lattice extremes are read under the tie threshold
+    1e-12 (1 + |min|).  A non-finite x or bound, and extremes above the
+    threshold, give None.
     """
-    value = float(F.chain(np.argsort(x, kind="stable")).min())  # F(A)
+    value = float(values.min())  # F(A)
     x_minus = float(np.sum(np.minimum(x, 0.0)))
     bound = value - x_minus + 1e-9 * (1.0 + abs(value) + float(np.max(np.abs(x))))
     if not math.isfinite(bound):

@@ -509,24 +509,54 @@ def test_overflowing_cover_weight_minimizes_without_warnings(capfd, tmp_path):
         "certificate": [1e300, 0.0, 1.0], "gap": 0.0, **answer}
 
 
+_FLOW_1E308 = {"kind": "flow", "n_nodes": 3, "sources": [0], "sinks": [1, 2],
+               "arcs": [[0, 1, 1e308], [0, 2, 1e308]]}
+_CUT_1E308 = {"kind": "cut", "p": 3, "arcs": [[0, 1, 1e308], [0, 2, 1e308]]}
+
+
 def test_flow_capacities_near_the_float_maximum(capfd, tmp_path):
     # two arcs of 1e308 out of one source: no arc of the max-flow may carry
     # their sum, which overflows, so the spec is valid input; only the value
-    # F({1, 2}) = 2e308 overflows, and its entry is left unchecked: how an
-    # overflowing value should be reported is still open
-    spec = {"kind": "flow", "n_nodes": 3, "sources": [0], "sinks": [1, 2],
-            "arcs": [[0, 1, 1e308], [0, 2, 1e308]]}
-    code, out, err, _ = run_quietly(capfd, tmp_path, spec, "explicit")
-    assert (code, err) == (0, "")
-    assert json.loads(out)["results"]["spec"]["values"][:3] == [0.0, 1e308, 1e308]
-    code, out, err, _ = run_quietly(capfd, tmp_path, spec, "minimize", "--algo", "brute")
-    assert (code, err) == (0, "")
-    assert json.loads(out)["results"] == {"certificate": None, "gap": 0.0, **dict(
-        maximal_minimizer=[], min_value=0.0, minimal_minimizer=[])}
+    # F({1, 2}) = 2e308 overflows, and a table that holds it is a failed
+    # computation, where explicit printed Infinity and brute exited 0
+    spec = _FLOW_1E308
+    message = "error: F at mask 3 is inf, not a finite value\n"
+    assert run_quietly(capfd, tmp_path, spec, "explicit") == (2, "", message, [])
+    assert run_quietly(capfd, tmp_path, spec, "minimize", "--algo", "brute") == (
+        2, "", message, [])
     # min-norm meets the infinite value at its start vertex: a failed
     # computation, not an input error
     assert run_quietly(capfd, tmp_path, spec, "minimize") == (
         2, "", "error: the iterate overflows at major cycle 0\n", [])
+
+
+@pytest.mark.parametrize("spec, argv, message", [
+    (_CUT_1E308, ("check",), "F at mask 1 is inf, not a finite value"),
+    (_CUT_1E308, ("explicit",), "F at mask 1 is inf, not a finite value"),
+    (_CUT_1E308, ("minimize", "--algo", "brute"), "F at mask 1 is inf, not a finite value"),
+    (_CUT_1E308, ("eval", "--w=1,0,0"), "the eval report holds a value that is not finite"),
+    (_CUT_1E308, ("greedy", "--w=1,0,0"), "the greedy report holds a value that is not finite"),
+    (_CUT_1E308, ("prox",), "the weights of the start vertex overflow"),
+    ({"kind": "transform", "op": "scale", "factor": 1.0, "inner": _CUT_1E308},
+     ("minimize",), "the weights of the start vertex overflow"),
+    (_FLOW_1E308, ("check",), "F at mask 3 is inf, not a finite value"),
+    (_FLOW_1E308, ("eval", "--w=1,0"), "the eval report holds a value that is not finite"),
+    (_FLOW_1E308, ("greedy", "--w=1,0"), "the greedy report holds a value that is not finite"),
+])
+def test_overflowing_values_exit_2_with_one_line(capfd, tmp_path, spec, argv, message):
+    # F({0}) of the cut is 2e308: before, check warned and exited 1, explicit
+    # printed Infinity, eval NaN and greedy both, brute read F(V) = 0
+    # beside inf and exited 0 with the maximal minimizer [1, 2], and
+    # min-norm refused the singleton weights of its start as an input
+    assert run_quietly(capfd, tmp_path, spec, *argv) == (2, "", f"error: {message}\n", [])
+
+
+def test_overflowing_cut_minimizes_by_max_flow(capfd, tmp_path):
+    # the max-flow reads no overflowing value: F(V) = 0 is the minimum
+    code, out, err, caught = run_quietly(capfd, tmp_path, _CUT_1E308, "minimize")
+    assert (code, err, caught) == (0, "", [])
+    assert json.loads(out)["results"] == {"certificate": None, "gap": 0.0, **dict(
+        maximal_minimizer=[0, 1, 2], min_value=0.0, minimal_minimizer=[])}
 
 
 def test_linalg_error_is_a_computation_error(capsys, monkeypatch):

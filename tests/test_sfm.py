@@ -62,8 +62,8 @@ def test_min_norm_point_makes_one_greedy_call_per_iterate(monkeypatch):
     from submodopt.errors import NoConvergence
 
     calls = []
-    greedy = sfm.greedy_base
-    monkeypatch.setattr(sfm, "greedy_base",
+    greedy = sfm._greedy_chain
+    monkeypatch.setattr(sfm, "_greedy_chain",
                         lambda F, w: calls.append(1) or greedy(F, w))
 
     # the starting vertex of a modular function is optimal: no vertex is added
@@ -88,10 +88,57 @@ def test_min_norm_point_makes_one_greedy_call_per_iterate(monkeypatch):
     assert (len(calls), info.value.result[1].major_cycles) == (3, 1)
 
 
+def test_min_norm_minimize_reads_one_chain_per_greedy_step(monkeypatch):
+    # the certified stop and the final reading of the minimizers read F
+    # off the chain of the greedy step at the iterate, so a solve chains F
+    # once for the start vertex and once per iterate, and no more
+    rng = np.random.default_rng(31)
+    cases = [dyadic_energy(rng, p) for p in (8, 12, 20)]
+    cases += [so.add_modular(so.cover_function(dyadic_cover(rng, p)),
+                             dyadic(rng, -1.0, 0.25, size=p)) for p in (8, 12)]
+    cases += [so.add_modular(so.concave_cardinality(np.sqrt(np.arange(p + 1.0))),
+                             dyadic(rng, -2.0, 1.0, size=p)) for p in (10, 20)]
+    # a symmetric 4-cycle plus +-1 on two more elements leaves the four
+    # cycle elements open, too many for the minor: it runs to convergence
+    cycle = [(j, (j + 1) % 4, 0.5) for j in range(4)]
+    cases.append(so.add_modular(
+        so.cut_function(so.Digraph(6, cycle + [(b, a, w) for a, b, w in cycle])),
+        [0.0, 0.0, 0.0, 0.0, 1.0, -1.0]))
+    chained, steps, iterates, answers = [], [], [], []
+    chain, greedy = so.SetFunction.chain, sfm._greedy_chain
+    major_cycles, certified = sfm._major_cycles, sfm._certified
+
+    def counted_cycles(*args):
+        for item in major_cycles(*args):
+            iterates.append(1)
+            yield item
+
+    monkeypatch.setattr(so.SetFunction, "chain",
+                        lambda self, order: chained.append(self) or chain(self, order))
+    monkeypatch.setattr(sfm, "_greedy_chain",
+                        lambda F, w: steps.append(1) or greedy(F, w))
+    monkeypatch.setattr(sfm, "_major_cycles", counted_cycles)
+    monkeypatch.setattr(sfm, "_certified",
+                        lambda *args: answers.append(certified(*args)) or answers[-1])
+    stops = set()
+    for inner in cases:
+        F = so.scale(inner, 1.0)  # min-norm, also for a closed structure
+        for log in (chained, steps, iterates, answers):
+            log.clear()
+        res = so.minimize(F)
+        assert sum(G is F for G in chained) == len(steps) == len(iterates) + 1
+        ref = so.brute_minimize(inner)
+        assert (res.min_value, res.minimal_minimizer, res.maximal_minimizer) == (
+            ref.min_value, ref.minimal_minimizer, ref.maximal_minimizer)
+        stops.add((answers[-1] is res, len(iterates) > 1))
+    # certified stops after the start vertex, and a converged solve
+    assert {(True, True), (False, True)} <= stops
+
+
 def test_min_norm_point_starts_at_the_singleton_root_vertex(monkeypatch):
     weights = []
-    greedy = sfm.greedy_base
-    monkeypatch.setattr(sfm, "greedy_base",
+    greedy = sfm._greedy_chain
+    monkeypatch.setattr(sfm, "_greedy_chain",
                         lambda F, w: weights.append(np.array(w)) or greedy(F, w))
     rng = np.random.default_rng(7)
     cases = [(so.random_submodular(1, 7, "cover+modular"), None, None),
@@ -108,7 +155,8 @@ def test_min_norm_point_starts_at_the_singleton_root_vertex(monkeypatch):
     weights.clear()
     so.min_norm_point(SYM_CUT2)
     assert np.all(weights[0] == -1.0)
-    assert np.array_equal(greedy(SYM_CUT2, weights[0]), greedy(SYM_CUT2, [0.0, 0.0]))
+    assert np.array_equal(so.greedy_base(SYM_CUT2, weights[0]),
+                          so.greedy_base(SYM_CUT2, [0.0, 0.0]))
 
 
 def test_min_norm_with_metric_and_center():
@@ -349,15 +397,25 @@ def test_min_norm_point_on_a_cut_with_parallel_copies(monkeypatch):
                 res.maximal_minimizer) == (vmin, amin, omin)
 
 
+def _record_greedy_vertices(monkeypatch, vertices):
+    """Append the vertex of every greedy step of sfm to ``vertices``."""
+    greedy = sfm._greedy_chain
+
+    def recorded(F, w):
+        step = greedy(F, w)
+        vertices.append(step[0])
+        return step
+
+    monkeypatch.setattr(sfm, "_greedy_chain", recorded)
+
+
 def test_corral_grows_past_p_plus_one_vertices(monkeypatch):
     # uniform coefficients never drop a vertex, so the corral outgrows the
     # p + 1 rows made at the start; every M a minor cycle sees must still be
     # the bordered Gram matrix of the vertices added so far, in order
     F = dyadic_energy(np.random.default_rng(11), 3)
     vertices = []
-    greedy = sfm.greedy_base
-    monkeypatch.setattr(sfm, "greedy_base",
-                        lambda F, w: vertices.append(greedy(F, w)) or vertices[-1])
+    _record_greedy_vertices(monkeypatch, vertices)
     sizes = []
 
     def uniform(M):
@@ -383,9 +441,7 @@ def test_two_vertices_dropped_in_one_minor_cycle(monkeypatch):
     # step; M must then be the bordered Gram matrix of the other two
     F = dyadic_energy(np.random.default_rng(11), 6)
     vertices = []
-    greedy = sfm.greedy_base
-    monkeypatch.setattr(sfm, "greedy_base",
-                        lambda F, w: vertices.append(greedy(F, w)) or vertices[-1])
+    _record_greedy_vertices(monkeypatch, vertices)
     corral, sizes = [0], []
 
     def stub(M):
@@ -592,20 +648,20 @@ def test_non_finite_iterates_never_stop(monkeypatch):
     for bad in (np.inf, -np.inf, np.nan):
         x = so.greedy_base(F, np.arange(6.0))
         x[2] = bad
-        assert sfm._certified(F, x) is None
+        assert sfm._certified(F, x, F.chain(np.argsort(x, kind="stable"))) is None
     # a finite iterate whose bound is not finite: F(A) = -inf
     G = so.SetFunction(2, lambda m: -np.inf if m == 0b01 else 0.0)
-    assert sfm._certified(G, np.array([-1.0, 1.0])) is None
+    assert sfm._certified(G, np.array([-1.0, 1.0]), G.chain([0, 1])) is None
     # a start vertex with an infinite entry is no answer: it fails as a
     # computation before its greedy step, which would refuse it as an input
-    greedy = sfm.greedy_base
+    greedy = sfm._greedy_chain
 
     def infinite(F, w):
-        s = greedy(F, w)
+        s, order, values = greedy(F, w)
         s[0] = np.inf
-        return s
+        return s, order, values
 
-    monkeypatch.setattr(sfm, "greedy_base", infinite)
+    monkeypatch.setattr(sfm, "_greedy_chain", infinite)
     F = so.scale(F, 1.0)  # min-norm, not the max-flow of the closed structure
     for solve in (so.minimize, so.min_norm_point):
         with pytest.raises(NumericalInconsistency,
@@ -628,8 +684,8 @@ def test_certified_stop_on_a_61_element_energy_matches_max_flow(monkeypatch):
     answers = []
     certified = sfm._certified
 
-    def recorded(F, x):
-        answers.append(certified(F, x))
+    def recorded(F, x, values):
+        answers.append(certified(F, x, values))
         return answers[-1]
 
     monkeypatch.setattr(sfm, "_certified", recorded)
