@@ -22,14 +22,19 @@ next to 1 or 1 next to 1e300, still counts.  A push that leaves a residual
 at or below its threshold sets it to exactly 0, so the searches test
 residuals against 0.
 
-:class:`MaxFlowResult` carries the value, both sides, and two counts of
-the work done: ``phases`` (level graphs that reached the sink) and
-``augmentations`` (paths pushed).
+Layout and search are two steps.  :func:`residual_network` checks arcs
+given as arrays and lays them out, by numpy, as the flat Python lists the
+search reads (``to``, ``cap``, ``adj``): at the sizes the package meets,
+element-wise access to numpy arrays costs more than the search itself.
+:func:`max_flow` is the search on such lists.  A caller that solves many
+networks on one set of arcs lays them out once and passes each search a
+fresh capacity list and, if it drops nodes, adjacency lists without them
+(see :class:`core._NetworkMinor`); ``zoo.flow_function`` lays out one
+network per mask.
 
-The arcs come in as arrays and are checked and laid out by numpy, but the
-search state lives in flat Python lists (``to``, ``cap``, ``adj``,
-``level``, ``it``): at the sizes the package meets, element-wise access
-to numpy arrays costs more than the search itself.
+:class:`MaxFlowResult` carries the value, the residual distances that
+give both sides, and two counts of the work done: ``phases`` (level graphs
+that reached the sink) and ``augmentations`` (paths pushed).
 """
 
 from __future__ import annotations
@@ -44,10 +49,20 @@ _RESIDUAL_REL = 1e-12
 @dataclass
 class MaxFlowResult:
     value: float
-    source_side: np.ndarray   # bool per node: reachable from source in residual
-    sink_side: np.ndarray     # bool per node: can reach sink in residual
-    phases: int               # level graphs built with a path to the sink
-    augmentations: int        # augmenting paths pushed
+    source_level: list  # residual distance from the source per node, -1 if unreachable
+    sink_level: list    # residual distance to the sink per node, -1 if it cannot reach it
+    phases: int         # level graphs built with a path to the sink
+    augmentations: int  # augmenting paths pushed
+
+    @property
+    def source_side(self) -> np.ndarray:
+        """bool per node: reachable from the source in the residual network."""
+        return np.array(self.source_level) >= 0
+
+    @property
+    def sink_side(self) -> np.ndarray:
+        """bool per node: can reach the sink in the residual network."""
+        return np.array(self.sink_level) >= 0
 
 
 def _levels(adj, to, cap, start: int, flip: int) -> list[int]:
@@ -81,14 +96,18 @@ def _bad_arc(n: int, tails, heads, caps) -> ValueError:
     return ValueError(what.format(u=tails[i], v=heads[i], c=caps[i], n=n))
 
 
-def _residual_network(n: int, tails, heads, caps, source: int, sink: int):
-    """The checked arcs as the search's lists (to, cap, lim, adj).
+def residual_network(n: int, tails, heads, caps):
+    """The arcs as the search's lists (to, cap, adj) over nodes 0..n-1.
 
-    Arc i is entry 2i (forward, residual c_i) and its partner 2i + 1
-    (residual 0) of ``to`` and ``cap``, ``lim[i]`` is the saturation
-    threshold of both, and ``adj[u]`` lists the entries leaving u in
-    increasing order, as if the arcs were added one at a time.  Self-loops
-    and zero capacities stay: no search ever moves along one.
+    Arc i runs from ``tails[i]`` to ``heads[i]`` (int64 arrays) with
+    capacity ``caps[i]`` (a float64 array).  It is entry 2i (forward,
+    residual c_i) and its partner 2i + 1 (residual 0) of ``to`` and
+    ``cap``, and ``adj[u]`` lists the entries leaving u in increasing
+    order, as if the arcs were added one at a time.  Self-loops and zero
+    capacities stay: no search ever moves along one.  Raises ValueError
+    when a node lies outside 0..n-1, a capacity is negative or not finite,
+    or the arrays differ in length, and TypeError when an arc end is not
+    an integer.
     """
     tails = np.asarray(tails)
     heads = np.asarray(heads)
@@ -105,37 +124,44 @@ def _residual_network(n: int, tails, heads, caps, source: int, sink: int):
     if k and not (frm.min() >= 0 and frm.max() < n
                   and caps.min() >= 0.0 and caps.max() < np.inf):  # NaN fails too
         raise _bad_arc(n, tails, heads, caps)
-    # bincount sums past 1e308 to inf without a warning; min(c, inf) is c
-    bound = min(np.bincount(ends[:, 0], caps, minlength=n)[source],
-                np.bincount(ends[:, 1], caps, minlength=n)[sink])
     cap = np.zeros(2 * k)
     cap[0::2] = caps
     ids = np.argsort(frm, kind="stable").tolist()
     cuts = np.cumsum(np.bincount(frm, minlength=n)).tolist()
     adj = [ids[a:b] for a, b in zip([0] + cuts[:-1], cuts)]
-    return (ends[:, ::-1].ravel().tolist(), cap.tolist(),
-            (_RESIDUAL_REL * np.minimum(caps, bound)).tolist(), adj)
+    return ends[:, ::-1].ravel().tolist(), cap.tolist(), adj
 
 
-def max_flow(n: int, tails, heads, caps, source: int, sink: int) -> MaxFlowResult:
-    """Maximum s-t flow on a directed graph given as arrays of arcs.
+def max_flow(to, cap, adj, source: int, sink: int) -> MaxFlowResult:
+    """Maximum source-sink flow on lists laid out by :func:`residual_network`.
 
-    Arc i runs from ``tails[i]`` to ``heads[i]`` (int64 arrays) with
-    capacity ``caps[i]`` (a float64 array).  Returns the flow value
-    together with both canonical min-cut sides: the residual-reachable set
-    from the source (the inclusion-minimal source side) and the set of
-    nodes that can still reach the sink (whose complement is the
-    inclusion-maximal source side), and the number of phases and
-    augmenting paths it took.  Raises ValueError when source equals sink,
-    a node lies outside 0..n-1, a capacity is negative or not finite, or
-    the arrays differ in length, and TypeError when an arc end is not an
-    integer.
+    ``cap`` is consumed: the search leaves the residual capacities in it.
+    The nodes are 0..len(adj) - 1, and the search follows only the entries
+    listed in ``adj``: a caller drops a node, without laying the arcs out
+    again, by emptying its list and leaving every entry into it out of the
+    others, and may leave out entries that no augmenting path uses, such as
+    the partners of the arcs out of the source.  Returns the flow value
+    together with the residual distances from the source (the reachable
+    nodes are the inclusion-minimal source side of a minimum cut) and to
+    the sink (the nodes that cannot reach it are the inclusion-maximal
+    source side), and the number of phases and augmenting paths it took.
+    Raises ValueError when source equals sink or either lies outside the
+    nodes.
     """
+    n = len(adj)
     if not (0 <= source < n and 0 <= sink < n):
         raise ValueError(f"source {source} or sink {sink} out of range for n={n}")
     if source == sink:
         raise ValueError(f"source and sink are the same node {source}")
-    to, cap, lim, adj = _residual_network(n, tails, heads, caps, source, sink)
+    # the flow bound: what leaves the source and what enters the sink,
+    # summed in arc order (past 1e308 to inf); partner entries add 0
+    leaving = entering = 0.0
+    for a in adj[source]:
+        leaving += cap[a]
+    for a in adj[sink]:
+        entering += cap[a ^ 1]
+    bound = leaving if leaving < entering else entering
+    given = cap[:]  # the capacities, for the saturation thresholds
 
     total = 0.0
     phases = augmentations = 0
@@ -151,8 +177,9 @@ def max_flow(n: int, tails, heads, caps, source: int, sink: int) -> MaxFlowResul
             if u == sink:
                 push = min([cap[a] for a in path])
                 for a in path:
+                    c = given[a & -2]
                     r = cap[a] - push
-                    cap[a] = r if r > lim[a >> 1] else 0.0
+                    cap[a] = r if r > _RESIDUAL_REL * (c if c < bound else bound) else 0.0
                     cap[a ^ 1] += push
                 total += push
                 augmentations += 1
@@ -180,7 +207,6 @@ def max_flow(n: int, tails, heads, caps, source: int, sink: int) -> MaxFlowResul
                 u = to[path.pop() ^ 1]
                 it[u] += 1
 
-    source_side = np.array(level) >= 0
-    sink_side = np.array(_levels(adj, to, cap, sink, 1)) >= 0
-    return MaxFlowResult(value=total, source_side=source_side, sink_side=sink_side,
+    return MaxFlowResult(value=total, source_level=level,
+                         sink_level=_levels(adj, to, cap, sink, 1),
                          phases=phases, augmentations=augmentations)

@@ -25,7 +25,11 @@ covers, each plus a modular term, are its two subclasses in ``zoo``.  A
 closed structure evaluates, chains, tabulates and lists the singleton
 values of its function, and it is closed under restriction, contraction
 and modular shifts, so ``transforms`` rebuilds the oracle, the table and
-the chain of such a transform from the reduced structure.
+the chain of such a transform from the reduced structure.  Its
+:meth:`ClosedStructure.network` lays out its s-t network once and returns
+F as a :class:`_NetworkMinor`, which minimizes F, and every restriction,
+contraction and shift of F reached from it, by one max-flow on that
+layout.
 
 Concrete families, the seeded random instances included, live in ``zoo``.
 """
@@ -38,7 +42,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _maxflow
 from .errors import CapExceeded, NumericalInconsistency
 
 MAX_GROUND_SIZE = 63
@@ -313,9 +317,11 @@ class ClosedStructure:
     into its parents; ``part`` is shared down the stack, ``m`` is not.
 
     :meth:`network` lays out the s-t network whose minimum cuts are the
-    minimizers of F, so ``sfm.minimize`` solves it by one max-flow: the
+    minimizers of F once, and returns F as a :class:`_NetworkMinor`: the
     modular vector gives the terminal arcs, and a family adds the arcs of
-    its part through ``_part_arcs``.
+    its part through ``_part_arcs``.  ``sfm.minimize`` solves F by one
+    max-flow on it, and the recursive prox solvers reach every reduced
+    problem as a minor of it, without a new structure or a new layout.
     """
 
     __slots__ = ("p", "m", "part")
@@ -358,31 +364,277 @@ class ClosedStructure:
         return SetFunction(self.p, self.value, builder=self.table, chainer=self)
 
     def _part_arcs(self):
-        """(m, n, tails, heads, caps): m plus what the part folds into it,
-        and the arcs of the part over the elements 0..p-1, the sink p + 1
-        and n - p - 2 nodes of its own from p + 2 on, each of tails, heads
-        and caps a tuple of arrays to be joined; a modular function has no
-        arcs."""
-        return self.m, self.p + 2, (), (), ()
+        """(fold, n, tails, heads, caps): the modular term the part folds
+        into m, and the arcs of the part over the elements 0..p-1, the sink
+        p + 1 and n - p - 2 nodes of its own from p + 2 on, each of tails,
+        heads and caps a tuple of arrays to be joined.  An arc between two
+        elements is an arc of a cut; a node of its own is a group, with an
+        arc of its weight from each member and one to the sink.  A modular
+        function has no arcs."""
+        return np.zeros(self.p), self.p + 2, (), (), ()
 
-    def network(self):
-        """(n, tails, heads, caps): an s-t network, source p and sink p + 1,
-        whose minimum cuts, read on the elements, are the minimizers of F.
+    def network(self) -> "_NetworkMinor":
+        """F as a minor on its whole ground set, with its s-t network laid
+        out once; see :class:`_NetworkMinor`.
 
-        The part adds its arcs (see ``_part_arcs``), and then each element
-        k one arc: source -> k of capacity -m_k if m_k < 0, else k -> sink
-        of capacity m_k.  A cut with A on the source side costs F(A) minus
-        the sum of the negative m_k.  Each capacity is one weight or one
-        entry of m, with the one-member groups of its element added, never a
-        big-M total over the network, so none overflows where F({k}) does
-        not.
+        The network has the source p and the sink p + 1.  The part adds its
+        arcs first (see ``_part_arcs``), and then each element k two
+        terminal arcs, source -> k and k -> sink, both of capacity 0 here:
+        a minimization writes |m_k| plus the fold into one of them.
         """
-        m, n, tails, heads, caps = self._part_arcs()
-        elems = _BITS[:self.p]
-        neg = m < 0.0
-        return (n, np.concatenate((*tails, np.where(neg, self.p, elems))),
-                np.concatenate((*heads, np.where(neg, elems, self.p + 1))),
-                np.concatenate((*caps, np.abs(m))))
+        fold, n, tails, heads, caps = self._part_arcs()
+        p = self.p
+        terminals = np.empty((p, 4), dtype=np.int64)  # row k: s, k, k, t
+        terminals[:, 0] = p
+        terminals[:, 1] = terminals[:, 2] = _BITS[:p]
+        terminals[:, 3] = p + 1
+        ends = terminals.reshape(-1, 2)
+        tails = np.concatenate((*tails, ends[:, 0]))
+        heads = np.concatenate((*heads, ends[:, 1]))
+        caps = np.concatenate((*caps, np.zeros(2 * p)))
+        to, cap, adj = _maxflow.residual_network(n, tails, heads, caps)
+        k = caps.shape[0] - 2 * p  # the arcs of the part
+        term = 2 * k  # source -> j is entry term + 4j, j -> sink term + 4j + 2
+        # a minimization lists the terminal entries of the source and the
+        # sink it uses; an element keeps its arc to the sink but not the
+        # partner of the arc from the source, which no search follows
+        for j in range(p):
+            del adj[j][-2]
+        adj[p] = []
+        adj[p + 1] = [a for a in adj[p + 1] if a < term]
+        net = _Network(p, to, cap, adj, term, (tails[:k], heads[:k], caps[:k]))
+        return _NetworkMinor(net, self.m.tolist(), fold.tolist())
+
+
+class _Network:
+    """The residual network of a closed structure on its whole ground set,
+    shared by all of its minors, and the incidence of its part that the
+    minors update by (built on first use)."""
+
+    __slots__ = ("p", "to", "cap", "adj", "term", "_part", "outs", "ins",
+                 "groups_of", "members", "weights")
+
+    def __init__(self, p, to, cap, adj, term, part):
+        self.p, self.to, self.cap, self.adj, self.term = p, to, cap, adj, term
+        self._part = part
+        self.outs = None
+
+    def incidence(self) -> None:
+        """Per element its cut arcs out (head, weight) and in (tail,
+        weight) in arc order, and its groups; per group node its members
+        and its weight."""
+        if self.outs is not None:
+            return
+        p, n = self.p, len(self.adj)
+        outs = [[] for _ in range(p)]
+        ins = [[] for _ in range(p)]
+        groups_of = [[] for _ in range(p)]
+        members = [[] for _ in range(n)]
+        weights = [0.0] * n
+        tails, heads, caps = (a.tolist() for a in self._part)
+        for u, v, w in zip(tails, heads, caps):
+            if u < p:
+                if v < p:
+                    if u != v:
+                        outs[u].append((v, w))
+                        ins[v].append((u, w))
+                elif v > p + 1:
+                    groups_of[u].append(v)
+                    members[v].append(u)
+            elif v == p + 1 and u > p + 1:
+                weights[u] = w
+        self.outs, self.ins, self.groups_of, self.members, self.weights = (
+            outs, ins, groups_of, members, weights)
+
+
+class _NetworkMinor:
+    """The minor C -> F(L | C) - F(L) of a closed structure F on its live
+    elements U, over the residual network of F laid out once.
+
+    Sets are bitmasks in the coordinates of F, and ``live`` lists U in
+    increasing order.  The elements outside L and U are deleted.  The minor
+    is a cut or a cover on U plus the modular vector c + f, where c folds
+    in the cut arcs between U and the rest and f the groups left with one
+    member in U; a group that meets L is dead, since its weight is in F(L).
+    ``restrict`` (delete the live elements outside a set) and ``contract``
+    (move a set into L) return a new minor and update c, f and the dead
+    group nodes by a loop over the arcs of the moved elements.
+
+    :meth:`minimize` solves the minor plus a modular shift d by one
+    :func:`_maxflow.max_flow`: it copies the capacities of F's network,
+    writes (c_k + d_k) + f_k as the terminal arc of each live k, source ->
+    k of capacity minus it if it is negative, else k -> sink, and searches
+    adjacency lists that keep only the arcs between live nodes.  A cut with
+    A on the source side costs F(L | A) - F(L) + d(A) minus the sum of the
+    negative terminal values; each capacity is one weight or one terminal
+    value, never a big-M total, so none overflows where a singleton value
+    does not.  The lists of a minor are filtered from those of the nearest
+    minor above it that searched, once per minor.
+    """
+
+    __slots__ = ("live", "full", "_net", "_elems", "_c", "_f", "_alive", "_count",
+                 "_adj", "_base")
+
+    def __init__(self, net: _Network, c: list, f: list):
+        p = net.p
+        self._net = net
+        self._elems = list(range(p))
+        self.live = _BITS[:p].copy()
+        self.full = (1 << p) - 1
+        self._c, self._f = c, f
+        self._alive = [True] * len(net.adj)
+        self._count = None
+        self._adj = self._base = net.adj
+
+    def value(self, mask: int, shift: Optional[np.ndarray] = None) -> float:
+        """The minor at the subset ``mask`` of U, plus the shift d there
+        (d lists one entry per live element)."""
+        net = self._net
+        net.incidence()
+        c, f, alive, outs, groups_of, weights = (
+            self._c, self._f, self._alive, net.outs, net.groups_of, net.weights)
+        shift = [0.0] * len(self._elems) if shift is None else shift.tolist()
+        modular = part = 0.0
+        met = set()
+        for k, d in zip(self._elems, shift):
+            if mask >> k & 1:
+                modular += c[k] + d
+                part += f[k]
+                for v, w in outs[k]:
+                    if alive[v] and not mask >> v & 1:
+                        part += w
+                for g in groups_of[k]:
+                    if alive[g] and g not in met:
+                        met.add(g)
+                        part += weights[g]
+        return modular + part
+
+    def singletons(self) -> np.ndarray:
+        """The minor at {k} for every live k, in the order of ``live``."""
+        net = self._net
+        net.incidence()
+        c, f, alive, outs, groups_of, weights = (
+            self._c, self._f, self._alive, net.outs, net.groups_of, net.weights)
+        values = []
+        for k in self._elems:
+            part = f[k]
+            for v, w in outs[k]:
+                if alive[v]:
+                    part += w
+            for g in groups_of[k]:
+                if alive[g]:
+                    part += weights[g]
+            values.append(c[k] + part)
+        return np.array(values)
+
+    def minimize(self, shift: np.ndarray) -> tuple[int, int]:
+        """The minimal and maximal minimizers of the minor plus the shift d
+        (one entry per live element), by one max-flow.
+
+        Raises NumericalInconsistency when a terminal value is not finite.
+        """
+        net = self._net
+        p = net.p
+        cap = net.cap[:]
+        adj = self._adjacency()[:]
+        out, into = [], adj[p + 1][:]
+        c, f = self._c, self._f
+        for k, d in zip(self._elems, shift.tolist()):
+            v = (c[k] + d) + f[k]
+            a = net.term + 4 * k
+            if 0.0 < v < _INF:
+                cap[a + 2] = v
+                into.append(a + 3)
+            elif -_INF < v < 0.0:
+                cap[a] = -v
+                out.append(a)
+            elif v != 0.0:
+                raise NumericalInconsistency(
+                    f"terminal capacity {v!r} of element {k} is not finite")
+        adj[p], adj[p + 1] = out, into
+        res = _maxflow.max_flow(net.to, cap, adj, p, p + 1)
+        src, snk = res.source_level, res.sink_level
+        amin = omin = 0
+        for k in self._elems:
+            if src[k] >= 0:
+                amin |= 1 << k
+            if snk[k] < 0:
+                omin |= 1 << k
+        return amin, omin
+
+    def _adjacency(self) -> list:
+        if self._adj is None:
+            alive, to = self._alive, self._net.to
+            self._adj = [[a for a in out if alive[to[a]]] if live else []
+                         for out, live in zip(self._base, alive)]
+        return self._adj
+
+    def _child(self, keep: int) -> "_NetworkMinor":
+        net = self._net
+        net.incidence()
+        child = object.__new__(_NetworkMinor)
+        child._net = net
+        child._elems = [k for k in self._elems if keep >> k & 1]
+        child.live = np.array(child._elems, dtype=np.int64)
+        child.full = keep & self.full
+        child._c, child._f, child._alive = self._c[:], self._f[:], self._alive[:]
+        child._count = ([len(m) for m in net.members] if self._count is None
+                        else self._count[:])
+        child._adj = None
+        child._base = self._base if self._adj is None else self._adj
+        return child
+
+    def restrict(self, mask: int) -> "_NetworkMinor":
+        """The minor on the live elements in ``mask``; the others are deleted.
+
+        A cut arc from a kept element k into a deleted one is cut whenever
+        k is taken, so its weight moves into c_k.  A group left with one
+        member k moves its weight into f_k and its node dies.
+        """
+        child = self._child(mask)
+        net = self._net
+        c, f, alive, count = child._c, child._f, child._alive, child._count
+        gone = [k for k in self._elems if not mask >> k & 1]
+        for k in gone:
+            alive[k] = False
+        for k in gone:
+            for u, w in net.ins[k]:
+                if alive[u]:
+                    c[u] += w
+            for g in net.groups_of[k]:
+                if alive[g]:
+                    count[g] -= 1
+                    if count[g] == 1:
+                        alive[g] = False
+                        for u in net.members[g]:
+                            if alive[u]:
+                                f[u] += net.weights[g]
+        return child
+
+    def contract(self, mask: int) -> "_NetworkMinor":
+        """The minor on the live elements outside ``mask``, with mask moved
+        into L.
+
+        A cut arc from a contracted element into a live k is cut whenever k
+        is left out, so its weight leaves c_k; every group that meets the
+        contracted set dies.
+        """
+        child = self._child(self.full & ~mask)
+        net = self._net
+        c, alive = child._c, child._alive
+        moved = [k for k in self._elems if mask >> k & 1]
+        for k in moved:
+            alive[k] = False
+        for k in moved:
+            for v, w in net.outs[k]:
+                if alive[v]:
+                    c[v] -= w
+            for g in net.groups_of[k]:
+                alive[g] = False
+        return child
+
+
+_INF = float("inf")
 
 
 _BITS = np.arange(MAX_GROUND_SIZE)

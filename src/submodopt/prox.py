@@ -16,20 +16,26 @@ and the conjugate value.  Three routes are provided:
   largest value down, each found by a secant iteration that starts at the
   largest singleton root, a lower bound on the block value.
 
-The SFMs inside the decomposition and the homotopy are
-:func:`sfm.minimize`, so the function picks the route: a cut or a cover
-plus a modular term, and every restriction, contraction and shift of
-one, is minimized by one max-flow, any other function by min-norm.
-All min-norm solves run from the same start, the greedy vertex of the
-singleton roots (see :func:`sfm.min_norm_point`): for ``prox_minnorm`` it
-follows the descending roots z_k - F({k}) / a_k, the values the homotopy
-starts each peel from, and for the SFMs inside the decomposition and the
-homotopy it takes the smallest singletons first.
+Both recursive solvers work on minors of F: a reduced problem is
+C -> F(L | C) - F(L) on its live elements U, reached from F by restriction
+and contraction, and each of its SFMs minimizes it plus a modular shift.
+The function picks the minor (see :func:`_minor`).  A cut or a cover plus
+a modular term, or a modular function, is a :class:`core._NetworkMinor`:
+the network of F is laid out once per call, every minor carries its live
+elements, its terminal coefficients and its dead group nodes, updated at
+each split by a loop over the arcs of the moved elements, and every SFM is
+one max-flow on a copy of F's capacities.  Any other function runs the
+transforms and one :func:`sfm.minimize` (min-norm) per SFM.  All min-norm
+solves run from the same start, the greedy vertex of the singleton roots
+(see :func:`sfm.min_norm_point`): for ``prox_minnorm`` it follows the
+descending roots z_k - F({k}) / a_k, the values the homotopy starts each
+peel from, and for the SFMs inside the decomposition and the homotopy it
+takes the smallest singletons first.
 
-Both recursive solvers work on reduced functions over a compact ground set
-and carry one int64 array ``idx`` beside each: ``idx[k]`` is the root
-coordinate of local element k.  They evaluate the root penalty and take
-its ``idx`` entries, so the penalty is never re-indexed itself.
+A minor lists its live elements in root coordinates (``live``) and takes
+its sets as masks in root coordinates, so the solvers evaluate the root
+penalty and take its ``live`` entries, and write the answer in place; the
+penalty is never re-indexed itself.
 
 Threshold-set extraction, line search inside P(F), the P(F) and positive
 P(F) variants, and the level-set optimality test round out the toolbox.
@@ -41,20 +47,21 @@ solved by safeguarded bisection/secant (growth factor 2, 200-step cap).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import _kernels, transforms
-from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_finite,
-                   check_tolerance, check_vector, complement, elements_of,
-                   subset_of, to_explicit)
+from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, ClosedStructure, SetFunction,
+                   check_finite, check_tolerance, check_vector, complement,
+                   elements_of, subset_of, to_explicit)
 from .errors import (NoConvergence, NumericalInconsistency, RecursionOverflow,
                      Unbounded)
 from .lovasz import lovasz_extension
 from .polyhedra import _levels_tight
-from .sfm import min_norm_point, minimize
+from .sfm import _check_eps, min_norm_point, minimize
 
 _ROOT_REL_TOL = 1e-12
 _ROOT_MAX_ITER = 200
@@ -275,59 +282,113 @@ def _equalized_start(fv: float, psi: SeparableConvex,
     return -psi.deriv_at(_block_value(psi, idx, fv))[idx]
 
 
+class _OracleMinor:
+    """The interface of :class:`core._NetworkMinor` for any set function:
+    ``restrict``, ``contract`` and ``add_modular`` of ``transforms`` and one
+    :func:`sfm.minimize` (min-norm) per minimization.
+
+    ``F`` is the minor on the compact ground set ``live``, the elements of
+    the root in increasing order; masks are in root coordinates.
+    """
+
+    __slots__ = ("F", "live", "full", "eps")
+
+    def __init__(self, F: SetFunction, live: np.ndarray, eps: float):
+        self.F, self.live, self.eps = F, live, eps
+        self.full = subset_of(live.tolist())
+
+    def _local(self, mask: int) -> int:
+        return subset_of(i for i, k in enumerate(self.live.tolist()) if mask >> k & 1)
+
+    def _root(self, local: int) -> int:
+        return subset_of(self.live[elements_of(local)].tolist())
+
+    def value(self, mask: int, shift: Optional[np.ndarray] = None) -> float:
+        G = self.F if shift is None else transforms.add_modular(self.F, shift)
+        return G(self._local(mask))
+
+    def singletons(self) -> np.ndarray:
+        return self.F.singletons()
+
+    def minimize(self, shift: np.ndarray) -> tuple[int, int]:
+        res = minimize(transforms.add_modular(self.F, shift), eps=self.eps)
+        return self._root(res.minimal_minimizer), self._root(res.maximal_minimizer)
+
+    def restrict(self, mask: int) -> "_OracleMinor":
+        local = self._local(mask)
+        return _OracleMinor(transforms.restrict(self.F, local),
+                            self.live[elements_of(local)], self.eps)
+
+    def contract(self, mask: int) -> "_OracleMinor":
+        local = self._local(mask)
+        return _OracleMinor(transforms.contract(self.F, local),
+                            self.live[elements_of(complement(local, self.F.p))],
+                            self.eps)
+
+
+def _minor(F: SetFunction, eps: float):
+    """F as a minor on its whole ground set: over its network when F
+    chains by a closed structure, else over the oracle."""
+    _check_eps(eps)
+    S = F.chainer
+    if isinstance(S, ClosedStructure):
+        return S.network()
+    return _OracleMinor(F, np.arange(F.p), eps)
+
+
 def prox_decomposition(F: SetFunction, psi: SeparableConvex, eps: float = 1e-9,
                        depth_limit: Optional[int] = None) -> np.ndarray:
     """Dual-optimal base point by recursive ground-set splitting.
 
     Equalize the derivatives subject to t(V) = F(V); if the largest
     minimizer of F - t is the whole ground set, t is optimal, otherwise
-    solve the restriction and the contraction independently and concatenate.
-    Each reduced problem is a function on a compact ground set and the
-    root coordinates of its elements; psi is always the root penalty.
+    solve the restriction and the contraction independently.  Each reduced
+    problem is a minor of F on some of its elements (see :func:`_minor`),
+    and psi is always the root penalty, read at the minor's elements.
     A largest minimizer that is empty means min(F - t) = 0 with F(V) - t(V)
     above the SFM tolerance; t is accepted as optimal, being in B(F) up to
     rounding, when that gap is within 1e-9 * (1 + |F(V)|), and otherwise
-    the root search went wrong and NumericalInconsistency is raised.  A
-    one-element function runs no SFM: its B(F) is the single point F(V),
-    so a one-element leaf returns t after the same check.
+    the root search went wrong and NumericalInconsistency is raised, as it
+    is when F(V) of a minor or t is not finite.  A one-element minor runs
+    no SFM: its B(F) is the single point F(V), so a one-element leaf
+    returns t after the same check.
     Each level removes at least one element, so recursion deeper than p
     levels is an internal bug, reported as RecursionOverflow.  Every SFM
-    is :func:`sfm.minimize`: one max-flow on a cut or a cover, min-norm
-    otherwise.
+    is one max-flow on a cut or a cover, min-norm otherwise.
     """
     if psi.p != F.p:
         raise ValueError("penalty dimension does not match the ground set")
     if depth_limit is None:
         depth_limit = F.p + 1
+    s = np.empty(F.p)
 
-    def solve(Fc: SetFunction, idx: np.ndarray, depth: int) -> np.ndarray:
+    def solve(G, depth: int) -> None:
         if depth > depth_limit:
             raise RecursionOverflow(f"decomposition depth {depth} exceeds limit")
-        full = (1 << Fc.p) - 1
-        fv = Fc(full)
-        t = _equalized_start(fv, psi, idx)
-        if Fc.p == 1:  # B(F) is the single point F(V): t needs no SFM
+        fv = G.value(G.full)
+        if not math.isfinite(fv):
+            raise NumericalInconsistency(f"F(V) = {fv!r} of a reduced problem is not finite")
+        t = _equalized_start(fv, psi, G.live)
+        if not np.all(np.isfinite(t)):
+            raise NumericalInconsistency(f"the equalized start for F(V) = {fv!r} is not finite")
+        if G.live.shape[0] == 1:  # B(F) is the single point F(V): t needs no SFM
             a_mask = 0
         else:
-            a_mask = minimize(transforms.add_modular(Fc, -t),
-                              eps=eps).maximal_minimizer
-        if a_mask == full:
-            return t
+            a_mask = G.minimize(-t)[1]
         if a_mask == 0:
             tv = float(np.sum(t))
             if abs(tv - fv) > 1e-9 * (1.0 + abs(fv)):
                 raise NumericalInconsistency(
                     f"t(V) = {tv!r} differs from F(V) = {fv!r} while the "
                     f"largest minimizer of F - t is empty")
-            return t
-        inside = elements_of(a_mask)
-        outside = elements_of(complement(a_mask, Fc.p))
-        s = np.empty(Fc.p)
-        s[inside] = solve(transforms.restrict(Fc, a_mask), idx[inside], depth + 1)
-        s[outside] = solve(transforms.contract(Fc, a_mask), idx[outside], depth + 1)
-        return s
+        if a_mask in (0, G.full):
+            s[G.live] = t
+            return
+        solve(G.restrict(a_mask), depth + 1)
+        solve(G.contract(a_mask), depth + 1)
 
-    return solve(F, np.arange(F.p), 1)
+    solve(_minor(F, eps), 1)
+    return s
 
 
 def _largest_singleton_root(singles: np.ndarray, psi: SeparableConvex,
@@ -354,8 +415,8 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     For each remaining block, find the smallest alpha at which
     g(alpha) = min_A F(A) + psi'(alpha)(A) reaches zero (secant iteration on
     the current minimizer), fix u = alpha on the maximal tight set, and
-    recurse on the contraction by it; local element k of the contraction
-    is root coordinate idx[k], and psi is always the root penalty.  The
+    recurse on the contraction by it, a minor of F (see :func:`_minor`);
+    psi is always the root penalty, read at the minor's elements.  The
     secant starts at the largest singleton root, max_k alpha_k with
     F({k}) + psi'_k(alpha_k) = 0: at the block value alpha*, F + psi'(alpha*)
     is nonnegative on every set, singletons included, so every alpha_k <=
@@ -364,55 +425,52 @@ def prox_homotopy(F: SetFunction, psi: SeparableConvex,
     value is its singleton root and no SFM runs.  The secant loop stops on a
     minimization of F + psi'(alpha) at the final alpha; its maximal
     minimizer, united with the last tight set, is the peeled block, so no
-    SFM is repeated for the peel.  Every SFM is :func:`sfm.minimize`, as
-    in :func:`prox_decomposition`.
+    SFM is repeated for the peel.  Every SFM is one max-flow on a cut or a
+    cover, min-norm otherwise, as in :func:`prox_decomposition`.
     """
     if psi.p != F.p:
         raise ValueError("penalty dimension does not match the ground set")
     u = np.zeros(F.p)
-    idx = np.arange(F.p)
-    cur_f = F
+    G = _minor(F, eps)
 
     for _ in range(F.p):
-        p = cur_f.p
-        full = (1 << p) - 1
-        singles = cur_f.singletons()
+        live = G.live
+        singles = G.singletons()
         tol = 1e-9 * (1.0 + float(np.max(np.abs(singles))))
-        alpha, k = _largest_singleton_root(singles, psi, idx)
-        if p == 1:  # the last block is one element, valued at its root
-            value = singles[0] + float(psi.deriv_at(alpha)[idx[0]])
+        alpha, k = _largest_singleton_root(singles, psi, live)
+        if live.shape[0] == 1:  # the last block is one element, valued at its root
+            value = singles[0] + float(psi.deriv_at(alpha)[live[0]])
             if not abs(value) <= 10.0 * tol:  # NaN fails too
                 raise NumericalInconsistency(
                     f"peel set value {value:.3e} exceeds tolerance "
                     f"{10.0 * tol:.3e}")
-            u[idx[0]] = alpha
+            u[live[0]] = alpha
             return u
-        last_tight = 1 << k
+        last_tight = 1 << int(live[k])
 
         for _ in range(_ROOT_MAX_ITER):
-            shifted = transforms.add_modular(cur_f, psi.deriv_at(alpha)[idx])
-            res = minimize(shifted, eps=eps)
-            if res.min_value >= -tol:
+            shift = psi.deriv_at(alpha)[live]
+            a_min, a_mask = G.minimize(shift)
+            if G.value(a_min, shift) >= -tol:
                 break
-            a_mask = res.maximal_minimizer
-            alpha = _block_value(psi, idx[elements_of(a_mask)], cur_f(a_mask),
+            alpha = _block_value(psi, elements_of(a_mask), G.value(a_mask),
                                  x0=alpha)
             last_tight = a_mask
         else:
             raise NoConvergence("homotopy root search exceeded iteration cap")
 
-        peel = res.maximal_minimizer | last_tight
-        if shifted(peel) > 10.0 * tol:
+        peel = a_mask | last_tight
+        value = G.value(peel, shift)
+        if value > 10.0 * tol:
             raise NumericalInconsistency(
-                f"peel set value {shifted(peel):.3e} exceeds tolerance "
+                f"peel set value {value:.3e} exceeds tolerance "
                 f"{10.0 * tol:.3e}")
-        u[idx[elements_of(peel)]] = alpha
-        if peel == full:
+        u[elements_of(peel)] = alpha
+        if peel == G.full:
             return u
         # the peeled block is tight for the dual base, so the remaining
         # coordinates solve the problem contracted by it
-        cur_f = transforms.contract(cur_f, peel)
-        idx = idx[elements_of(complement(peel, p))]
+        G = G.contract(peel)
     raise RecursionOverflow("homotopy peeled more than p blocks")
 
 

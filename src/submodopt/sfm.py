@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels, _maxflow
+from . import _kernels
 from .core import (EXHAUSTIVE_CAP, ClosedStructure, SetFunction, check_finite,
                    check_tolerance, check_vector, level_sets, subset_of,
                    to_explicit)
@@ -334,11 +334,9 @@ def minimize(F: SetFunction, eps: float = 1e-9) -> SfmResult:
 
 
 def _flow_minimize(F: SetFunction, S: ClosedStructure) -> SfmResult:
-    """The lattice extremes of the minimizers of F = S by one max-flow."""
-    p = S.p
-    res = _maxflow.max_flow(*S.network(), p, p + 1)
-    amin = subset_of(np.flatnonzero(res.source_side[:p]).tolist())
-    omin = subset_of(np.flatnonzero(~res.sink_side[:p]).tolist())
+    """The lattice extremes of the minimizers of F = S by one max-flow: the
+    minimization of its minor on the whole ground set."""
+    amin, omin = S.network().minimize(np.zeros(S.p))
     return SfmResult(min_value=F(amin), minimal_minimizer=amin,
                      maximal_minimizer=omin, certificate=None, gap=0.0)
 

@@ -144,7 +144,7 @@ class CutChain(ClosedStructure):
 
     def _part_arcs(self):
         ends, wts = self.part
-        return self.m, self.p + 2, (ends[0],), (ends[1],), (wts,)
+        return np.zeros(self.p), self.p + 2, (ends[0],), (ends[1],), (wts,)
 
 
 def cut_function(g: Digraph) -> SetFunction:
@@ -252,16 +252,16 @@ class CoverChain(ClosedStructure):
         weight from each member and one to the sink: a cut pays the weight
         once if the group meets the source side, by the node's arc to the
         sink or by the arcs of its members.  A group of one member is a
-        modular term and folds into m."""
+        modular term: the fold, added to m at each terminal arc."""
         members, starts, sizes, wts = self.part
         multi = sizes > 1
         single = ~multi
-        m = self.m + np.bincount(members[starts[single]], wts[single], minlength=self.p)
+        fold = np.bincount(members[starts[single]], wts[single], minlength=self.p)
         tails = members[np.repeat(multi, sizes)]
         sizes, wts = sizes[multi], wts[multi]
         sink = self.p + 1
         nodes = np.arange(sink + 1, sink + 1 + sizes.shape[0])
-        return (m, sink + 1 + sizes.shape[0], (tails, nodes),
+        return (fold, sink + 1 + sizes.shape[0], (tails, nodes),
                 (np.repeat(nodes, sizes), np.full(sizes.shape[0], sink)),
                 (np.repeat(wts, sizes), wts))
 
@@ -331,7 +331,8 @@ def flow_function(net: FlowNetwork) -> SetFunction:
         label[sinks[elements_of(mask)]] = n + 1
         t, h = label[tails], label[heads]
         keep = t != h
-        return _maxflow.max_flow(n + 2, t[keep], h[keep], caps[keep], n, n + 1).value
+        network = _maxflow.residual_network(n + 2, t[keep], h[keep], caps[keep])
+        return _maxflow.max_flow(*network, n, n + 1).value
 
     return SetFunction(p, fn, memoize=True)
 

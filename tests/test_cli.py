@@ -551,6 +551,28 @@ def test_overflowing_values_exit_2_with_one_line(capfd, tmp_path, spec, argv, me
     assert run_quietly(capfd, tmp_path, spec, *argv) == (2, "", f"error: {message}\n", [])
 
 
+@pytest.mark.parametrize("algo, message", [
+    ("minnorm", "the iterate overflows at major cycle 0"),
+    ("decomposition", "F(V) = inf of a reduced problem is not finite"),
+    ("homotopy", "the iterate overflows at major cycle 0"),
+])
+def test_overflowing_flow_prox_exits_2(capfd, tmp_path, algo, message):
+    # F(V) = F({1, 2}) = 2e308: the decomposition's equalized start read it
+    # and exited 1, refusing the shift as a bad input to add_modular
+    assert run_quietly(capfd, tmp_path, _FLOW_1E308, "prox", "--algo", algo) == (
+        2, "", f"error: {message}\n", [])
+
+
+@pytest.mark.parametrize("algo", ["decomposition", "homotopy"])
+def test_overflowing_cut_prox_by_max_flow(capfd, tmp_path, algo):
+    # F(V) = 0 and every terminal capacity is 0: no value or capacity that
+    # the recursive routes read overflows, though F({0}) does
+    code, out, err, caught = run_quietly(capfd, tmp_path, _CUT_1E308, "prox",
+                                         "--algo", algo)
+    assert (code, err, caught) == (0, "", [])
+    assert json.loads(out)["results"] == {"s": [0.0] * 3, "u": [0.0] * 3}
+
+
 def test_overflowing_cut_minimizes_by_max_flow(capfd, tmp_path):
     # the max-flow reads no overflowing value: F(V) = 0 is the minimum
     code, out, err, caught = run_quietly(capfd, tmp_path, _CUT_1E308, "minimize")

@@ -15,7 +15,7 @@ def max_flow(n, arcs, s, t):
     tails = np.array([u for u, _, _ in arcs], dtype=np.int64)
     heads = np.array([v for _, v, _ in arcs], dtype=np.int64)
     caps = np.array([c for _, _, c in arcs], dtype=np.float64)
-    return _maxflow.max_flow(n, tails, heads, caps, s, t)
+    return _maxflow.max_flow(*_maxflow.residual_network(n, tails, heads, caps), s, t)
 
 
 @pytest.mark.parametrize("n, arcs, s, t", [
@@ -65,9 +65,9 @@ def test_saturation_threshold_scales_with_the_network():
 
 def test_rejects_mismatched_arrays():
     with pytest.raises(ValueError, match="one length"):
-        _maxflow.max_flow(2, np.array([0]), np.array([1, 1]), np.array([1.0]), 0, 1)
+        _maxflow.residual_network(2, np.array([0]), np.array([1, 1]), np.array([1.0]))
     with pytest.raises(TypeError, match="integers"):
-        _maxflow.max_flow(2, np.array([0.5]), np.array([1]), np.array([1.0]), 0, 1)
+        _maxflow.residual_network(2, np.array([0.5]), np.array([1]), np.array([1.0]))
 
 
 @st.composite

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import submodopt as so
-from submodopt import prox, transforms
+from submodopt import _maxflow, prox, transforms
+from submodopt.core import _NetworkMinor
 from submodopt.errors import (NoConvergence, NumericalInconsistency,
                               RecursionOverflow, Unbounded)
 from submodopt.prox import SeparableConvex, solve_increasing
@@ -422,14 +423,15 @@ def test_homotopy_never_minimizes_the_same_shifted_function_twice(kind, monkeypa
     a = dyadic(rng, 0.5, 2.0, size=p)
     z = dyadic(rng, -4.0, 4.0, size=p)
     b = dyadic(rng, 0.25, 1.0, size=p)
+    # each SFM is the minimization of a minor plus the shift psi'(alpha)
     shifts = []
-    original = transforms.add_modular
+    original = _NetworkMinor.minimize
 
     def recording(G, s):
         shifts.append((G, np.asarray(s, dtype=np.float64).tobytes()))
         return original(G, s)
 
-    monkeypatch.setattr(transforms, "add_modular", recording)
+    monkeypatch.setattr(_NetworkMinor, "minimize", recording)
     for psi in (so.Quadratic(a, z),
                 SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)):
         shifts.clear()
@@ -452,13 +454,9 @@ def test_homotopy_confirms_each_modular_peel_with_its_first_sfm(monkeypatch):
     z = dyadic(rng, -1.0, 1.0, size=p)
     b = dyadic(rng, 0.25, 1.0, size=p)
     calls = []
-    original = transforms.add_modular
-
-    def recording(G, s):
-        calls.append(G)
-        return original(G, s)
-
-    monkeypatch.setattr(transforms, "add_modular", recording)
+    original = _maxflow.max_flow
+    monkeypatch.setattr(_maxflow, "max_flow",
+                        lambda *args: calls.append(1) or original(*args))
     for psi in (so.Quadratic(a, z),
                 SeparableConvex(p, deriv=lambda w: a * (w - z) + b * (w - z) ** 3)):
         calls.clear()
@@ -537,18 +535,18 @@ def test_decomposition_leaves_of_one_element_run_no_sfm(monkeypatch):
     z = dyadic(rng, -1.0, 1.0, size=p)
     b = dyadic(rng, 0.25, 1.0, size=p)
     sfm_sizes, starts = [], []
-    minimize, start = prox.minimize, prox._equalized_start
+    minimize, start = _NetworkMinor.minimize, prox._equalized_start
 
-    def counting_minimize(G, **kwargs):
-        sfm_sizes.append(G.p)
-        return minimize(G, **kwargs)
+    def counting_minimize(G, shift):
+        sfm_sizes.append(G.live.shape[0])
+        return minimize(G, shift)
 
     def recording_start(fv, psi, idx):
         t = start(fv, psi, idx)
         starts.append((idx.copy(), t.copy()))
         return t
 
-    monkeypatch.setattr(prox, "minimize", counting_minimize)
+    monkeypatch.setattr(_NetworkMinor, "minimize", counting_minimize)
     monkeypatch.setattr(prox, "_equalized_start", recording_start)
     F1 = so.modular_function(m[:1])
     for psi in _quadratic_and_cubic(a[:1], z[:1], b[:1]):
@@ -779,3 +777,43 @@ def test_default_backend_gives_the_min_norm_answers(monkeypatch, kind, p):
         del flows[:]
         assert np.array_equal(got, route(so.scale(F, 1.0), psi))
         assert not flows
+
+
+@pytest.mark.parametrize("kind", ["cut", "cover", "modular"])
+def test_recursive_routes_lay_out_one_network_and_search_once_per_sfm(kind, monkeypatch):
+    # the root's network is laid out once per call; every SFM writes its
+    # terminal capacities into a copy and runs one search, and no SFM goes
+    # through the transforms
+    rng = np.random.default_rng(23)
+    p = 12
+    base = {"cut": lambda: so.cut_function(dyadic_digraph(rng, p)),
+            "cover": lambda: so.cover_function(dyadic_cover(rng, p)),
+            "modular": lambda: so.modular_function(np.zeros(p))}[kind]()
+    F = so.add_modular(base, dyadic(rng, -1.0, 1.0, size=p))
+    a = dyadic(rng, 0.5, 4.0, size=p)
+    z = dyadic(rng, -2.0, 2.0, size=p)
+    b = dyadic(rng, 0.25, 1.0, size=p)
+    counts = {"layout": 0, "search": 0, "sfm": 0, "transform": 0}
+
+    def counting(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(_maxflow, "residual_network",
+                        counting("layout", _maxflow.residual_network))
+    monkeypatch.setattr(_maxflow, "max_flow", counting("search", _maxflow.max_flow))
+    monkeypatch.setattr(_NetworkMinor, "minimize", counting("sfm", _NetworkMinor.minimize))
+    for name in ("restrict", "contract", "add_modular"):
+        monkeypatch.setattr(transforms, name, counting("transform", getattr(transforms, name)))
+    for route, psi in ((so.prox_decomposition, so.Quadratic(a, z)),
+                       (so.prox_homotopy, so.Quadratic(a, z)),
+                       (so.prox_decomposition, _quadratic_and_cubic(a, z, b)[1]),
+                       (so.prox_homotopy, _quadratic_and_cubic(a, z, b)[1])):
+        for key in counts:
+            counts[key] = 0
+        route(F, psi)
+        assert counts["layout"] == 1
+        assert counts["search"] == counts["sfm"] > 1
+        assert counts["transform"] == 0

@@ -236,3 +236,54 @@ def test_reductions_reject_masks_outside_the_ground_set(build):
     for reduce in (transforms.restrict, transforms.contract):
         with pytest.raises(ValueError, match="out of range"):
             reduce(build(), 0b1001)
+
+
+def _local_mask(mask, live):
+    return sum(1 << i for i, k in enumerate(live) if (mask >> k) & 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
+       depth=st.integers(0, 4),
+       family=st.sampled_from(["cut", "cover", "modular"]))
+def test_network_minors_match_the_transform_stack(data, p, seed, depth, family):
+    # every minor of the root network, under random nested restrictions and
+    # contractions, has the values, the singletons and, plus any shift, the
+    # minimum and both lattice extremes of the restrict / contract stack
+    # that transforms build, bit for bit on dyadic data
+    rng = np.random.default_rng(seed)
+    if family == "cut":
+        F = so.add_modular(so.cut_function(dyadic_digraph(rng, p, density=0.4)),
+                           dyadic(rng, -1.0, 1.0, size=p))
+    elif family == "modular":
+        F = so.modular_function(dyadic(rng, -1.0, 1.0, size=p))
+    else:
+        F = so.add_modular(so.cover_function(dyadic_cover(rng, p)),
+                           dyadic(rng, -1.0, 1.0, size=p))
+    G, H = F.chainer.network(), F
+    for level in range(depth + 1):
+        live = G.live.tolist()
+        assert live == sorted(live) and len(live) == H.p
+        assert G.full == so.subset_of(live)
+        assert_bitwise_equal(G.singletons(), H.singletons())
+        shift = dyadic(rng, -2.0, 2.0, size=H.p)
+        shifted = transforms.add_modular(H, shift)
+        for mask in data.draw(st.lists(st.integers(0, G.full), max_size=4)) + [G.full]:
+            mask &= G.full
+            local = _local_mask(mask, live)
+            assert_bitwise_equal(G.value(mask), H(local))
+            assert_bitwise_equal(G.value(mask, shift), shifted(local))
+        best = so.brute_minimize(shifted)
+        amin, omin = G.minimize(shift)
+        assert (_local_mask(amin, live), _local_mask(omin, live)) == (
+            best.minimal_minimizer, best.maximal_minimizer)
+        assert_bitwise_equal(G.value(amin, shift), best.min_value)
+        if level == depth or H.p == 1:
+            break
+        A = data.draw(st.integers(1, G.full - 1).filter(lambda m: m & G.full))
+        A &= G.full
+        local = _local_mask(A, live)
+        if data.draw(st.booleans()):
+            G, H = G.restrict(A), transforms.restrict(H, local)
+        else:
+            G, H = G.contract(A), transforms.contract(H, local)
