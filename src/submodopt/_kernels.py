@@ -9,9 +9,12 @@ The per-element kernels read the table through views: reshaped to
 ``(-1, 2, 2**k)``, axis 1 splits the masks without element k from those
 with it, so ``v[:, 0, :]`` and ``v[:, 1, :]`` pair each A with A + k
 without any index arrays.  The second-order check forms each element's
-first differences once over such a view and compares them pairwise:
-p * 2**(p-1) subtractions and p * (p-1) * 2**(p-2) comparisons.
-Violation witnesses are always the lexicographically smallest ones.
+first differences once over such a view, at most p * 2**(p-1)
+subtractions, and compares each pair of elements once, on a screen whose
+margin covers the rounding of both orientations of the pair: on a table
+where no pair is flagged, p * (p-1) / 2 * 2**(p-2) comparisons.  Only a
+flagged pair gets the exact test of both orientations.  Violation
+witnesses are always the lexicographically smallest ones.
 
 Rotated layout.  numpy runs such a view row by row, and a row is 2**k
 entries: for small k it is too short to be fast.  At p = 18 one comparison
@@ -25,8 +28,8 @@ least 2**(b - r) long.  A rotation costs one blocked transpose, about
 to 0.24 ms each at that size:
 
 * the second-order check compares the high bits of each D_k in place and
-  its low (p-1) // 2 bits on a rotated copy, in two 2**(p-1) buffers
-  reused for every k;
+  its low (p-1) // 2 bits on a rotated copy, made only for a k with a
+  pass left at those bits, in two 2**(p-1) buffers reused for every k;
 * the monotone check compares the low p // 2 elements on a rotated copy
   of the table;
 * the Moebius and zeta transforms run their low passes on a rotated copy
@@ -106,42 +109,105 @@ def _first_true(bad, low):
     return i
 
 
+def _drop_bits(a, lo, hi):
+    """Mask a with its bits lo < hi removed: the inverse of _insert_zero_bits."""
+    for b in (hi, lo):
+        a = (a >> (b + 1)) << b | (a & ((1 << b) - 1))
+    return a
+
+
 def second_order_check(table, p, tol):
     """F(A + k) - F(A) >= F(A + j + k) - F(A + j) - tol for all A, j != k not in A.
 
     Returns ``(True, -1, -1, -1, 0.0, 0.0)`` or ``(False, A, j, k, lhs, rhs)``
-    for the smallest violating (A, j, k).  Both sides are first differences
-    of k, lhs = D_k[A] and rhs = D_k[A + j] with D_k[A] = F(A + k) - F(A),
-    so each D_k is formed once over the 2**(p-1) masks without k and every
-    j only compares its two halves: p * 2**(p-1) subtractions and
-    p * (p-1) * 2**(p-2) comparisons in all.  The orientations (j, k) and
-    (k, j) read different differences, whose rounding differs.
+    for the smallest violating (A, j, k), bit-identical to the plain loop
+    over (A, j, k).  Both sides are first differences of k, lhs = D_k[A]
+    and rhs = D_k[A + j] with D_k[A] = F(A + k) - F(A), and (j, k) is
+    violated where lhs < rhs - tol.  On paper (j, k) and (k, j) are one
+    inequality, F(A + j) + F(A + k) < F(A) + F(A + j + k) - tol, but they
+    read different differences, whose rounding differs: near 2**53 only
+    one of them may show the violation.
+
+    Screen.  Each pair k < j is compared once, on D_k at j's bit, against
+    D_k - c with c = tol - m for a margin m >= 0: p * (p-1) / 2 passes of
+    2**(p-2) comparisons.  A pair that the screen flags at some A gets the
+    exact test of both orientations, (j, k) on D_k - tol right away and
+    (k, j) on D_j - tol when the loop reaches j; so D_{p-1} is formed only
+    for such a re-check.  Once a witness with mask a* is known, an in-place
+    pass reads only the rows whose masks are at most a*.
+
+    Margin.  Let u = 2**-53, M = max |F| and m = fl(32u *
+    max(fl(M + tol), 2**-1022)).  If M + tol < 2**1021, the screen flags
+    every A at which either orientation is violated; otherwise, and for a
+    table holding an inf or a nan, every pair is flagged.  Below that
+    bound nothing overflows, and every rounded subtraction is
+    fl(x - y) = (x - y)(1 + d) with |d| <= u, subnormal results included.
+    For (j, k) it is immediate: c <= tol, so D_k[A+j] - c rounds to at
+    least D_k[A+j] - tol.  For (k, j) let S = F(A + j) + F(A + k) - F(A)
+    - F(A + j + k) + tol, exactly.  A difference of two values of F is
+    within 2uM of its exact value and at most 2M in size, so subtracting
+    tol from it errs by at most u(2M + tol), and subtracting c by at most
+    u(2M + tol + m), as |c| <= max(tol, m).  A violation of (k, j),
+    fl(D_j[A]) < fl(D_j[A+k] - tol), then gives S < 6uM + u tol, while an
+    A left unflagged, fl(D_k[A]) >= fl(D_k[A+j] - c), gives
+    S >= (tol - c) - 6uM - u(tol + m) >= (1 - 2u) m - 6uM - 2u tol, since
+    c = fl(tol - m) <= tol - m + u(tol + m).  The product in m is exact
+    unless it falls below 2**-1022, and then errs by at most
+    2**-1075 <= u max(fl(M + tol), 2**-1022), so
+    m >= 31u (1 - u)(M + tol) and (1 - 2u) m >= 12uM + 3u tol: the two
+    bounds on S contradict each other.
 
     The high bits of D_k are compared in place and its low r = (p-1) // 2
-    bits on a rotated copy that moves them to the top, so no comparison
-    reads rows shorter than 2**r.  Two 2**(p-1) float buffers serve every
-    k: D_k and D_k - tol, then the rotated pair.
+    bits on a rotated copy that moves them to the top, made only when a
+    pass is left at those bits, so no comparison reads rows shorter than
+    2**r.  Two 2**(p-1) float buffers serve every k: D_k and its screen or
+    exact thresholds, then the rotated pair.
     """
     half = table.shape[0] >> 1
     d, e = np.empty(half), np.empty(half)
     bad = np.empty(half >> 1, dtype=bool)
     r = (p - 1) // 2
+    big = max(float(table.max()), -float(table.min()))
+    screen = big + tol < 2.0 ** 1021  # false for inf and nan
+    c = tol - max(big + tol, 2.0 ** -1022) * 2.0 ** -48  # tol - m, 2**-48 = 32u
+    recheck = [[] for _ in range(p)]  # recheck[j]: bits k < j of D_j to test exactly
     best = None
+
+    def first(lhs, thr, jj, rotated):
+        # first i with lhs < thr at bit jj, i indexing the masks without j and k
+        w = 1 << (jj + p - 1 - r if rotated else jj)
+        rows = (half >> 1) // w
+        if best is not None and not rotated:  # only masks up to best's A matter
+            rows = min(rows, (_drop_bits(best[0], *sorted((jj + (jj >= k), k))) >> jj) + 1)
+        np.less(lhs.reshape(-1, 2, w)[:rows, 0, :], thr.reshape(-1, 2, w)[:rows, 1, :],
+                out=bad.reshape(-1, w)[:rows])
+        return _first_true(bad[:rows * w], r - 1 if rotated else 0)
+
     for k in range(p):
+        screened = range(k, p - 1)  # the bits of D_k that hold the elements j > k
+        if not screened and not recheck[k]:
+            continue
         v = table.reshape(-1, 2, 1 << k)
         np.subtract(v[:, 1, :], v[:, 0, :], out=d.reshape(-1, 1 << k))
-        np.subtract(d, tol, out=e)
-        lhs, rhs_tol = d, e
         for rotated in (False, True):
+            f = [jj for jj in screened if (jj < r) == rotated]
+            x = [jj for jj in recheck[k] if (jj < r) == rotated]
+            if not f and not x:
+                continue
             if rotated:
                 _rotate(d, r, out=e)
-                np.subtract(e, tol, out=d)
-                lhs, rhs_tol = e, d
-            for jj in range(r) if rotated else range(r, p - 1):
-                w = 1 << (jj + p - 1 - r if rotated else jj)
-                np.less(lhs.reshape(-1, 2, w)[:, 0, :],
-                        rhs_tol.reshape(-1, 2, w)[:, 1, :], out=bad.reshape(-1, w))
-                i = _first_true(bad, r - 1 if rotated else 0)
+            lhs, thr = (e, d) if rotated else (d, e)
+            if f and screen:
+                np.subtract(lhs, c, out=thr)
+            for jj in f:
+                if not screen or first(lhs, thr, jj, rotated) >= 0:
+                    x.append(jj)
+                    recheck[jj + 1].append(k)
+            if not x:
+                continue
+            np.subtract(lhs, tol, out=thr)
+            for jj in x:
+                i = first(lhs, thr, jj, rotated)
                 if i < 0:
                     continue
                 j = jj + (jj >= k)  # element of bit jj of D_k

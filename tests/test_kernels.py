@@ -324,3 +324,72 @@ def test_both_orientations_at_low_and_high_bits():
         assert K.second_order_check(table, p, 1e-9) == (False, 0, hi, lo, 1.0, 2.0)
         assert (bits(K.second_order_check(table, p, 1e-9))
                 == bits(second_order_check_ref(table, p, 1e-9)))
+
+
+def _count_passes(monkeypatch):
+    """Count the comparison passes of the kernels: one _first_true each."""
+    calls = []
+
+    def counting(bad, low, first=K._first_true):
+        calls.append(bad.shape[0])
+        return first(bad, low)
+
+    monkeypatch.setattr(K, "_first_true", counting)
+    return calls
+
+
+def test_second_order_compares_each_pair_once(monkeypatch):
+    # a concave table and a dyadic cover table are submodular with second
+    # differences of -1/2 and of 0 or less: no pair comes near the screen's
+    # margin at tol 1e-9, so each pair of elements is one pass
+    p = 12
+    cover = zoo.cover_function(dyadic_cover(np.random.default_rng(7), p)).tabulate()
+    for table in (_concave_table(p), cover):
+        calls = _count_passes(monkeypatch)
+        assert K.second_order_check(table, p, 1e-9) == (True, -1, -1, -1, 0.0, 0.0)
+        assert len(calls) == p * (p - 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planted(), e=st.sampled_from([30, 53, 60, 1000]))
+def test_second_order_margin_on_scaled_plants(case, e):
+    # scaling F and tol by 2**e scales every difference exactly, so the
+    # witness stays and its sides scale, unless a value overflows; at
+    # e = 1000 the 2**53 plants do, and every pair goes to the exact tests
+    p, table, tol, _ = case
+    scale = 2.0 ** e
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = table * scale
+        got = K.second_order_check(scaled, p, tol * scale)
+        assert bits(got) == bits(second_order_check_ref(scaled, p, tol * scale))
+    if np.isfinite(scaled).all():
+        plain = K.second_order_check(table, p, tol)
+        assert got == plain[:4] + (plain[4] * scale, plain[5] * scale)
+
+
+def test_second_order_margin_at_zero_tolerance(monkeypatch):
+    # a dyadic cover's second differences are 0 or positive, exactly; at
+    # tol 0 every zero sits inside the margin, so its pair is flagged and
+    # both orientations are re-checked exactly, and none is a violation
+    rng = np.random.default_rng(8)
+    for p in (3, 5, 8, 10):
+        table = zoo.cover_function(dyadic_cover(rng, p)).tabulate()
+        calls = _count_passes(monkeypatch)
+        got = K.second_order_check(table, p, 0.0)
+        assert got == (True, -1, -1, -1, 0.0, 0.0)
+        assert bits(got) == bits(second_order_check_ref(table, p, 0.0))
+        assert len(calls) > p * (p - 1) // 2
+
+
+def test_second_order_on_overflowing_differences():
+    # differences of +-1.5e308 overflow to +-inf, and inf - inf is nan: the
+    # screen's margin bounds no rounding there, so every pair is tested
+    # exactly in both orientations, as the plain loop does
+    rng = np.random.default_rng(9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in (2, 3, 4):
+            for _ in range(20):
+                table = rng.choice([-1.5e308, -1.0, 0.0, 2.0, 1.5e308], size=1 << p)
+                for tol in (0.0, 1e-9, 1e308):
+                    assert (bits(K.second_order_check(table, p, tol))
+                            == bits(second_order_check_ref(table, p, tol)))
