@@ -109,9 +109,16 @@ def _first_true(bad, low):
     return i
 
 
-def _drop_bits(a, lo, hi):
-    """Mask a with its bits lo < hi removed: the inverse of _insert_zero_bits."""
+def _rank_at_most(a, lo, hi):
+    """Flat index of the largest mask <= a without bits lo < hi.
+
+    The inverse of _insert_zero_bits on masks without those bits, which it
+    maps in ascending order; a mask a with one of the bits set is first
+    lowered to the largest mask below it without that bit.
+    """
     for b in (hi, lo):
+        if a >> b & 1:
+            a = (a | ((1 << b) - 1)) ^ (1 << b)
         a = (a >> (b + 1)) << b | (a & ((1 << b) - 1))
     return a
 
@@ -134,7 +141,8 @@ def second_order_check(table, p, tol):
     exact test of both orientations, (j, k) on D_k - tol right away and
     (k, j) on D_j - tol when the loop reaches j; so D_{p-1} is formed only
     for such a re-check.  Once a witness with mask a* is known, an in-place
-    pass reads only the rows whose masks are at most a*.
+    pass reads only the rows up to that of the largest mask <= a* without
+    the pass's j and k: the rows that hold every mask <= a*.
 
     Margin.  Let u = 2**-53, M = max |F| and m = fl(32u *
     max(fl(M + tol), 2**-1022)).  If M + tol < 2**1021, the screen flags
@@ -178,7 +186,7 @@ def second_order_check(table, p, tol):
         w = 1 << (jj + p - 1 - r if rotated else jj)
         rows = (half >> 1) // w
         if best is not None and not rotated:  # only masks up to best's A matter
-            rows = min(rows, (_drop_bits(best[0], *sorted((jj + (jj >= k), k))) >> jj) + 1)
+            rows = min(rows, (_rank_at_most(best[0], *sorted((jj + (jj >= k), k))) >> jj) + 1)
         np.less(lhs.reshape(-1, 2, w)[:rows, 0, :], thr.reshape(-1, 2, w)[:rows, 1, :],
                 out=bad.reshape(-1, w)[:rows])
         return _first_true(bad[:rows * w], r - 1 if rotated else 0)

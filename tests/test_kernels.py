@@ -326,6 +326,39 @@ def test_both_orientations_at_low_and_high_bits():
                 == bits(second_order_check_ref(table, p, 1e-9)))
 
 
+def test_second_order_cut_off_keeps_a_smaller_witness_of_a_recheck():
+    # element 1 adds 2**53 and is null otherwise; raising F({1, 2, 3}) by 1
+    # violates (j, k) = (1, 3) at A = {2} = 4, which only D_3 shows: in
+    # D_1 the raise rounds away (2**53 + 1 -> 2**53).  The screen of D_1
+    # flags the pair, and by the time its re-check runs at k = 3 the
+    # witness (8, 1, 2) is known; the cut-off must still read A = 4's row
+    big = 2.0 ** 53
+    table = np.array([0, -2, big, big - 2, -2, -8, big - 2, big - 8,
+                      -2, -8, big - 2, big - 8, -8, -18, big - 7, big - 18])
+    got = K.second_order_check(table, 4, 0.0)
+    assert got == (False, 4, 1, 3, -6.0, -5.0)
+    assert bits(got) == bits(second_order_check_ref(table, 4, 0.0))
+
+
+def test_second_order_cut_off_on_raised_heavy_tables():
+    # the same build at p = 3..11: a concave g over the elements other
+    # than a heavy element e, which adds 2**53, and F raised by 1 at a few
+    # sets holding e, so that witnesses come from screens and re-checks in
+    # any order, on rotated and in-place passes
+    rng = np.random.default_rng(10)
+    for _ in range(150):
+        p = int(rng.integers(3, 12))
+        masks = np.arange(1 << p)
+        e = int(rng.integers(p))
+        g = np.concatenate(([0.0], np.cumsum(64.0 - 2 * np.arange(p))))
+        table = g[[bin(m & ~(1 << e)).count("1") for m in masks]] - 2.0 ** 53
+        table[rng.choice(masks[masks >> e & 1 == 1], int(rng.integers(1, 4)))] += 1.0
+        table += 2.0 ** 53 * (masks >> e & 1)
+        for tol in (0.0, 0.5):
+            assert (bits(K.second_order_check(table, p, tol))
+                    == bits(second_order_check_ref(table, p, tol)))
+
+
 def _count_passes(monkeypatch):
     """Count the comparison passes of the kernels: one _first_true each."""
     calls = []
