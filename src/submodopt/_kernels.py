@@ -34,7 +34,8 @@ to 0.24 ms each at that size:
   of the table;
 * the Moebius and zeta transforms run their low passes on a rotated copy
   and rotate it back for the high ones, in the plain ascending order, so
-  every rounding is unchanged.
+  every rounding is unchanged; the cover table runs the same passes, each
+  kept to the block of its entries' highest bit.
 
 A violation found on a rotated copy is mapped back to the unrotated order
 (:func:`_first_true`) before the smallest witness is taken, so every
@@ -319,9 +320,12 @@ def is_lattice(masks, flags):
     return True
 
 
-def _bit_passes(x, op):
+def _bit_passes(x, op, within=False):
     """x[A + k] = op(x[A + k], x[A]) for each bit k in ascending order, on a
     copy of x: the Moebius (np.subtract) and zeta (np.add) transforms.
+
+    With ``within``, the pass of bit k skips every A below 2**k, so each
+    block [2**j, 2**(j+1)) is transformed over its own j low bits alone.
 
     The low half of the bits runs on a rotated copy, where each pass reads
     rows of at least 2**(b - b // 2) entries; the copy is rotated back for
@@ -334,8 +338,14 @@ def _bit_passes(x, op):
     for k in range(b):
         if k == r:
             y = _rotate(y, b - r)
-        v = y.reshape(-1, 2, 1 << (k + b - r if k < r else k))
-        op(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+        # axes: the bits above k, bit k, the bits below k, and on the
+        # rotated copy the b - r high bits, which sit lowest there
+        v = y.reshape(-1, 2, 1 << k, 1 << (b - r) if k < r else 1)
+        if within:  # the A below 2**k: row 0 at high bits 0, the last
+            # axis's first entry, which is all of row 0 once rotated back
+            op(v[0, 1, :, 1:], v[0, 0, :, 1:], out=v[0, 1, :, 1:])
+            v = v[1:]
+        op(v[:, 1], v[:, 0], out=v[:, 1])
     return y
 
 
@@ -378,12 +388,20 @@ def cut_table(tails, heads, wts, p):
 def cover_table(masks, wts, p):
     """Table of the weighted cover A -> weight of the groups meeting A.
 
-    That is the total weight minus the weight of the groups inside V - A;
-    the latter is the zeta transform of the group weights D at V - A.
+    Bit doubling, as in :func:`cut_table`: for A inside K = {0..k-1},
+    adding k gains the groups that hold k and miss A, so
+    T[A + k] = T[A] + z_k(K - A), where z_k(S) weighs the groups holding k
+    whose members below k lie in S.  Each z_k is a zeta transform over K;
+    all of them are one array, z_k at [2**k, 2**(k+1)), built by one set
+    of passes that keeps every block to its own bits.  Every entry is a
+    sum of nonnegative weights, so a value next to a huge weight is not
+    lost, as it is in the total minus the weight inside V - A.
     """
-    d = np.zeros(1 << p, dtype=np.float64)
-    np.add.at(d, masks, wts)
-    inside = zeta_transform(d)
-    table = inside[-1] - inside[::-1]  # full ^ m == full - m
+    group, member = np.nonzero((masks[:, np.newaxis] >> np.arange(p)) & 1)
+    below = np.bincount(masks[group] & ((2 << member) - 1), wts[group], minlength=1 << p)
+    z = _bit_passes(below, np.add, within=True)
+    table = np.empty(1 << p, dtype=np.float64)
     table[0] = 0.0
+    for k in range(p):
+        np.add(table[:1 << k], z[1 << k:2 << k][::-1], out=table[1 << k:2 << k])
     return table

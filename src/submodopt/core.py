@@ -159,6 +159,15 @@ def elements_of(mask: int) -> list[int]:
     return out
 
 
+def _submasks(mask: int) -> list[int]:
+    """Every submask of mask by compact index, ascending: bit i of the
+    index is the i-th smallest element of mask."""
+    subs = [0]
+    for k in elements_of(mask):
+        subs += [sub | 1 << k for sub in subs]
+    return subs
+
+
 def level_sets(values, tol: float = 0.0):
     """Lazy (block, prefix_mask) pairs over the level sets of values, ascending.
 
@@ -379,8 +388,10 @@ class ClosedStructure:
 
         The network has the source p and the sink p + 1.  The part adds its
         arcs first (see ``_part_arcs``), and then each element k two
-        terminal arcs, source -> k and k -> sink, both of capacity 0 here:
-        a minimization writes |m_k| plus the fold into one of them.
+        terminal arcs, source -> k and k -> sink, both of capacity 0 here.
+        The fold of the part is added into m once, here, to give the
+        minor's modular vector c; a minimization writes |c_k + d_k| into one
+        of the two arcs.
         """
         fold, n, tails, heads, caps = self._part_arcs()
         p = self.p
@@ -403,7 +414,7 @@ class ClosedStructure:
         adj[p] = []
         adj[p + 1] = [a for a in adj[p + 1] if a < term]
         net = _Network(p, to, cap, adj, term, (tails[:k], heads[:k], caps[:k]))
-        return _NetworkMinor(net, self.m.tolist(), fold.tolist())
+        return _NetworkMinor(net, (self.m + fold).tolist())
 
 
 class _Network:
@@ -412,7 +423,7 @@ class _Network:
     minors update by (built on first use)."""
 
     __slots__ = ("p", "to", "cap", "adj", "term", "_part", "outs", "ins",
-                 "groups_of", "members", "weights")
+                 "groups_of", "weights")
 
     def __init__(self, p, to, cap, adj, term, part):
         self.p, self.to, self.cap, self.adj, self.term = p, to, cap, adj, term
@@ -421,16 +432,14 @@ class _Network:
 
     def incidence(self) -> None:
         """Per element its cut arcs out (head, weight) and in (tail,
-        weight) in arc order, and its groups; per group node its members
-        and its weight."""
+        weight) in arc order, and its groups; per group node its weight."""
         if self.outs is not None:
             return
-        p, n = self.p, len(self.adj)
+        p = self.p
         outs = [[] for _ in range(p)]
         ins = [[] for _ in range(p)]
         groups_of = [[] for _ in range(p)]
-        members = [[] for _ in range(n)]
-        weights = [0.0] * n
+        weights = [0.0] * len(self.adj)
         tails, heads, caps = (a.tolist() for a in self._part)
         for u, v, w in zip(tails, heads, caps):
             if u < p:
@@ -440,11 +449,9 @@ class _Network:
                         ins[v].append((u, w))
                 elif v > p + 1:
                     groups_of[u].append(v)
-                    members[v].append(u)
             elif v == p + 1 and u > p + 1:
                 weights[u] = w
-        self.outs, self.ins, self.groups_of, self.members, self.weights = (
-            outs, ins, groups_of, members, weights)
+        self.outs, self.ins, self.groups_of, self.weights = outs, ins, groups_of, weights
 
 
 class _NetworkMinor:
@@ -453,17 +460,20 @@ class _NetworkMinor:
 
     Sets are bitmasks in the coordinates of F, and ``live`` lists U in
     increasing order.  The elements outside L and U are deleted.  The minor
-    is a cut or a cover on U plus the modular vector c + f, where c folds
-    in the cut arcs between U and the rest and f the groups left with one
-    member in U; a group that meets L is dead, since its weight is in F(L).
+    is a cut or a cover on U plus the modular vector c, which starts as m
+    plus the layout's fold of one-member groups and takes in the cut arcs
+    between U and the rest.  A group node stays live while it misses L,
+    however few of its members are live: its arcs from deleted members are
+    never searched, so it costs its weight once when it meets the taken
+    set.  A group that meets L is dead, since its weight is in F(L).
     ``restrict`` (delete the live elements outside a set) and ``contract``
-    (move a set into L) return a new minor and update c, f and the dead
+    (move a set into L) return a new minor and update c and the dead
     group nodes by a loop over the arcs of the moved elements.
 
     :meth:`minimize` solves the minor plus a modular shift d by one
     :func:`_maxflow.max_flow`: it copies the capacities of F's network,
-    writes (c_k + d_k) + f_k as the terminal arc of each live k, source ->
-    k of capacity minus it if it is negative, else k -> sink, and searches
+    writes c_k + d_k as the terminal arc of each live k, source -> k of
+    capacity minus it if it is negative, else k -> sink, and searches
     adjacency lists that keep only the arcs between live nodes.  A cut with
     A on the source side costs F(L | A) - F(L) + d(A) minus the sum of the
     negative terminal values; each capacity is one weight or one terminal
@@ -472,18 +482,16 @@ class _NetworkMinor:
     minor above it that searched, once per minor.
     """
 
-    __slots__ = ("live", "full", "_net", "_elems", "_c", "_f", "_alive", "_count",
-                 "_adj", "_base")
+    __slots__ = ("live", "full", "_net", "_elems", "_c", "_alive", "_adj", "_base")
 
-    def __init__(self, net: _Network, c: list, f: list):
+    def __init__(self, net: _Network, c: list):
         p = net.p
         self._net = net
         self._elems = list(range(p))
         self.live = _BITS[:p].copy()
         self.full = (1 << p) - 1
-        self._c, self._f = c, f
+        self._c = c
         self._alive = [True] * len(net.adj)
-        self._count = None
         self._adj = self._base = net.adj
 
     def value(self, mask: int, shift: Optional[np.ndarray] = None) -> float:
@@ -491,15 +499,14 @@ class _NetworkMinor:
         (d lists one entry per live element)."""
         net = self._net
         net.incidence()
-        c, f, alive, outs, groups_of, weights = (
-            self._c, self._f, self._alive, net.outs, net.groups_of, net.weights)
+        c, alive, outs, groups_of, weights = (
+            self._c, self._alive, net.outs, net.groups_of, net.weights)
         shift = [0.0] * len(self._elems) if shift is None else shift.tolist()
         modular = part = 0.0
         met = set()
         for k, d in zip(self._elems, shift):
             if mask >> k & 1:
                 modular += c[k] + d
-                part += f[k]
                 for v, w in outs[k]:
                     if alive[v] and not mask >> v & 1:
                         part += w
@@ -513,11 +520,11 @@ class _NetworkMinor:
         """The minor at {k} for every live k, in the order of ``live``."""
         net = self._net
         net.incidence()
-        c, f, alive, outs, groups_of, weights = (
-            self._c, self._f, self._alive, net.outs, net.groups_of, net.weights)
+        c, alive, outs, groups_of, weights = (
+            self._c, self._alive, net.outs, net.groups_of, net.weights)
         values = []
         for k in self._elems:
-            part = f[k]
+            part = 0.0
             for v, w in outs[k]:
                 if alive[v]:
                     part += w
@@ -538,9 +545,9 @@ class _NetworkMinor:
         cap = net.cap[:]
         adj = self._adjacency()[:]
         out, into = [], adj[p + 1][:]
-        c, f = self._c, self._f
+        c = self._c
         for k, d in zip(self._elems, shift.tolist()):
-            v = (c[k] + d) + f[k]
+            v = c[k] + d
             a = net.term + 4 * k
             if 0.0 < v < _INF:
                 cap[a + 2] = v
@@ -577,9 +584,7 @@ class _NetworkMinor:
         child._elems = [k for k in self._elems if keep >> k & 1]
         child.live = np.array(child._elems, dtype=np.int64)
         child.full = keep & self.full
-        child._c, child._f, child._alive = self._c[:], self._f[:], self._alive[:]
-        child._count = ([len(m) for m in net.members] if self._count is None
-                        else self._count[:])
+        child._c, child._alive = self._c[:], self._alive[:]
         child._adj = None
         child._base = self._base if self._adj is None else self._adj
         return child
@@ -588,27 +593,17 @@ class _NetworkMinor:
         """The minor on the live elements in ``mask``; the others are deleted.
 
         A cut arc from a kept element k into a deleted one is cut whenever
-        k is taken, so its weight moves into c_k.  A group left with one
-        member k moves its weight into f_k and its node dies.
+        k is taken, so its weight moves into c_k.
         """
         child = self._child(mask)
-        net = self._net
-        c, f, alive, count = child._c, child._f, child._alive, child._count
+        c, alive, ins = child._c, child._alive, self._net.ins
         gone = [k for k in self._elems if not mask >> k & 1]
         for k in gone:
             alive[k] = False
         for k in gone:
-            for u, w in net.ins[k]:
+            for u, w in ins[k]:
                 if alive[u]:
                     c[u] += w
-            for g in net.groups_of[k]:
-                if alive[g]:
-                    count[g] -= 1
-                    if count[g] == 1:
-                        alive[g] = False
-                        for u in net.members[g]:
-                            if alive[u]:
-                                f[u] += net.weights[g]
         return child
 
     def contract(self, mask: int) -> "_NetworkMinor":
@@ -680,28 +675,6 @@ class ExplicitFunction(SetFunction):
 
 def explicit_function(values) -> ExplicitFunction:
     return ExplicitFunction(values)
-
-
-class ModularSums:
-    """Lazy subset sums: ``sums[mask]`` is s(mask) for p up to 63.
-
-    One table of at most 256 partial sums per byte of the mask, so a query
-    costs p/8 lookups and memory stays at 2**11 floats where the dense
-    table would need 8 * 2**p bytes.
-    """
-
-    __slots__ = ("_bytes",)
-
-    def __init__(self, s: np.ndarray):
-        self._bytes = [_kernels.subset_sums(s[i:i + 8]).tolist()
-                       for i in range(0, s.shape[0], 8)]
-
-    def __getitem__(self, mask: int) -> float:
-        total = 0.0
-        for part in self._bytes:
-            total += part[mask & 255]
-            mask >>= 8
-        return total
 
 
 def modular_function(s) -> SetFunction:

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, check_cap,
-                   check_finite, check_indices, check_tolerance, check_vector,
-                   elements_of, level_sets, to_explicit)
+from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, _submasks,
+                   check_cap, check_finite, check_indices, check_tolerance,
+                   check_vector, elements_of, level_sets, to_explicit)
 from .errors import NumericalInconsistency
 from .lovasz import conjugate
 
@@ -161,16 +161,6 @@ def is_P_plus_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     return True
 
 
-def _proper_submasks(mask: int):
-    """Nonempty proper submasks of a bitmask, ascending."""
-    sub = (mask - 1) & mask
-    seen = []
-    while sub:
-        seen.append(sub)
-        sub = (sub - 1) & mask
-    return sorted(seen)
-
-
 def separable_witness(F: SetFunction, A: int, tol: float = DEFAULT_TOL,
                       cap: int = EXHAUSTIVE_CAP) -> Optional[int]:
     """A nonempty proper part B of A with F(A) = F(B) + F(A - B), if any.
@@ -182,7 +172,7 @@ def separable_witness(F: SetFunction, A: int, tol: float = DEFAULT_TOL,
         raise ValueError("separability is defined for nonempty sets")
     check_cap(int(A).bit_count(), cap)
     fa = F(A)
-    for b in _proper_submasks(A):
+    for b in _submasks(A)[1:-1]:
         if abs(F(b) + F(A ^ b) - fa) <= tol:
             return b
     return None

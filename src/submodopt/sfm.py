@@ -26,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import (EXHAUSTIVE_CAP, ClosedStructure, SetFunction, check_finite,
-                   check_tolerance, check_vector, level_sets, subset_of,
-                   to_explicit)
+from .core import (EXHAUSTIVE_CAP, ClosedStructure, SetFunction, _submasks,
+                   check_finite, check_tolerance, check_vector, level_sets,
+                   subset_of, to_explicit)
 from .errors import NoConvergence, NumericalInconsistency
 from .lovasz import _greedy_chain
 
@@ -393,9 +393,8 @@ def _minor_extremes(F: SetFunction, below: np.ndarray,
     not finite or an extreme is above that threshold.
     """
     # bit i of an index into masks is the i-th smallest element of U
-    masks = [subset_of(np.flatnonzero(below).tolist())]
-    for k in np.flatnonzero(open_).tolist():
-        masks += [m | 1 << k for m in masks]
+    low = subset_of(np.flatnonzero(below).tolist())
+    masks = [low | sub for sub in _submasks(subset_of(np.flatnonzero(open_).tolist()))]
     values = np.array([F(m) for m in masks])
     table = values - values[0]
     vmin = float(table.min())

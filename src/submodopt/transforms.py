@@ -43,8 +43,8 @@ import numpy as np
 
 from . import _kernels
 from .core import (EXHAUSTIVE_CAP, ClosedStructure, ExplicitFunction,
-                   SetFunction, check_cap, check_finite, check_vector,
-                   ModularSums, complement, elements_of, modular_function,
+                   SetFunction, _submasks, check_cap, check_finite,
+                   check_vector, complement, elements_of, modular_function,
                    to_explicit)
 
 
@@ -148,7 +148,7 @@ def partial_min(G: SetFunction, W: int, cap: int = EXHAUSTIVE_CAP) -> SetFunctio
     v_elems = elements_of(complement(W, G.p))
     if not v_elems:
         raise ValueError("no coordinates left after removing W")
-    w_subs = [embed_mask(m, w_elems) for m in range(1 << q)]
+    w_subs = _submasks(W)
     offset = min(G(b) for b in w_subs)
 
     def fn(mask: int) -> float:
@@ -172,24 +172,17 @@ def convolve_modular(F: SetFunction, z, cap: int = EXHAUSTIVE_CAP) -> SetFunctio
     """Infimal convolution with the modular function z.
 
     G(A) = min over B subset of A of F(B) + z(A - B); G <= F and G <= z
-    pointwise.  Each query enumerates the 2**|A| submasks of A; the table
-    takes one pass per element, H[A + k] = min(H[A + k], H[A] + z_k).
+    pointwise.  Each query enumerates the 2**|A| submasks B of A, in
+    compact order, so z(A - B) is the subset sum of z on A at the
+    complementary compact index; the table takes one pass per element,
+    H[A + k] = min(H[A + k], H[A] + z_k).
     """
     z = check_finite(check_vector(z, F.p), "modular vector")
-    zsums = ModularSums(z)
 
     def fn(mask: int) -> float:
         check_cap(int(mask).bit_count(), cap)
-        best = F(mask)  # B = A
-        sub = (mask - 1) & mask
-        while True:
-            v = F(sub) + zsums[mask ^ sub]
-            if v < best:
-                best = v
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        return best
+        rest = _kernels.subset_sums(z[elements_of(mask)])[::-1].tolist()
+        return min(F(b) + r for b, r in zip(_submasks(mask), rest))
 
     def builder(cap: int) -> np.ndarray:
         table = F.tabulate(cap)

@@ -252,7 +252,7 @@ class CoverChain(ClosedStructure):
         weight from each member and one to the sink: a cut pays the weight
         once if the group meets the source side, by the node's arc to the
         sink or by the arcs of its members.  A group of one member is a
-        modular term: the fold, added to m at each terminal arc."""
+        modular term: the fold, which ``network`` adds into m once."""
         members, starts, sizes, wts = self.part
         multi = sizes > 1
         single = ~multi

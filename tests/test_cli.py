@@ -509,6 +509,30 @@ def test_overflowing_cover_weight_minimizes_without_warnings(capfd, tmp_path):
         "certificate": [1e300, 0.0, 1.0], "gap": 0.0, **answer}
 
 
+def test_cover_with_a_huge_weight_by_its_table(capfd, tmp_path):
+    # the table sums the weights that A covers, so F({2}) = 1 next to the
+    # 1e300 of {0, 1} is not read as 0: brute force finds the empty set
+    # alone, as the flow does, and check runs on the same table
+    spec = {"kind": "cover", "p": 3, "groups": [{"members": [0, 1], "weight": 1e300},
+                                                {"members": [2], "weight": 1.0}]}
+    code, out, err, caught = run_quietly(capfd, tmp_path, spec, "explicit")
+    assert (code, err, caught) == (0, "", [])
+    assert json.loads(out)["results"]["spec"]["values"] == [
+        0.0, 1e300, 1e300, 1e300, 1.0, 1e300, 1e300, 1e300]
+    answer = {"certificate": None, "gap": 0.0, "maximal_minimizer": [],
+              "min_value": 0.0, "minimal_minimizer": []}
+    for verify in ((), ("--verify",)):
+        code, out, err, caught = run_quietly(capfd, tmp_path, spec, "minimize", "--algo",
+                                             "brute", *verify)
+        assert (code, err, caught) == (0, "", [])
+        assert json.loads(out)["results"] == answer
+    code, out, err, caught = run_quietly(capfd, tmp_path, spec, "check")
+    assert (code, err, caught) == (0, "", [])
+    results = json.loads(out)["results"]
+    assert [results[k]["holds"] for k in ("monotone", "posimodular", "submodular")] == [
+        True, True, True]
+
+
 _FLOW_1E308 = {"kind": "flow", "n_nodes": 3, "sources": [0], "sinks": [1, 2],
                "arcs": [[0, 1, 1e308], [0, 2, 1e308]]}
 _CUT_1E308 = {"kind": "cut", "p": 3, "arcs": [[0, 1, 1e308], [0, 2, 1e308]]}

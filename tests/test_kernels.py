@@ -426,3 +426,38 @@ def test_second_order_on_overflowing_differences():
                 for tol in (0.0, 1e-9, 1e308):
                     assert (bits(K.second_order_check(table, p, tol))
                             == bits(second_order_check_ref(table, p, tol)))
+
+
+def _cover_table_by_complement(masks, wts, p):
+    """The cover table as the total weight minus the weight of the groups
+    inside V - A, which cancels next to a huge weight."""
+    d = np.zeros(1 << p)
+    np.add.at(d, masks, wts)
+    inside = zeta_transform_ref(d)
+    table = inside[-1] - inside[::-1]
+    table[0] = 0.0
+    return table
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 12))
+def test_cover_table_equals_the_complement_form_on_dyadic_covers(seed, p):
+    # from p = 2 on the blocks of the low bits run on a rotated copy; every
+    # entry is a sum of dyadic weights, so any order of summation agrees
+    c = dyadic_cover(np.random.default_rng(seed), p)
+    masks = np.array([m for m, _ in c.groups], dtype=np.int64)
+    wts = np.array([w for _, w in c.groups])
+    table = K.cover_table(masks, wts, p)
+    assert bits(table) == bits(_cover_table_by_complement(masks, wts, p))
+    if p <= 6:
+        assert table.tolist() == [sum(w for m, w in c.groups if m & a)
+                                  for a in range(1 << p)]
+
+
+def test_cover_table_keeps_a_small_value_next_to_a_huge_weight():
+    # groups {0, 1} of 1e300 and {2} of 1: the complement form reads
+    # F({2}) = (1e300 + 1) - 1e300 = 0
+    masks, wts = np.array([0b011, 0b100]), np.array([1e300, 1.0])
+    table = K.cover_table(masks, wts, 3)
+    assert table.tolist() == [0.0, 1e300, 1e300, 1e300, 1.0, 1e300, 1e300, 1e300]
+    assert _cover_table_by_complement(masks, wts, 3)[0b100] == 0.0

@@ -234,6 +234,14 @@ def test_line_search_examples():
         so.line_search_P(F_OR, np.zeros(2), [-1.0, -1.0])
 
 
+def test_line_search_stops_at_the_singleton_bound():
+    # s0 = (1, 0) is tight on {0}, where t points out: no step at all
+    assert so.line_search_P(F_OR, [1.0, 0.0], [1.0, 0.0]) == 0.0
+    # just past lambda = 1, min F - lambda t is -1e-6, within the tolerance:
+    # the singleton {0} bounds the step, with no secant step
+    assert so.line_search_P(F_OR, np.zeros(2), [1.0, 0.0], tol=1e-3) == 1.0
+
+
 def test_line_search_random():
     rng = np.random.default_rng(2)
     for seed in range(20):

@@ -592,8 +592,8 @@ def test_flow_route_matches_brute_force(kind, seed, p, exponent):
 
 
 @pytest.mark.parametrize("groups, m, answer", [
-    # the table of this cover reads F({2}) = 0 where F({2}) = 1, so brute
-    # force calls {2} a minimizer; the flow reads no table
+    # F({2}) = 1 next to a weight of 1e300: the empty set is the only
+    # minimizer, by the flow and by brute force on the table
     ([(0b011, 1e300), (0b100, 1.0)], [0.0, 0.0, 0.0], (0.0, 0, 0)),
     # {0} and {0, 1} tie with the empty set at 0, next to a weight of 1
     ([(0b011, 1e300), (0b100, 1.0)], [-1e300, 0.0, -0.5], (0.0, 0, 0b011)),
@@ -608,6 +608,43 @@ def test_flow_route_on_covers_with_huge_weights(groups, m, answer):
         warnings.simplefilter("error")
         res = so.minimize(F)
     assert (res.min_value, res.minimal_minimizer, res.maximal_minimizer) == answer
+
+
+def test_brute_force_on_a_cover_with_a_huge_weight():
+    # the table sums the weights that A covers, so F({2}) = 1 is not lost
+    # next to the weight 1e300 of {0, 1}, and {2} ties with nothing
+    F = so.cover_function(so.CoverSystem(3, [(0b011, 1e300), (0b100, 1.0)]))
+    res = so.brute_minimize(F)
+    assert (res.min_value, res.minimal_minimizer, res.maximal_minimizer) == (0.0, 0, 0)
+
+
+def test_brute_force_refuses_a_table_whose_minimizers_are_no_lattice():
+    # {0} and {1} minimize, their intersection and union do not
+    F = so.explicit_function([0.0, -1.0, -1.0, 0.0])
+    with pytest.raises(NumericalInconsistency, match="input not submodular"):
+        so.brute_minimize(F)
+
+
+def test_minor_extremes_refuse_minimizers_that_are_no_lattice():
+    # on U = {1, 2} above L = {0}, {1} and {2} minimize the minor and
+    # neither their intersection nor their union comes near the minimum
+    F = so.explicit_function([0.0, -4.0, 0.0, -5.0, 0.0, -5.0, 0.0, -4.0])
+    below, open_ = np.array([True, False, False]), np.array([False, True, True])
+    assert sfm._minor_extremes(F, below, open_) is None
+    G = so.modular_function([-4.0, -1.0, 0.0])
+    assert sfm._minor_extremes(G, below, open_) == (0b011, 0b111)
+
+
+def test_certified_stop_confirms_its_reading_by_the_oracle():
+    # a chain that reads F below its oracle, as a chain that loses a small
+    # value next to a huge one does: min F = -1 at {0}, but the chain says
+    # -1.5, and the bound it gives settles every element; F({0}) > -1.5
+    # refuses that answer
+    F = so.modular_function([-1.0, 1.0])
+    x = np.array([-1.0, 1.0])
+    assert sfm._certified(F, x, np.array([0.0, -1.5, 0.0])) is None
+    res = sfm._certified(F, x, F.chain([0, 1]))
+    assert (res.min_value, res.minimal_minimizer, res.maximal_minimizer) == (-1.0, 1, 1)
 
 
 def test_the_function_picks_the_route(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import submodopt as so
 from submodopt import transforms
 from submodopt.core import ClosedStructure
+from submodopt.errors import NumericalInconsistency
 
 from helpers import (address_space_limit, dyadic, dyadic_cover,
                      dyadic_digraph, dyadic_energy, modular_sum)
@@ -287,3 +288,48 @@ def test_network_minors_match_the_transform_stack(data, p, seed, depth, family):
             G, H = G.restrict(A), transforms.restrict(H, local)
         else:
             G, H = G.contract(A), transforms.contract(H, local)
+
+
+def test_cover_minor_with_a_group_left_one_live_member():
+    # restricting away element 1 leaves the group {0, 1} with the live
+    # member 0 alone, and then element 3 leaves {1, 2, 3} with 2 and
+    # {3, 4} with 4; such a group keeps its node, which costs its weight
+    # once when its member is taken, as the modular term of the stack does
+    groups = [(0b000011, 1.0), (0b001110, 0.5), (0b011000, 0.25),
+              (0b100001, 2.0), (0b000100, 0.75), (0b110000, 0.125)]
+    F = so.add_modular(so.cover_function(so.CoverSystem(6, groups)),
+                       [-1.5, 0.25, -0.5, -0.75, 0.5, -1.0])
+    G, H = F.chainer.network(), F
+    rng = np.random.default_rng(34)
+    steps = [("restrict", 0b111101), ("restrict", 0b110101), ("contract", 0b100000)]
+    for step in [None] + steps:
+        if step is not None:
+            op, A = step
+            local = _local_mask(A, G.live.tolist())
+            G, H = getattr(G, op)(A), getattr(transforms, op)(H, local)
+        live = G.live.tolist()
+        singles = H.singletons()
+        assert_bitwise_equal(G.singletons(), singles)
+        # no shift, a dyadic one, and one that ties every singleton with
+        # the empty set, so both lattice extremes are tested
+        for shift in (np.zeros(H.p), dyadic(rng, -2.0, 2.0, size=H.p), -singles):
+            shifted = transforms.add_modular(H, shift)
+            for local in range(1 << H.p):
+                mask = so.embed_mask(local, live)
+                assert_bitwise_equal(G.value(mask, shift), shifted(local))
+            best = so.brute_minimize(shifted)
+            amin, omin = G.minimize(shift)
+            assert (_local_mask(amin, live), _local_mask(omin, live)) == (
+                best.minimal_minimizer, best.maximal_minimizer)
+            assert_bitwise_equal(G.value(amin, shift), best.min_value)
+
+
+@pytest.mark.parametrize("d, text", [(1e308, "inf"), (np.nan, "nan")])
+def test_network_minor_refuses_a_terminal_value_that_is_not_finite(d, text):
+    # c_0 = 1e308 plus a shift of 1e308 overflows: no arc can carry it
+    F = so.add_modular(so.cover_function(so.CoverSystem(3, [(0b011, 1.0)])),
+                       [1e308, 0.0, -1.0])
+    G = F.chainer.network()
+    with pytest.raises(NumericalInconsistency,
+                       match=f"^terminal capacity {text} of element 0 is not finite$"):
+        G.minimize(np.array([d, 0.0, 0.0]))

@@ -5,7 +5,7 @@ import pytest
 
 import submodopt as so
 
-from helpers import batch_subset_sums
+from helpers import batch_subset_sums, dyadic, dyadic_cover, dyadic_digraph
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
 SYM_CUT2 = so.explicit_function([0.0, 1.0, 1.0, 0.0])
@@ -62,6 +62,31 @@ def test_partial_min_cap():
     G = so.random_submodular(0, 8, "cut")
     with pytest.raises(CapExceeded):
         so.partial_min(G, 0b1111, cap=3)
+
+
+def test_partial_min_above_the_cap_runs_the_per_mask_loop():
+    # G is above the cap of the tabulation, so the builder gives way to one
+    # query per mask, each a min over the 2**|W| completions; on dyadic
+    # weights both read the same values
+    g = dyadic_digraph(np.random.default_rng(5), 8, density=0.4)
+    W = 0b10110100
+    table = so.partial_min(so.cut_function(g), W).tabulate()
+    F = so.partial_min(so.cut_function(g), W)
+    assert F.structured and F.tabulate(cap=7).tobytes() == table.tobytes()
+
+
+def test_convolution_queries_match_the_table():
+    # each query takes the min over the submasks B of A of F(B) + z(A - B)
+    rng = np.random.default_rng(6)
+    F = so.cover_function(dyadic_cover(rng, 7))
+    z = dyadic(rng, -0.5, 0.5, size=7)
+    G = so.convolve_modular(F, z)
+    table = G.tabulate()
+    assert [G(m) for m in range(1 << 7)] == table.tolist()
+    ref = so.to_explicit(F)
+    assert table.tolist() == [
+        min(ref[b] + sum(z[k] for k in so.elements_of(a & ~b))
+            for b in range(1 << 7) if b & ~a == 0) for a in range(1 << 7)]
 
 
 def test_convolve_examples():
