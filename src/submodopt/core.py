@@ -25,11 +25,13 @@ covers, each plus a modular term, are its two subclasses in ``zoo``.  A
 closed structure evaluates, chains, tabulates and lists the singleton
 values of its function, and it is closed under restriction, contraction
 and modular shifts, so ``transforms`` rebuilds the oracle, the table and
-the chain of such a transform from the reduced structure.  Its
+the chain of such a transform from the reduced structure.  Whether F has
+one is decided in one place, :func:`_structure`, which ``transforms``,
+``sfm.minimize`` and the prox solvers ask too.  Its
 :meth:`ClosedStructure.network` lays out its s-t network once and returns
-F as a :class:`_NetworkMinor`, which minimizes F, and every restriction,
-contraction and shift of F reached from it, by one max-flow on that
-layout.
+F as a :class:`_NetworkMinor`, which evaluates and minimizes F, and every
+restriction, contraction and shift of F reached from it, off that one
+layout: the network is the only copy of the arcs a minor reads.
 
 Concrete families, the seeded random instances included, live in ``zoo``.
 """
@@ -279,8 +281,9 @@ class SetFunction:
         :class:`ClosedStructure`), which neither reads nor fills the memo;
         otherwise one oracle call per element.
         """
-        if isinstance(self._chainer, ClosedStructure):
-            return self._chainer.singles()
+        S = _structure(self)
+        if S is not None:
+            return S.singles()
         return np.array([self(1 << k) for k in range(self.p)], dtype=np.float64)
 
     def chain(self, order) -> np.ndarray:
@@ -404,8 +407,7 @@ class ClosedStructure:
         heads = np.concatenate((*heads, ends[:, 1]))
         caps = np.concatenate((*caps, np.zeros(2 * p)))
         to, cap, adj = _maxflow.residual_network(n, tails, heads, caps)
-        k = caps.shape[0] - 2 * p  # the arcs of the part
-        term = 2 * k  # source -> j is entry term + 4j, j -> sink term + 4j + 2
+        term = 2 * (caps.shape[0] - 2 * p)  # the entries of the part's arcs
         # a minimization lists the terminal entries of the source and the
         # sink it uses; an element keeps its arc to the sink but not the
         # partner of the arc from the source, which no search follows
@@ -413,45 +415,15 @@ class ClosedStructure:
             del adj[j][-2]
         adj[p] = []
         adj[p + 1] = [a for a in adj[p + 1] if a < term]
-        net = _Network(p, to, cap, adj, term, (tails[:k], heads[:k], caps[:k]))
-        return _NetworkMinor(net, (self.m + fold).tolist())
+        return _NetworkMinor((p, to, cap, term), adj, (self.m + fold).tolist())
 
 
-class _Network:
-    """The residual network of a closed structure on its whole ground set,
-    shared by all of its minors, and the incidence of its part that the
-    minors update by (built on first use)."""
-
-    __slots__ = ("p", "to", "cap", "adj", "term", "_part", "outs", "ins",
-                 "groups_of", "weights")
-
-    def __init__(self, p, to, cap, adj, term, part):
-        self.p, self.to, self.cap, self.adj, self.term = p, to, cap, adj, term
-        self._part = part
-        self.outs = None
-
-    def incidence(self) -> None:
-        """Per element its cut arcs out (head, weight) and in (tail,
-        weight) in arc order, and its groups; per group node its weight."""
-        if self.outs is not None:
-            return
-        p = self.p
-        outs = [[] for _ in range(p)]
-        ins = [[] for _ in range(p)]
-        groups_of = [[] for _ in range(p)]
-        weights = [0.0] * len(self.adj)
-        tails, heads, caps = (a.tolist() for a in self._part)
-        for u, v, w in zip(tails, heads, caps):
-            if u < p:
-                if v < p:
-                    if u != v:
-                        outs[u].append((v, w))
-                        ins[v].append((u, w))
-                elif v > p + 1:
-                    groups_of[u].append(v)
-            elif v == p + 1 and u > p + 1:
-                weights[u] = w
-        self.outs, self.ins, self.groups_of, self.weights = outs, ins, groups_of, weights
+def _structure(F: SetFunction) -> Optional[ClosedStructure]:
+    """The closed structure F chains by, or None: the one test of whether
+    F is a cut, a cover or a modular function, each plus a modular term,
+    or a restriction, contraction or shift of one."""
+    S = F.chainer
+    return S if isinstance(S, ClosedStructure) else None
 
 
 class _NetworkMinor:
@@ -466,9 +438,18 @@ class _NetworkMinor:
     however few of its members are live: its arcs from deleted members are
     never searched, so it costs its weight once when it meets the taken
     set.  A group that meets L is dead, since its weight is in F(L).
-    ``restrict`` (delete the live elements outside a set) and ``contract``
-    (move a set into L) return a new minor and update c and the dead
-    group nodes by a loop over the arcs of the moved elements.
+
+    ``_net`` is (p, to, cap, term): the lists of F's residual network, laid
+    out by :func:`_maxflow.residual_network` and shared by all of its
+    minors, which read the arcs of the part off them.  The entries of
+    element k below ``term`` are its arcs, in arc order: an even entry a is
+    an arc k -> v of weight ``cap[a]``, v an element of a cut or a group
+    node of a cover, and an odd one the partner of a cut arc u -> k, of
+    weight ``cap[a ^ 1]``; from ``term`` on, element j has source -> j at
+    ``term + 4j`` and j -> sink at ``term + 4j + 2``.  ``restrict`` (delete
+    the live elements outside a set) and ``contract`` (move a set into L)
+    return a new minor and update c and the dead group nodes by a loop
+    over the entries of the moved elements.
 
     :meth:`minimize` solves the minor plus a modular shift d by one
     :func:`_maxflow.max_flow`: it copies the capacities of F's network,
@@ -479,58 +460,55 @@ class _NetworkMinor:
     negative terminal values; each capacity is one weight or one terminal
     value, never a big-M total, so none overflows where a singleton value
     does not.  The lists of a minor are filtered from those of the nearest
-    minor above it that searched, once per minor.
+    minor above it that searched, ``_base``, once per minor; the loops over
+    the arcs of the part read ``_base`` too.
     """
 
     __slots__ = ("live", "full", "_net", "_elems", "_c", "_alive", "_adj", "_base")
 
-    def __init__(self, net: _Network, c: list):
-        p = net.p
+    def __init__(self, net: tuple, adj: list, c: list):
+        p = net[0]
         self._net = net
         self._elems = list(range(p))
         self.live = _BITS[:p].copy()
         self.full = (1 << p) - 1
         self._c = c
-        self._alive = [True] * len(net.adj)
-        self._adj = self._base = net.adj
+        self._alive = [True] * len(adj)
+        self._adj = self._base = adj
 
     def value(self, mask: int, shift: Optional[np.ndarray] = None) -> float:
         """The minor at the subset ``mask`` of U, plus the shift d there
         (d lists one entry per live element)."""
-        net = self._net
-        net.incidence()
-        c, alive, outs, groups_of, weights = (
-            self._c, self._alive, net.outs, net.groups_of, net.weights)
+        p, to, cap, term = self._net
+        c, alive, base = self._c, self._alive, self._base
         shift = [0.0] * len(self._elems) if shift is None else shift.tolist()
         modular = part = 0.0
-        met = set()
+        taken = mask  # the taken elements and the group nodes already paid
         for k, d in zip(self._elems, shift):
             if mask >> k & 1:
                 modular += c[k] + d
-                for v, w in outs[k]:
-                    if alive[v] and not mask >> v & 1:
-                        part += w
-                for g in groups_of[k]:
-                    if alive[g] and g not in met:
-                        met.add(g)
-                        part += weights[g]
+                for a in base[k]:
+                    if a >= term:
+                        break
+                    v = to[a]
+                    if not a & 1 and alive[v] and not taken >> v & 1:
+                        if v > p:
+                            taken |= 1 << v
+                        part += cap[a]
         return modular + part
 
     def singletons(self) -> np.ndarray:
         """The minor at {k} for every live k, in the order of ``live``."""
-        net = self._net
-        net.incidence()
-        c, alive, outs, groups_of, weights = (
-            self._c, self._alive, net.outs, net.groups_of, net.weights)
+        _, to, cap, term = self._net
+        c, alive, base = self._c, self._alive, self._base
         values = []
         for k in self._elems:
             part = 0.0
-            for v, w in outs[k]:
-                if alive[v]:
-                    part += w
-            for g in groups_of[k]:
-                if alive[g]:
-                    part += weights[g]
+            for a in base[k]:
+                if a >= term:
+                    break
+                if not a & 1 and alive[to[a]]:
+                    part += cap[a]
             values.append(c[k] + part)
         return np.array(values)
 
@@ -540,15 +518,14 @@ class _NetworkMinor:
 
         Raises NumericalInconsistency when a terminal value is not finite.
         """
-        net = self._net
-        p = net.p
-        cap = net.cap[:]
+        p, to, cap, term = self._net
+        cap = cap[:]
         adj = self._adjacency()[:]
         out, into = [], adj[p + 1][:]
         c = self._c
         for k, d in zip(self._elems, shift.tolist()):
             v = c[k] + d
-            a = net.term + 4 * k
+            a = term + 4 * k
             if 0.0 < v < _INF:
                 cap[a + 2] = v
                 into.append(a + 3)
@@ -559,7 +536,7 @@ class _NetworkMinor:
                 raise NumericalInconsistency(
                     f"terminal capacity {v!r} of element {k} is not finite")
         adj[p], adj[p + 1] = out, into
-        res = _maxflow.max_flow(net.to, cap, adj, p, p + 1)
+        res = _maxflow.max_flow(to, cap, adj, p, p + 1)
         src, snk = res.source_level, res.sink_level
         amin = omin = 0
         for k in self._elems:
@@ -571,16 +548,14 @@ class _NetworkMinor:
 
     def _adjacency(self) -> list:
         if self._adj is None:
-            alive, to = self._alive, self._net.to
+            alive, to = self._alive, self._net[1]
             self._adj = [[a for a in out if alive[to[a]]] if live else []
                          for out, live in zip(self._base, alive)]
         return self._adj
 
     def _child(self, keep: int) -> "_NetworkMinor":
-        net = self._net
-        net.incidence()
         child = object.__new__(_NetworkMinor)
-        child._net = net
+        child._net = self._net
         child._elems = [k for k in self._elems if keep >> k & 1]
         child.live = np.array(child._elems, dtype=np.int64)
         child.full = keep & self.full
@@ -592,40 +567,47 @@ class _NetworkMinor:
     def restrict(self, mask: int) -> "_NetworkMinor":
         """The minor on the live elements in ``mask``; the others are deleted.
 
-        A cut arc from a kept element k into a deleted one is cut whenever
-        k is taken, so its weight moves into c_k.
+        A cut arc from a kept element u into a deleted one is cut whenever
+        u is taken, so its weight moves into c_u.
         """
         child = self._child(mask)
-        c, alive, ins = child._c, child._alive, self._net.ins
+        _, to, cap, term = self._net
+        c, alive, base = child._c, child._alive, child._base
         gone = [k for k in self._elems if not mask >> k & 1]
         for k in gone:
             alive[k] = False
         for k in gone:
-            for u, w in ins[k]:
-                if alive[u]:
-                    c[u] += w
+            for a in base[k]:
+                if a >= term:
+                    break
+                if a & 1 and alive[to[a]]:
+                    c[to[a]] += cap[a ^ 1]
         return child
 
     def contract(self, mask: int) -> "_NetworkMinor":
         """The minor on the live elements outside ``mask``, with mask moved
         into L.
 
-        A cut arc from a contracted element into a live k is cut whenever k
-        is left out, so its weight leaves c_k; every group that meets the
+        A cut arc from a contracted element into a live v is cut whenever v
+        is left out, so its weight leaves c_v; every group that meets the
         contracted set dies.
         """
         child = self._child(self.full & ~mask)
-        net = self._net
-        c, alive = child._c, child._alive
+        p, to, cap, term = self._net
+        c, alive, base = child._c, child._alive, child._base
         moved = [k for k in self._elems if mask >> k & 1]
         for k in moved:
             alive[k] = False
         for k in moved:
-            for v, w in net.outs[k]:
-                if alive[v]:
-                    c[v] -= w
-            for g in net.groups_of[k]:
-                alive[g] = False
+            for a in base[k]:
+                if a >= term:
+                    break
+                v = to[a]
+                if not a & 1 and alive[v]:
+                    if v > p:
+                        alive[v] = False
+                    else:
+                        c[v] -= cap[a]
         return child
 
 

@@ -6,7 +6,8 @@ s(A) <= F(A), so they live under the same cap as the other
 enumeration-based operations.  The maximizer certificates read F once per
 level set of the weight vector (:func:`core.level_sets`) and need no cap.
 Tolerances are additive and shared through the ``tol`` argument; a NaN,
-infinite or negative one raises ValueError (:func:`core.check_tolerance`).
+infinite or negative one raises ValueError (:func:`core.check_tolerance`),
+and so does a NaN or an infinity in a point s or a weight vector w.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def tight_sets(F: SetFunction, s, tol: float = DEFAULT_TOL,
     that fails does the quadratic pair search name the two sets.
     """
     tol = check_tolerance(tol)
-    s = check_vector(s, F.p)
+    s = check_finite(check_vector(s, F.p), "s")
     table = to_explicit(F, cap)
     sums = _kernels.subset_sums(s)
     flags = np.abs(sums - table) <= tol
@@ -126,8 +127,8 @@ def is_base_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     is the exchange form over all tight sets.
     """
     tol = check_tolerance(tol)
-    s = check_vector(s, F.p)
-    w = check_vector(w, F.p)
+    s = check_finite(check_vector(s, F.p), "s")
+    w = check_finite(check_vector(w, F.p), "w")
     # the upper level sets of w are the lower level sets of -w
     return _levels_tight(F, s, -w, tol)
 
@@ -135,7 +136,7 @@ def is_base_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
 def base_maximizer_exchange_check(F: SetFunction, s, w, tol: float = DEFAULT_TOL,
                                   cap: int = EXHAUSTIVE_CAP) -> bool:
     """Exchange form of the maximizer test: w_k <= w_q for all q in dep(s, k)."""
-    w = check_vector(w, F.p)
+    w = check_finite(check_vector(w, F.p), "w")
     for k, q in exchangeable_pairs(F, s, tol, cap):
         if w[k] > w[q] + tol:
             return False
@@ -150,8 +151,8 @@ def is_P_plus_maximizer(F: SetFunction, s, w, tol: float = DEFAULT_TOL) -> bool:
     no condition.
     """
     tol = check_tolerance(tol)
-    s = check_vector(s, F.p)
-    w = check_vector(w, F.p)
+    s = check_finite(check_vector(s, F.p), "s")
+    w = check_finite(check_vector(w, F.p), "w")
     for block, mask in level_sets(-w):
         if w[block[0]] < 0.0:
             if np.any(np.abs(s[block]) > tol):

@@ -22,8 +22,8 @@ and contraction, and each of its SFMs minimizes it plus a modular shift.
 The function picks the minor (see :func:`_minor`).  A cut or a cover plus
 a modular term, or a modular function, is a :class:`core._NetworkMinor`:
 the network of F is laid out once per call, every minor carries its live
-elements, its terminal coefficients and its dead group nodes, updated at
-each split by a loop over the arcs of the moved elements, and every SFM is
+elements, its terminal coefficients and which nodes are alive, and reads
+its values and its splits off the arcs of that network, and every SFM is
 one max-flow on a copy of F's capacities.  Any other function runs the
 transforms and one :func:`sfm.minimize` (min-norm) per SFM.  All min-norm
 solves run from the same start, the greedy vertex of the singleton roots
@@ -54,9 +54,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import _kernels, transforms
-from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, ClosedStructure, SetFunction,
+from .core import (DEFAULT_TOL, EXHAUSTIVE_CAP, SetFunction, _structure,
                    check_finite, check_tolerance, check_vector, complement,
-                   elements_of, subset_of, to_explicit)
+                   elements_of, subset_of, to_explicit, validate_ground_size)
 from .errors import (NoConvergence, NumericalInconsistency, RecursionOverflow,
                      Unbounded)
 from .lovasz import lovasz_extension
@@ -136,11 +136,12 @@ class SeparableConvex:
     all of R; a grid check rejects obviously flat or saturating derivatives
     at construction.  A round-trip probe at 0.7 also rejects a ``deriv``
     that mixes coordinates, such as w + 0.1 * sum(w): ``inv_deriv`` reads
-    each coordinate with the others at zero, so it misses 0.7 there.
+    each coordinate with the others at zero, so it misses 0.7 there.  ``p``
+    is read as a ground-set size (:func:`core.validate_ground_size`).
     """
 
     def __init__(self, p: int, deriv: Callable[[np.ndarray], np.ndarray]):
-        self.p = int(p)
+        self.p = validate_ground_size(p)
         self.deriv = deriv
         self._validate()
 
@@ -253,9 +254,9 @@ def prox_threshold_sets(u, alpha: float, tau: float = 1e-9) -> tuple[int, int]:
     """Minimal and maximal minimizers of F + psi'(alpha) from the prox solution.
 
     The exact sets are {u > alpha} and {u >= alpha}; ``tau`` guards against
-    solver noise in u.  A NaN or infinite alpha raises ValueError.
+    solver noise in u.  A NaN or an infinity in u or alpha raises ValueError.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = check_finite(check_vector(u, np.size(u)), "u")
     alpha = float(check_finite(alpha, "alpha"))
     tau = check_tolerance(tau)
     minimal = subset_of(np.nonzero(u > alpha + tau)[0])
@@ -304,8 +305,11 @@ class _OracleMinor:
         return subset_of(self.live[elements_of(local)].tolist())
 
     def value(self, mask: int, shift: Optional[np.ndarray] = None) -> float:
-        G = self.F if shift is None else transforms.add_modular(self.F, shift)
-        return G(self._local(mask))
+        local = self._local(mask)
+        if shift is None:
+            return self.F(local)
+        # the shift summed in element order, as add_modular's modular term sums it
+        return self.F(local) + sum(shift[elements_of(local)].tolist())
 
     def singletons(self) -> np.ndarray:
         return self.F.singletons()
@@ -330,8 +334,8 @@ def _minor(F: SetFunction, eps: float):
     """F as a minor on its whole ground set: over its network when F
     chains by a closed structure, else over the oracle."""
     _check_eps(eps)
-    S = F.chainer
-    if isinstance(S, ClosedStructure):
+    S = _structure(F)
+    if S is not None:
         return S.network()
     return _OracleMinor(F, np.arange(F.p), eps)
 
@@ -586,7 +590,7 @@ def check_separable_optimality(F: SetFunction, s, g: DerivativeSpec,
     ``g`` is a SeparableConvex or a vectorized derivative callable.
     """
     tol = check_tolerance(tol)
-    s = check_vector(s, F.p)
+    s = check_finite(check_vector(s, F.p), "s")
     return _levels_tight(F, s, _derivative_values(g, s), tol, group_tol=tol)
 
 
@@ -596,8 +600,8 @@ def lex_compare(s1, s2, g: Optional[DerivativeSpec] = None) -> int:
     Sorts g'(s) increasingly and compares lexicographically; returns -1, 0,
     or 1.  The identity derivative is used when g is None.
     """
-    s1 = check_vector(s1, np.size(s1))
-    s2 = check_vector(s2, s1.size)
+    s1 = check_finite(check_vector(s1, np.size(s1)), "s1")
+    s2 = check_finite(check_vector(s2, s1.size), "s2")
     w1 = s1 if g is None else _derivative_values(g, s1)
     w2 = s2 if g is None else _derivative_values(g, s2)
     for a, b in zip(np.sort(w1), np.sort(w2)):

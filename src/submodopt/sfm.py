@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .core import (EXHAUSTIVE_CAP, ClosedStructure, SetFunction, _submasks,
+from .core import (EXHAUSTIVE_CAP, SetFunction, _structure, _submasks,
                    check_finite, check_tolerance, check_vector, level_sets,
                    subset_of, to_explicit)
 from .errors import NoConvergence, NumericalInconsistency
@@ -317,9 +317,11 @@ def minimize(F: SetFunction, eps: float = 1e-9) -> SfmResult:
     number raises ValueError on either route.
     """
     _check_eps(eps)
-    S = F.chainer
-    if isinstance(S, ClosedStructure):
-        return _flow_minimize(F, S)
+    S = _structure(F)
+    if S is not None:  # the minor of S on its whole ground set
+        amin, omin = S.network().minimize(np.zeros(F.p))
+        return SfmResult(min_value=F(amin), minimal_minimizer=amin,
+                         maximal_minimizer=omin, certificate=None, gap=0.0)
     p = F.p
     cycles = _major_cycles(F, np.ones(p), np.zeros(p), eps, 100 * p)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,14 +333,6 @@ def minimize(F: SetFunction, eps: float = 1e-9) -> SfmResult:
     hits = np.flatnonzero(values <= vmin + 1e-12 * (1.0 + abs(vmin))).tolist()
     order = order.tolist()
     return _with_gap(vmin, subset_of(order[:hits[0]]), subset_of(order[:hits[-1]]), x)
-
-
-def _flow_minimize(F: SetFunction, S: ClosedStructure) -> SfmResult:
-    """The lattice extremes of the minimizers of F = S by one max-flow: the
-    minimization of its minor on the whole ground set."""
-    amin, omin = S.network().minimize(np.zeros(S.p))
-    return SfmResult(min_value=F(amin), minimal_minimizer=amin,
-                     maximal_minimizer=omin, certificate=None, gap=0.0)
 
 
 def _certified(F: SetFunction, x: np.ndarray, values: np.ndarray) -> Optional[SfmResult]:
@@ -425,7 +419,7 @@ def _with_gap(vmin: float, amin: int, omin: int, x: np.ndarray) -> SfmResult:
 
 def certificate_gap(F: SetFunction, A: int, s) -> float:
     """F(A) minus the negative part of s; zero iff both are optimal."""
-    s = check_vector(s, F.p)
+    s = check_finite(check_vector(s, F.p), "s")
     return float(F(A) - np.sum(np.minimum(s, 0.0)))
 
 
@@ -435,9 +429,10 @@ def recover_level_values(F: SetFunction, x, group_tol: float = 1e-6) -> list[tup
     Coordinates of x are grouped by value (gaps larger than ``group_tol``
     split blocks); each block value is the mean marginal gain of F along
     the ascending chain of blocks.  Disagreement with x beyond 1e-6 raises
-    NumericalInconsistency (the grouping tolerance was misjudged).
+    NumericalInconsistency (the grouping tolerance was misjudged); an x
+    that is not a finite vector of length p raises ValueError.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_finite(check_vector(x, F.p), "x")
     group_tol = check_tolerance(group_tol)
     out = []
     seen = 0

@@ -42,10 +42,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .core import (EXHAUSTIVE_CAP, ClosedStructure, ExplicitFunction,
-                   SetFunction, _submasks, check_cap, check_finite,
-                   check_vector, complement, elements_of, modular_function,
-                   to_explicit)
+from .core import (EXHAUSTIVE_CAP, ExplicitFunction, SetFunction, _structure,
+                   _submasks, check_cap, check_finite, check_vector,
+                   complement, elements_of, modular_function, to_explicit)
 
 
 def embed_mask(mask: int, elements: Sequence[int]) -> int:
@@ -79,12 +78,6 @@ def _if_structured(builder, *inputs):
 def _if_chained(chainer, *inputs):
     """The chainer when every input chains from its structure, else None."""
     return chainer if all(F.chainer is not None for F in inputs) else None
-
-
-def _structure(F: SetFunction):
-    """The closed structure F chains by (see core.ClosedStructure), or None."""
-    S = F.chainer
-    return S if isinstance(S, ClosedStructure) else None
 
 
 def _gather_builder(F: SetFunction, elems: Sequence[int], A: int = 0,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import submodopt as so
-from submodopt import core, prox, transforms, zoo
+from submodopt import core, polyhedra, prox, transforms, zoo
 
 F_OR = so.explicit_function([0.0, 1.0, 1.0, 1.0])
 F3 = so.random_submodular(0, 3, "cut")
@@ -90,3 +90,52 @@ def test_input_errors(call, message):
 def test_non_numeric_integers(call, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call()
+
+
+F_PAIR = so.explicit_function([0.0, 1.0, 1.0, 1.5])
+Q_PAIR = so.Quadratic(np.ones(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("call, message", [
+    # the certificates refuse a point or a weight vector that is not finite,
+    # as in_P, in_B and conjugate do, where they answered True, a tight set
+    # list, a tie or a NaN gap
+    (lambda: so.tight_sets(F_PAIR, [np.nan, 1.0]), "s must be finite"),
+    (lambda: so.dep(F_PAIR, [np.inf, 1.0], 0), "s must be finite"),
+    (lambda: so.exchangeable_pairs(F_PAIR, [np.nan, 1.0]), "s must be finite"),
+    (lambda: polyhedra.base_maximizer_exchange_check(F_PAIR, [0.5, 1.0], [np.nan, 1.0]),
+     "w must be finite"),
+    (lambda: polyhedra.base_maximizer_exchange_check(F_PAIR, [np.nan, 1.0], [0.0, 1.0]),
+     "s must be finite"),
+    (lambda: so.is_base_maximizer(F_PAIR, [np.nan, 1.0], [0.0, 1.0]), "s must be finite"),
+    (lambda: so.is_base_maximizer(F_PAIR, [0.5, 1.0], [0.0, -np.inf]), "w must be finite"),
+    (lambda: so.is_P_plus_maximizer(F_PAIR, [np.nan, 1.0], [1.0, 1.0]), "s must be finite"),
+    (lambda: so.is_P_plus_maximizer(F_PAIR, [0.5, 1.0], [np.nan, 1.0]), "w must be finite"),
+    (lambda: so.check_separable_optimality(F_PAIR, [np.nan, 1.0], Q_PAIR),
+     "s must be finite"),
+    (lambda: so.lex_compare([np.nan], [1.0]), "s1 must be finite"),
+    (lambda: so.lex_compare([1.0], [np.inf]), "s2 must be finite"),
+    (lambda: so.recover_level_values(F_PAIR, [np.nan, 1.0]), "x must be finite"),
+    # a vector of the wrong length is an input error, not a failed computation
+    (lambda: so.recover_level_values(F_PAIR, [0.5]), "vector has shape (1,), expected (2,)"),
+    (lambda: so.certificate_gap(F_PAIR, 1, [np.nan, 1.0]), "s must be finite"),
+    (lambda: so.prox_threshold_sets([np.nan, 1.0], 0.5), "u must be finite"),
+])
+def test_certificates_refuse_vectors_that_are_not_finite(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def identity(w):
+    return np.asarray(w, dtype=np.float64)
+
+
+@pytest.mark.parametrize("p, error, message", [
+    # int() truncated 2.5 to 2 and took 0
+    (2.5, ValueError, "ground set size 2.5 is not an integer"),
+    (0, ValueError, "ground set size must be in [1, 63], got 0"),
+    (True, TypeError, "ground set size must be numeric"),
+])
+def test_separable_convex_reads_its_size_as_a_ground_set_size(p, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        so.SeparableConvex(p, identity)

@@ -243,24 +243,53 @@ def _local_mask(mask, live):
     return sum(1 << i for i, k in enumerate(live) if (mask >> k) & 1)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+def shuffled(rng, items):
+    return [items[i] for i in rng.permutation(len(items))]
+
+
+def dyadic_multigraph(rng, p):
+    """A dyadic digraph with a parallel and an antiparallel arc, each of a
+    new weight, beside about half of its arcs, in a random arc order."""
+    arcs = list(dyadic_digraph(rng, p, density=0.4).arcs)
+    for u, v, _ in list(arcs):
+        for tail, head in ((u, v), (v, u)):
+            if rng.random() < 0.5:
+                arcs.append((tail, head, float(dyadic(rng, 2 ** -16, 1.0))))
+    return so.Digraph(p, shuffled(rng, arcs))
+
+
+def repeated_cover(rng, p):
+    """A dyadic cover with a second group on the members of about half of
+    its groups, of the same weight or a new one, in a random group order."""
+    groups = list(dyadic_cover(rng, p).groups)
+    for mask, wt in list(groups):
+        if rng.random() < 0.5:
+            groups.append((mask, wt if rng.random() < 0.5
+                           else float(dyadic(rng, 2 ** -16, 1.0))))
+    return so.CoverSystem(p, shuffled(rng, groups))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
 @given(data=st.data(), p=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1),
        depth=st.integers(0, 4),
-       family=st.sampled_from(["cut", "cover", "modular"]))
+       family=st.sampled_from(["cut", "cover", "modular", "multigraph",
+                               "repeated cover"]))
 def test_network_minors_match_the_transform_stack(data, p, seed, depth, family):
     # every minor of the root network, under random nested restrictions and
     # contractions, has the values, the singletons and, plus any shift, the
     # minimum and both lattice extremes of the restrict / contract stack
-    # that transforms build, bit for bit on dyadic data
+    # that transforms build, bit for bit on dyadic data; a minor reads an
+    # arc per entry of the network, so parallel and antiparallel cut arcs
+    # and repeated cover groups each count once per copy
     rng = np.random.default_rng(seed)
-    if family == "cut":
-        F = so.add_modular(so.cut_function(dyadic_digraph(rng, p, density=0.4)),
-                           dyadic(rng, -1.0, 1.0, size=p))
-    elif family == "modular":
+    if family == "modular":
         F = so.modular_function(dyadic(rng, -1.0, 1.0, size=p))
     else:
-        F = so.add_modular(so.cover_function(dyadic_cover(rng, p)),
-                           dyadic(rng, -1.0, 1.0, size=p))
+        part = {"cut": lambda: so.cut_function(dyadic_digraph(rng, p, density=0.4)),
+                "cover": lambda: so.cover_function(dyadic_cover(rng, p)),
+                "multigraph": lambda: so.cut_function(dyadic_multigraph(rng, p)),
+                "repeated cover": lambda: so.cover_function(repeated_cover(rng, p))}
+        F = so.add_modular(part[family](), dyadic(rng, -1.0, 1.0, size=p))
     G, H = F.chainer.network(), F
     for level in range(depth + 1):
         live = G.live.tolist()
@@ -290,18 +319,12 @@ def test_network_minors_match_the_transform_stack(data, p, seed, depth, family):
             G, H = G.contract(A), transforms.contract(H, local)
 
 
-def test_cover_minor_with_a_group_left_one_live_member():
-    # restricting away element 1 leaves the group {0, 1} with the live
-    # member 0 alone, and then element 3 leaves {1, 2, 3} with 2 and
-    # {3, 4} with 4; such a group keeps its node, which costs its weight
-    # once when its member is taken, as the modular term of the stack does
-    groups = [(0b000011, 1.0), (0b001110, 0.5), (0b011000, 0.25),
-              (0b100001, 2.0), (0b000100, 0.75), (0b110000, 0.125)]
-    F = so.add_modular(so.cover_function(so.CoverSystem(6, groups)),
-                       [-1.5, 0.25, -0.5, -0.75, 0.5, -1.0])
+def assert_minor_steps(F, steps, seed):
+    """Walk the network minors of F and the transform stack of F through
+    the same steps (op, mask in root coordinates), comparing them at every
+    mask and their minimizers after each step."""
     G, H = F.chainer.network(), F
-    rng = np.random.default_rng(34)
-    steps = [("restrict", 0b111101), ("restrict", 0b110101), ("contract", 0b100000)]
+    rng = np.random.default_rng(seed)
     for step in [None] + steps:
         if step is not None:
             op, A = step
@@ -322,6 +345,43 @@ def test_cover_minor_with_a_group_left_one_live_member():
             assert (_local_mask(amin, live), _local_mask(omin, live)) == (
                 best.minimal_minimizer, best.maximal_minimizer)
             assert_bitwise_equal(G.value(amin, shift), best.min_value)
+
+
+def test_cover_minor_with_a_group_left_one_live_member():
+    # restricting away element 1 leaves the group {0, 1} with the live
+    # member 0 alone, and then element 3 leaves {1, 2, 3} with 2 and
+    # {3, 4} with 4; such a group keeps its node, which costs its weight
+    # once when its member is taken, as the modular term of the stack does
+    groups = [(0b000011, 1.0), (0b001110, 0.5), (0b011000, 0.25),
+              (0b100001, 2.0), (0b000100, 0.75), (0b110000, 0.125)]
+    F = so.add_modular(so.cover_function(so.CoverSystem(6, groups)),
+                       [-1.5, 0.25, -0.5, -0.75, 0.5, -1.0])
+    assert_minor_steps(F, [("restrict", 0b111101), ("restrict", 0b110101),
+                           ("contract", 0b100000)], 34)
+
+
+@pytest.mark.parametrize("kind", ["cut", "cover"])
+def test_network_minors_read_one_arc_per_entry(kind):
+    # a cut with parallel arcs 0 -> 1 and 2 -> 3 and antiparallel pairs
+    # 0 <-> 1, 2 <-> 3 and 3 <-> 4; a cover that repeats the groups {0, 1}
+    # and {1, 2, 3} at one weight, {3, 4} at two and the one-member {2}
+    # folded into m; each copy is one arc of the network and costs its own
+    # weight, before and after the restrictions and contractions that cut
+    # the copies off one end at a time
+    if kind == "cut":
+        arcs = [(0, 1, 0.5), (1, 0, 0.75), (2, 3, 1.0), (0, 1, 0.125),
+                (3, 2, 0.375), (3, 4, 1.5), (2, 3, 0.0625), (4, 3, 0.25),
+                (1, 2, 0.25), (4, 0, 0.875), (3, 2, 0.5), (0, 1, 0.5)]
+        part = so.cut_function(so.Digraph(5, arcs))
+    else:
+        groups = [(0b00011, 1.0), (0b01110, 0.5), (0b11000, 0.25), (0b00011, 1.0),
+                  (0b00100, 0.75), (0b01110, 0.5), (0b11000, 1.25), (0b00100, 0.125)]
+        part = so.cover_function(so.CoverSystem(5, groups))
+    F = so.add_modular(part, [-1.0, 0.5, -0.25, -1.5, 0.75])
+    assert_minor_steps(F, [("restrict", 0b11101), ("contract", 0b00001),
+                           ("restrict", 0b11100)], 35)
+    assert_minor_steps(F, [("contract", 0b00010), ("restrict", 0b10101),
+                           ("contract", 0b10000)], 36)
 
 
 @pytest.mark.parametrize("d, text", [(1e308, "inf"), (np.nan, "nan")])
